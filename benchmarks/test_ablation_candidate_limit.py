@@ -1,4 +1,4 @@
-"""Ablation: information-gain candidate pruning (DESIGN.md §3).
+"""Ablation: information-gain candidate pruning (``candidate_limit``).
 
 The experiments cap look-ahead to the top-K candidates by entropy. This
 bench quantifies the design choice: selection latency vs agreement with the

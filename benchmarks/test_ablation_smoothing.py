@@ -1,4 +1,4 @@
-"""Ablation: M-step smoothing (DESIGN.md §5 calls out EM regularization).
+"""Ablation: M-step smoothing (EM regularization).
 
 Sweeps the confusion-count pseudo-count and reports initial aggregation
 precision and normalized uncertainty on a synthetic crowd — making the

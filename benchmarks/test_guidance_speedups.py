@@ -13,17 +13,13 @@ the pre-overhaul ("PR-1") code path:
 * ``greedy_max_entropy_subset`` CELF lazy-greedy vs the quadratic
   slogdet-per-candidate reference — floor **10x** at ``n=256, size=32``.
 
-Every run appends an ops/sec + speedup entry to ``BENCH_guidance.json`` at
-the repository root, building a per-PR performance trajectory (the CI
-benchmark job uploads the file as an artifact).
+With ``REPRO_BENCH_RECORD=1`` every run appends an ops/sec + speedup
+entry to ``BENCH_guidance.json`` at the repository root, building a
+per-PR performance trajectory (the CI benchmark job sets it and uploads
+the file as an artifact).
 """
 
 from __future__ import annotations
-
-import json
-import statistics
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -38,38 +34,13 @@ from repro.guidance.joint_entropy import object_covariance
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.workers.spammer_detection import SpammerDetector
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_guidance.json"
+from _bench import median_seconds, record
+
 
 #: Conservative acceptance floors (the measured ratios run well above).
 EM_ITERATION_FLOOR = 2.0
 SELECT_FLOOR = 5.0
 GREEDY_FLOOR = 10.0
-
-_RUN_STAMP = round(time.time(), 3)
-
-
-def _median_seconds(fn, rounds: int) -> float:
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into this pytest session's BENCH_guidance.json run."""
-    if BENCH_PATH.exists():
-        document = json.loads(BENCH_PATH.read_text())
-    else:
-        document = {"benchmark": "guidance", "runs": []}
-    run = next((r for r in document["runs"]
-                if r.get("timestamp") == _RUN_STAMP), None)
-    if run is None:
-        run = {"timestamp": _RUN_STAMP}
-        document["runs"].append(run)
-    run[section] = payload
-    BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -95,12 +66,12 @@ def test_em_iteration_segment_reduce_speedup():
     assert np.array_equal(fast_conf, ref_conf), \
         "segment-reduce iteration is not bit-for-bit with np.add.at"
 
-    fast = _median_seconds(lambda: iteration(plan), rounds=11)
-    ref = _median_seconds(lambda: iteration(None), rounds=11)
+    fast = median_seconds(lambda: iteration(plan), rounds=11)
+    ref = median_seconds(lambda: iteration(None), rounds=11)
     speedup = ref / fast
     print(f"\nEM iteration at n=2000/k=200/m=4: plan {fast * 1e3:.2f} ms "
           f"vs add.at {ref * 1e3:.2f} ms -> {speedup:.1f}x")
-    _record("em_iteration", {
+    record("em_iteration", {
         "n_objects": 2000, "n_workers": 200, "n_labels": 4,
         "n_answers": encoded.n_answers,
         "ref_ops_per_sec": 1.0 / ref, "fast_ops_per_sec": 1.0 / fast,
@@ -159,8 +130,8 @@ def test_information_gain_select_speedup():
     exact_selection = exact.select(context())  # warm (and reused below)
     local.select(context())
 
-    exact_time = _median_seconds(lambda: exact.select(context()), rounds=3)
-    local_time = _median_seconds(lambda: local.select(context()), rounds=3)
+    exact_time = median_seconds(lambda: exact.select(context()), rounds=3)
+    local_time = median_seconds(lambda: local.select(context()), rounds=3)
 
     candidates = exact_selection.candidate_indices
     reference_scores = _pr1_scores(
@@ -168,7 +139,7 @@ def test_information_gain_select_speedup():
         aggregator.tol, aggregator.smoothing)
     assert np.array_equal(exact_selection.scores, reference_scores), \
         "shared-encoding look-ahead drifted from the PR-1 scores"
-    pr1_time = _median_seconds(
+    pr1_time = median_seconds(
         lambda: _pr1_scores(prob_set, candidates, exact.label_floor,
                             exact.lookahead_max_iter, aggregator.tol,
                             aggregator.smoothing), rounds=2)
@@ -179,7 +150,7 @@ def test_information_gain_select_speedup():
           f"{pr1_time * 1e3:.0f} ms, shared-exact {exact_time * 1e3:.0f} ms "
           f"({exact_speedup:.1f}x), localized {local_time * 1e3:.0f} ms "
           f"({local_speedup:.1f}x)")
-    _record("information_gain_select", {
+    record("information_gain_select", {
         "n_objects": 1000, "n_workers": 250, "candidate_limit": 50,
         "pr1_ops_per_sec": 1.0 / pr1_time,
         "exact_ops_per_sec": 1.0 / exact_time,
@@ -214,15 +185,15 @@ def test_lazy_greedy_entropy_speedup():
         "CELF selection diverged from the quadratic greedy"
     assert lazy_value == quad_value
 
-    lazy = _median_seconds(
+    lazy = median_seconds(
         lambda: greedy_max_entropy_subset(covariance, size), rounds=5)
-    quadratic = _median_seconds(
+    quadratic = median_seconds(
         lambda: greedy_max_entropy_subset(covariance, size,
                                           method="quadratic"), rounds=3)
     speedup = quadratic / lazy
     print(f"\ngreedy subset at n=256/size=32: lazy {lazy * 1e3:.1f} ms vs "
           f"quadratic {quadratic * 1e3:.1f} ms -> {speedup:.1f}x")
-    _record("greedy_max_entropy_subset", {
+    record("greedy_max_entropy_subset", {
         "n_objects": 256, "subset_size": size,
         "quadratic_ops_per_sec": 1.0 / quadratic,
         "lazy_ops_per_sec": 1.0 / lazy,

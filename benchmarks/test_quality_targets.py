@@ -1,6 +1,7 @@
 """Acceptance benchmarks for quality targets (ISSUE 8).
 
-Two floor-asserted claims, both recorded into ``BENCH_guidance.json``:
+Two floor-asserted claims, both recorded into ``BENCH_guidance.json``
+when ``REPRO_BENCH_RECORD=1``:
 
 * **Effort savings** — under ``QualityTarget(0.999, min_coverage=0.9)``
   the batch path spends **>= 20 % fewer validations at equal-or-better
@@ -14,11 +15,6 @@ Two floor-asserted claims, both recorded into ``BENCH_guidance.json``:
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
-from pathlib import Path
-
 import numpy as np
 
 from repro.core.iem import IncrementalEM
@@ -29,7 +25,8 @@ from repro.guidance.base import GuidanceContext
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.workers.spammer_detection import SpammerDetector
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_guidance.json"
+from _bench import median_seconds, record
+
 
 #: At least this fraction of the static run's validations must be saved,
 #: on at least this many registry scenarios, at equal-or-better precision.
@@ -39,32 +36,6 @@ MIN_QUALIFYING_SCENARIOS = 2
 #: A 75 %-concluded frontier must cost at most this fraction of the
 #: unpruned select time (the measured ratio runs well below).
 DRAIN_FLOOR = 0.60
-
-_RUN_STAMP = round(time.time(), 3)
-
-
-def _median_seconds(fn, rounds: int) -> float:
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into this pytest session's BENCH_guidance.json run."""
-    if BENCH_PATH.exists():
-        document = json.loads(BENCH_PATH.read_text())
-    else:
-        document = {"benchmark": "guidance", "runs": []}
-    existing = next((r for r in document["runs"]
-                     if r.get("timestamp") == _RUN_STAMP), None)
-    if existing is None:
-        existing = {"timestamp": _RUN_STAMP}
-        document["runs"].append(existing)
-    existing[section] = payload
-    BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +51,7 @@ def test_quality_target_effort_savings(report_result):
         if saved >= SAVINGS_FLOOR and \
                 targeted_precision >= static_precision - 1e-12:
             qualifying.append(name)
-    _record("quality_targets", {
+    record("quality_targets", {
         "confidence": result.metadata["confidence"],
         "min_coverage": result.metadata["min_coverage"],
         "scenarios": [
@@ -124,12 +95,12 @@ def test_lookahead_time_shrinks_as_frontier_drains():
             prob_set=prob_set, aggregator=aggregator, detector=detector,
             rng=np.random.default_rng(0),
             concluded=concluded if fraction else None)
-        times.append(_median_seconds(lambda: strategy.select(context),
-                                     rounds=3))
+        times.append(median_seconds(lambda: strategy.select(context),
+                                    rounds=3))
     ratio = times[-1] / times[0]
     print("\nlook-ahead select vs concluded fraction: " + ", ".join(
         f"{f:.0%}: {t * 1e3:.1f} ms" for f, t in zip(fractions, times)))
-    _record("frontier_drain", {
+    record("frontier_drain", {
         "n_objects": n_objects,
         "fractions": list(fractions),
         "select_seconds": times,

@@ -9,16 +9,11 @@ fault injector carries a real plan whose specs never fire, so the
 measured path includes every per-task check a chaos run performs.
 
 Asserts the no-fault overhead factor stays under a conservative
-ceiling and appends the measurement to ``BENCH_guidance.json`` (the CI
-benchmark job uploads it), extending the per-PR performance trajectory.
+ceiling; with ``REPRO_BENCH_RECORD=1`` it also appends the measurement
+to ``BENCH_guidance.json``, extending the per-PR performance trajectory.
 """
 
 from __future__ import annotations
-
-import json
-import statistics
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -27,37 +22,12 @@ from repro.resilience import (FaultInjector, FaultPlan, FaultSpec,
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.streaming import ShardedRefresher, ValidationSession
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_guidance.json"
+from _bench import median_seconds, record
+
 
 #: Supervised refresh may cost at most this factor over the bare one
 #: when no faults fire (measured ~1.0x; the ceiling absorbs CI noise).
 OVERHEAD_CEILING = 1.5
-
-_RUN_STAMP = round(time.time(), 3)
-
-
-def _median_seconds(fn, rounds: int) -> float:
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into this pytest session's BENCH_guidance.json run."""
-    if BENCH_PATH.exists():
-        document = json.loads(BENCH_PATH.read_text())
-    else:
-        document = {"benchmark": "guidance", "runs": []}
-    run = next((r for r in document["runs"]
-                if r.get("timestamp") == _RUN_STAMP), None)
-    if run is None:
-        run = {"timestamp": _RUN_STAMP}
-        document["runs"].append(run)
-    run[section] = payload
-    BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
 
 def test_supervised_refresh_overhead_without_faults():
@@ -87,16 +57,16 @@ def test_supervised_refresh_overhead_without_faults():
         "supervision changed the refreshed model despite zero faults"
     assert len(supervised.supervisor.event_log) == 0
 
-    bare_time = _median_seconds(
+    bare_time = median_seconds(
         lambda: bare.refresh(bare_session, force_all=True), rounds=3)
-    supervised_time = _median_seconds(
+    supervised_time = median_seconds(
         lambda: supervised.refresh(supervised_session, force_all=True),
         rounds=3)
     overhead = supervised_time / bare_time
     print(f"\nsharded refresh at n=2000/k=200 (8 blocks): bare "
           f"{bare_time * 1e3:.1f} ms vs supervised "
           f"{supervised_time * 1e3:.1f} ms -> {overhead:.2f}x overhead")
-    _record("supervised_refresh_overhead", {
+    record("supervised_refresh_overhead", {
         "n_objects": 2000, "n_workers": 200, "n_labels": 4,
         "max_objects_per_block": 256,
         "bare_ops_per_sec": 1.0 / bare_time,

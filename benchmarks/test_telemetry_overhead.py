@@ -13,15 +13,13 @@ kernel, so the ratio isolates the null-instrument cost.
 Measured interleaved (alternating the two variants round by round, then
 comparing the per-variant minima) so drift in machine load cancels
 instead of landing on one side. Asserts the ratio stays under the tight
-1.02× ceiling and records the measurement into ``BENCH_guidance.json``
-(section ``telemetry_overhead``).
+1.02× ceiling; with ``REPRO_BENCH_RECORD=1`` it also records the
+measurement into ``BENCH_guidance.json`` (section ``telemetry_overhead``).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +27,8 @@ from repro.core import em_kernel
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.streaming import ValidationSession
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_guidance.json"
+from _bench import record
+
 
 #: A null-telemetry conclude may cost at most this factor over the
 #: stripped twin of its own body (measured ~1.00x; the margin is noise).
@@ -45,23 +44,6 @@ CALLS_PER_SAMPLE = 5
 #: every one exceeds the ceiling — noise retries, a real regression
 #: fails all of them.
 MAX_PASSES = 3
-
-_RUN_STAMP = round(time.time(), 3)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into this pytest session's BENCH_guidance.json run."""
-    if BENCH_PATH.exists():
-        document = json.loads(BENCH_PATH.read_text())
-    else:
-        document = {"benchmark": "guidance", "runs": []}
-    run = next((r for r in document["runs"]
-                if r.get("timestamp") == _RUN_STAMP), None)
-    if run is None:
-        run = {"timestamp": _RUN_STAMP}
-        document["runs"].append(run)
-    run[section] = payload
-    BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
 
 def _bare_conclude(session: ValidationSession) -> em_kernel.EMResult:
@@ -133,7 +115,7 @@ def test_null_telemetry_conclude_overhead():
               f"{instrumented_s * 1e3:.2f} ms -> {overhead:.3f}x overhead")
         if overhead <= OVERHEAD_CEILING:
             break
-    _record("telemetry_overhead", {
+    record("telemetry_overhead", {
         "n_objects": 2000, "n_workers": 200, "n_labels": 4,
         "answers_per_object": 15,
         "bare_ops_per_sec": 1.0 / bare_s,

@@ -9,16 +9,17 @@ and in whether expert validations are clamped as ground truth.
 Implementation notes
 --------------------
 * Answers are flattened into three parallel index arrays (object, worker,
-  label), so an E-step is a single scatter of per-answer log-likelihood
-  rows and an M-step is one scatter into per-worker count matrices.
-  Complexity per iteration is ``O(A·m)`` for ``A`` answers.
+  label). Both EM scatters are sums over answers grouped by one end of
+  the answer, so each is one sparse product with the answer incidence:
+  the E-step adds ``log F_w(·, l)`` into object rows, and the M-step adds
+  ``U(o, ·)`` into ``(worker, label)`` cells. Complexity per iteration is
+  ``O(A·m)`` for ``A`` answers.
 * The scatters run in one of two interchangeable forms: a reference
-  ``np.add.at`` path, and a fast path driven by a :class:`KernelPlan` of
-  precomputed flat gather/scatter indices reduced with ``np.bincount``.
-  Both iterate the per-cell additions in the same order, so the two paths
-  are **bit-for-bit identical** (``np.add.at`` and ``np.bincount`` are both
-  sequential in-order accumulations); the golden Dawid–Skene fixtures pin
-  this equivalence.
+  ``np.add.at`` path, and a fast path that multiplies by the two CSR
+  incidence operators of a :class:`KernelPlan`. Every output cell starts
+  at 0.0 and adds its answers one at a time, with unit weight, in
+  ascending answer order on both paths, so the two are **bit-for-bit
+  identical**; the golden Dawid–Skene fixtures pin this equivalence.
 * All likelihood products run in log space with probability flooring, so
   degenerate confusion rows never produce NaNs.
 * Objects with an expert validation are clamped to a one-hot row after
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.confusion import PROB_FLOOR, normalize_rows
@@ -55,14 +57,15 @@ def index_dtype(n_objects: int, n_workers: int, n_labels: int,
                 n_answers: int = 0) -> np.dtype:
     """Narrowest safe index dtype for an encoding of these dimensions.
 
-    The kernel's flat gather/scatter indices range over ``n·m`` (raveled
-    assignment), ``k·m·m`` (raveled confusion stack), and ``A`` (answer
-    positions), so ``int32`` is valid exactly when every one of those
-    bounds fits — validated here, at build time, rather than trusted.
-    Dimensions beyond the bound (or answer logs past 2³¹ entries) widen
-    to ``int64``. Halving index width roughly halves the working set of
-    a :class:`KernelPlan`, which is what keeps the 10⁵–10⁶-object tiers
-    cache-resident (see ``benchmarks/test_scale_tiers.py``).
+    The kernel's flat indices range over ``n·m`` (raveled assignment),
+    ``k·m·m`` (raveled confusion stack), and ``A`` (answer positions), so
+    ``int32`` is valid exactly when every one of those bounds fits —
+    validated here, at build time, rather than trusted. Dimensions beyond
+    the bound (or answer logs past 2³¹ entries) widen to ``int64``. The
+    encodings, the :class:`EncodingCSR` views, and the :class:`KernelPlan`
+    operators all take their width from this one decision, which keeps
+    the 10⁵–10⁶-object tiers cache-resident (see
+    ``benchmarks/test_scale_tiers.py``).
     """
     bound = max(int(n_objects) * int(n_labels),
                 int(n_workers) * int(n_labels) * int(n_labels),
@@ -118,30 +121,38 @@ def encode_answers(answer_set: AnswerSet) -> EncodedAnswers:
 
 
 # ----------------------------------------------------------------------
-# Kernel plans: precomputed scatter/gather indices per encoding
+# Kernel plans: sparse answer-incidence operators per encoding
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class KernelPlan:
-    """Precomputed flat indices shared by every E/M step over one encoding.
+    """The answer incidence of one encoding as two CSR operators.
 
-    The reference :func:`e_step`/:func:`m_step` rebuild the same index
-    arithmetic — ``(worker·m + row)·m + label`` gathers and scatters — on
-    every invocation and accumulate through ``np.add.at``, which is an
-    order of magnitude slower than ``np.bincount`` on these shapes. A plan
-    computes the indices once per :class:`EncodedAnswers`:
+    Both EM scatters sum over answers ``(o, w, l)``: the E-step (Eq. 1)
+    into object rows, the M-step (Eq. 5) into ``(worker, label)`` cells.
+    A plan stores that incidence once per :class:`EncodedAnswers`:
 
-    ``conf_gather``
-        ``(m, A)`` flat indices into a raveled ``(k, m, m)`` confusion
-        stack; row ``r`` gathers ``log F_w(r, l)`` for every answer
-        ``(o, w, l)``. The same indices are the M-step scatter targets,
-        since ``counts[w, r, l]`` lives at the identical flat offset.
-    ``assign_gather``
-        ``(m, A)`` flat indices into a raveled ``(n, m)`` assignment;
-        row ``r`` gathers ``U(o, r)`` for every answer.
+    ``object_incidence`` (``G``, ``n × k·m``)
+        Row ``o`` has one unit entry at column ``w·m + l`` for each
+        answer ``(o, w, l)``, in ascending answer order. Its row pointer
+        is the memoized :func:`csr_view` ``object_starts``. The E-step
+        scatter is ``G @ logF``, where ``logF[w·m + l, r] = log F_w(r, l)``.
+    ``cell_incidence`` (``S``, ``k·m × n``)
+        The same incidence by ``(worker, label)`` cell, from a linear
+        ``tocsc`` conversion that keeps each row in ascending answer
+        order. The M-step counts are ``S @ U``: row ``w·m + l`` sums
+        ``U(o, ·)`` over the answers of worker ``w`` with label ``l``.
 
-    Within any accumulator cell the answers are visited in ascending
-    answer order on both paths, so plan-driven results are bit-for-bit
-    equal to the ``np.add.at`` reference.
+    Both operators share one float64 ones array, and their indices carry
+    the encoding's :func:`index_dtype`: at int32 that is about 16 bytes
+    per answer (8 for the ones, 4 per operator's column indices, plus the
+    row pointers).
+
+    A CSR product starts every output cell at 0.0 and adds the row's
+    entries one at a time in stored order; a unit weight leaves each
+    operand exact. That is the ascending-answer-order accumulation of
+    the ``np.add.at`` reference, so plan-driven results are bit-for-bit
+    equal to it. A float32 operand is upcast and accumulated in float64,
+    then cast back once.
 
     Obtain plans through :func:`kernel_plan`, which memoizes the plan on
     the encoding object itself — and since :meth:`AnswerStats.encoded`
@@ -152,13 +163,12 @@ class KernelPlan:
     n_objects: int
     n_workers: int
     n_labels: int
-    object_index: np.ndarray
-    conf_gather: np.ndarray
-    assign_gather: np.ndarray
+    object_incidence: sparse.csr_array
+    cell_incidence: sparse.csr_array
 
     @property
     def n_answers(self) -> int:
-        return int(self.object_index.size)
+        return int(self.object_incidence.nnz)
 
 
 def kernel_plan(encoded: EncodedAnswers) -> KernelPlan:
@@ -166,36 +176,44 @@ def kernel_plan(encoded: EncodedAnswers) -> KernelPlan:
 
     The plan is cached on the ``EncodedAnswers`` instance, so repeated
     ``run_em`` calls over the same encoding — warm-started look-aheads,
-    streaming refinements, block solves — pay the index construction once.
+    streaming refinements, block solves — pay the operator construction
+    once. The encoding must be object-sorted, as both construction paths
+    emit it: the operators' answer order is the encoding's.
     """
     plan = encoded.__dict__.get("_kernel_plan")
     if plan is None:
-        m = encoded.n_labels
-        # Width-adaptive flat indices: the gather values range over k·m·m
-        # and n·m, so every operand is cast to the validated index dtype
-        # *before* the arithmetic — computing in int32 when the flat
-        # bound exceeds 2³¹ would overflow silently, and mixing an int32
-        # encoding with int64 rows would silently widen the whole plan.
-        dtype = index_dtype(encoded.n_objects, encoded.n_workers,
-                            encoded.n_labels, encoded.n_answers)
-        worker_index = encoded.worker_index.astype(dtype, copy=False)
-        label_index = encoded.label_index.astype(dtype, copy=False)
-        object_index = np.ascontiguousarray(
-            encoded.object_index.astype(dtype, copy=False))
-        rows = np.arange(m, dtype=dtype)[:, None]
-        conf_gather = ((worker_index[None, :] * m + rows) * m
-                       + label_index[None, :])
-        assign_gather = object_index[None, :] * m + rows
-        plan = KernelPlan(
-            n_objects=encoded.n_objects,
-            n_workers=encoded.n_workers,
-            n_labels=encoded.n_labels,
-            object_index=object_index,
-            conf_gather=np.ascontiguousarray(conf_gather),
-            assign_gather=np.ascontiguousarray(assign_gather),
-        )
+        n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
+        objects = encoded.object_index
+        if objects.size and (objects[1:] < objects[:-1]).any():
+            raise InvalidAnswerSetError(
+                "kernel plans need an object-sorted encoding")
+        # Cast before the arithmetic: cells range over k·m, and an int32
+        # product past 2³¹ would overflow silently.
+        dtype = index_dtype(n, k, m, encoded.n_answers)
+        cells = (encoded.worker_index.astype(dtype, copy=False) * m
+                 + encoded.label_index.astype(dtype, copy=False))
+        by_object = _with_index_dtype(sparse.csr_array(
+            (np.ones(encoded.n_answers), cells,
+             csr_view(encoded).object_starts), shape=(n, k * m)), dtype)
+        by_cell = _with_index_dtype(by_object.tocsc().T, dtype)
+        by_cell.data = by_object.data
+        plan = KernelPlan(n_objects=n, n_workers=k, n_labels=m,
+                          object_incidence=by_object,
+                          cell_incidence=by_cell)
         object.__setattr__(encoded, "_kernel_plan", plan)
     return plan
+
+
+def _with_index_dtype(operator: sparse.csr_array,
+                      dtype: np.dtype) -> sparse.csr_array:
+    """Give ``operator`` the validated index width.
+
+    scipy narrows any index array whose values fit ``int32``;
+    :func:`index_dtype` is the one width decision, so restore it.
+    """
+    operator.indices = operator.indices.astype(dtype, copy=False)
+    operator.indptr = operator.indptr.astype(dtype, copy=False)
+    return operator
 
 
 # ----------------------------------------------------------------------
@@ -228,35 +246,35 @@ class EncodingCSR:
     (:func:`index_dtype`), and each is built lazily on first touch so
     callers that only need one side of the adjacency never pay for the
     other.
+
+    The view keeps the encoding's index arrays, not the encoding: it is
+    memoized on the encoding, and a back-reference would make the pair a
+    reference cycle that only the cyclic garbage collector frees — one
+    per look-ahead select, each holding a whole encoding and its plan.
     """
 
-    __slots__ = ("_encoded", "_object_starts", "_worker_order",
-                 "_worker_starts")
+    __slots__ = ("_object_index", "_worker_index", "_n_objects",
+                 "_n_workers", "_dtype", "_object_starts",
+                 "_worker_order", "_worker_starts")
 
     def __init__(self, encoded: EncodedAnswers) -> None:
-        self._encoded = encoded
+        self._object_index = encoded.object_index
+        self._worker_index = encoded.worker_index
+        self._n_objects = encoded.n_objects
+        self._n_workers = encoded.n_workers
+        self._dtype = index_dtype(encoded.n_objects, encoded.n_workers,
+                                  encoded.n_labels, encoded.n_answers)
         self._object_starts: np.ndarray | None = None
         self._worker_order: np.ndarray | None = None
         self._worker_starts: np.ndarray | None = None
-
-    def _index_dtype(self) -> np.dtype:
-        encoded = self._encoded
-        return index_dtype(encoded.n_objects, encoded.n_workers,
-                           encoded.n_labels, encoded.n_answers)
-
-    @property
-    def encoded(self) -> EncodedAnswers:
-        return self._encoded
 
     @property
     def object_starts(self) -> np.ndarray:
         """Per-object segment boundaries (CSR indptr), length ``n + 1``."""
         if self._object_starts is None:
-            encoded = self._encoded
             self._object_starts = np.searchsorted(
-                encoded.object_index,
-                np.arange(encoded.n_objects + 1),
-            ).astype(self._index_dtype(), copy=False)
+                self._object_index, np.arange(self._n_objects + 1),
+            ).astype(self._dtype, copy=False)
         return self._object_starts
 
     @property
@@ -264,19 +282,18 @@ class EncodingCSR:
         """Answer positions stably sorted by worker (CSR transpose data)."""
         if self._worker_order is None:
             self._worker_order = np.argsort(
-                self._encoded.worker_index, kind="stable",
-            ).astype(self._index_dtype(), copy=False)
+                self._worker_index, kind="stable",
+            ).astype(self._dtype, copy=False)
         return self._worker_order
 
     @property
     def worker_starts(self) -> np.ndarray:
         """Per-worker boundaries into ``worker_order``, length ``k + 1``."""
         if self._worker_starts is None:
-            encoded = self._encoded
             self._worker_starts = np.searchsorted(
-                encoded.worker_index[self.worker_order],
-                np.arange(encoded.n_workers + 1),
-            ).astype(self._index_dtype(), copy=False)
+                self._worker_index[self.worker_order],
+                np.arange(self._n_workers + 1),
+            ).astype(self._dtype, copy=False)
         return self._worker_starts
 
     def object_slice(self, obj: int) -> slice:
@@ -917,21 +934,19 @@ def m_step(encoded: EncodedAnswers,
     ``F_w(l', l) ∝ Σ_o U(o, l') · d_w(o, l)``, row-normalized with
     ``smoothing`` pseudo-counts; rows with no evidence become uniform.
 
-    With a ``plan`` the scatter runs as one ``np.bincount`` segment
-    reduction over precomputed flat indices; without one, the reference
-    ``np.add.at`` scatter rebuilds the indices in place. Both accumulate
-    each count cell in ascending answer order, so the results are
-    bit-for-bit identical.
+    With a ``plan`` the counts are one sparse product,
+    ``cell_incidence @ U``; without one, the reference ``np.add.at``
+    scatter rebuilds flat indices in place. Both accumulate each count
+    cell in ascending answer order, so the results are bit-for-bit
+    identical.
 
-    ``dtype`` selects the accumulation precision. The ``float64`` default
-    is the bit-exact path above. ``float32`` is the scale-tier opt-in:
-    the plan path loops the bincount per assignment row ``r`` (rows
-    target disjoint ``(w, r, l)`` cells, so the pieces assemble exactly),
-    bounding the float64 temporaries ``np.bincount`` creates internally
-    to one answer-length array instead of ``m`` of them — that, plus the
-    float32 gather, is what cuts peak memory below the 0.6× target in
-    ``benchmarks/test_scale_tiers.py``. Reduced precision is approximate:
-    plan and reference results agree to float32 tolerance, not bit-wise.
+    ``dtype`` selects the output precision. The ``float64`` default is
+    the bit-exact path above. ``float32`` is the scale-tier opt-in: the
+    plan path casts ``U`` to float32, accumulates in float64 inside the
+    product, and casts the ``k·m·m`` counts back, so its only floating
+    temporaries are ``O(n·m)``. The reference path accumulates in
+    float32, so at float32 the two agree to float32 tolerance, not
+    bit-wise.
     """
     k, m = encoded.n_workers, encoded.n_labels
     out_dtype = np.dtype(dtype)
@@ -940,42 +955,44 @@ def m_step(encoded: EncodedAnswers,
                               smoothing=smoothing).astype(out_dtype,
                                                           copy=False)
     if plan is not None:
-        if out_dtype == np.float64:
-            counts = np.bincount(
-                plan.conf_gather.reshape(-1),
-                weights=assignment.reshape(-1)[
-                    plan.assign_gather.reshape(-1)],
-                minlength=k * m * m).reshape(k, m, m)
-        else:
-            counts = np.empty((k, m, m), dtype=out_dtype)
-            flat_assignment = np.ascontiguousarray(
-                assignment, dtype=out_dtype).reshape(-1)
-            for row in range(m):
-                row_counts = np.bincount(
-                    plan.conf_gather[row],
-                    weights=flat_assignment[plan.assign_gather[row]],
-                    minlength=k * m * m).reshape(k, m, m)
-                counts[:, row, :] = row_counts[:, row, :]
-        if smoothing > 0:
-            # Inline the normalize_rows smoothed branch: counts are
-            # bincount sums of non-negative probabilities and smoothing
-            # makes every row total positive, so the validation scan and
-            # zero-row selects are dead weight here. Same divisions,
-            # bit-for-bit identical result.
-            smoothed = counts + counts.dtype.type(smoothing)
-            return smoothed / smoothed.sum(axis=-1, keepdims=True)
-    else:
-        # counts[w, :, l] += U[o, :] for each answer (o, w, l). Flattened
-        # scatter: index = (w*m + row)*m + l for each of the m rows.
-        counts = np.zeros((k, m, m), dtype=out_dtype)
-        rows = np.arange(m)
-        flat_index = ((encoded.worker_index.astype(np.int64)[:, None] * m
-                       + rows[None, :]) * m
-                      + encoded.label_index[:, None])
-        np.add.at(counts.reshape(-1), flat_index.reshape(-1),
-                  np.ascontiguousarray(
-                      assignment[encoded.object_index, :],
-                      dtype=out_dtype).reshape(-1))
+        cell_counts = plan.cell_incidence @ np.ascontiguousarray(
+            assignment, dtype=out_dtype)
+        return confusions_from_cell_counts(cell_counts, smoothing,
+                                           out_dtype)
+    # counts[w, :, l] += U[o, :] for each answer (o, w, l). Flattened
+    # scatter: index = (w*m + row)*m + l for each of the m rows.
+    counts = np.zeros((k, m, m), dtype=out_dtype)
+    rows = np.arange(m)
+    flat_index = ((encoded.worker_index.astype(np.int64)[:, None] * m
+                   + rows[None, :]) * m
+                  + encoded.label_index[:, None])
+    np.add.at(counts.reshape(-1), flat_index.reshape(-1),
+              np.ascontiguousarray(
+                  assignment[encoded.object_index, :],
+                  dtype=out_dtype).reshape(-1))
+    return normalize_rows(counts, smoothing=smoothing)
+
+
+def confusions_from_cell_counts(cell_counts: np.ndarray, smoothing: float,
+                                dtype: np.dtype | type | str = np.float64,
+                                ) -> np.ndarray:
+    """Row-normalize ``cell_incidence @ U`` into confusion matrices (Eq. 5).
+
+    The product is laid out ``[w·m + l, r]``; transposing it into a
+    C-contiguous ``(k, m, m)`` stack ``counts[w, r, l]`` restores the
+    memory layout the reference path normalizes, so the row sums add in
+    the same order.
+    """
+    m = cell_counts.shape[1]
+    counts = np.ascontiguousarray(
+        cell_counts.reshape(-1, m, m).transpose(0, 2, 1), dtype=dtype)
+    if smoothing > 0:
+        # Inline the normalize_rows smoothed branch: counts are sums of
+        # non-negative probabilities and smoothing makes every row total
+        # positive, so the validation scan and zero-row selects are dead
+        # weight here. Same divisions, bit-for-bit identical result.
+        smoothed = counts + counts.dtype.type(smoothing)
+        return smoothed / smoothed.sum(axis=-1, keepdims=True)
     return normalize_rows(counts, smoothing=smoothing)
 
 
@@ -989,42 +1006,48 @@ def scatter_log_likelihood(encoded: EncodedAnswers,
 
     The E-step's scatter, factored out so delta-maintained read paths
     (:meth:`repro.streaming.ValidationSession.posteriors`) share it. With a
-    ``plan``, each label column is one ``np.bincount`` over the object
-    index; without one, the reference ``np.add.at`` scatter runs.
-    Bit-for-bit identical either way at the ``float64`` default; the
-    ``float32`` opt-in halves the output and gathers one answer-length
-    column at a time instead of materializing the full ``(m, A)``
-    contribution block — same values at float32 tolerance, with the
-    per-iteration floating working set bounded to ``O(A)`` instead of
-    ``O(m·A)`` (the other half of the scale-tier memory budget, next to
-    the :func:`m_step` per-row loop).
+    ``plan`` it is one sparse product, ``object_incidence @ logF``;
+    without one, the reference ``np.add.at`` scatter runs. Bit-for-bit
+    identical either way at the ``float64`` default. The ``float32``
+    opt-in halves the output; the product still accumulates in float64
+    and casts each row back once, so no answer-length float temporary is
+    ever built.
     """
     n, m = encoded.n_objects, encoded.n_labels
     out_dtype = np.dtype(dtype)
     if not encoded.n_answers:
         return np.zeros((n, m), dtype=out_dtype)
     if plan is not None:
-        log_like = np.empty((n, m), dtype=out_dtype)
-        flat_logconf = log_confusions.reshape(-1)
-        if out_dtype == np.float64:
-            contributions = flat_logconf[plan.conf_gather]
-            for label in range(m):
-                log_like[:, label] = np.bincount(
-                    plan.object_index, weights=contributions[label],
-                    minlength=n)
-        else:
-            for label in range(m):
-                log_like[:, label] = np.bincount(
-                    plan.object_index,
-                    weights=flat_logconf[plan.conf_gather[label]],
-                    minlength=n)
-        return log_like
+        # logF[w·m + l, r] = log F_w(r, l): one row per incidence column.
+        cell_log_confusions = log_confusions.transpose(0, 2, 1).reshape(-1, m)
+        return (plan.object_incidence @ cell_log_confusions).astype(
+            out_dtype, copy=False)
     log_like = np.zeros((n, m), dtype=out_dtype)
     contributions = log_confusions[encoded.worker_index, :,
                                    encoded.label_index]
     np.add.at(log_like, encoded.object_index,
               contributions.astype(out_dtype, copy=False))
     return log_like
+
+
+def normalize_log_likelihood(log_like: np.ndarray,
+                             log_priors: np.ndarray) -> np.ndarray:
+    """Posterior rows from log-likelihood rows and log priors (Eq. 1).
+
+    Adds the priors, shifts each row by its maximum, exponentiates and
+    normalizes, overwriting ``log_like``. The row maximum is an
+    elementwise maximum over the label columns: max is exact in any
+    order, and with ``m ≪ n`` it is far cheaper than a label-axis
+    reduction.
+    """
+    log_like += log_priors[None, :]
+    peak = log_like[:, 0].copy()
+    for label in range(1, log_like.shape[1]):
+        np.maximum(peak, log_like[:, label], out=peak)
+    log_like -= peak[:, None]
+    assignment = np.exp(log_like)
+    assignment /= assignment.sum(axis=1, keepdims=True)
+    return assignment
 
 
 def e_step(encoded: EncodedAnswers,
@@ -1046,7 +1069,7 @@ def e_step(encoded: EncodedAnswers,
     ``confusions``/``priors`` so callers evaluating many E-steps against
     the *same* model (look-ahead fans, shared warm starts) hoist the
     ``log(clip(...))`` work out of the loop; when omitted they are
-    computed here. ``plan`` selects the segment-reduce scatter (see
+    computed here. ``plan`` selects the sparse-product scatter (see
     :func:`scatter_log_likelihood`).
     """
     out_dtype = np.dtype(dtype)
@@ -1058,11 +1081,7 @@ def e_step(encoded: EncodedAnswers,
         log_priors = np.log(np.clip(priors, PROB_FLOOR, None))
     log_like = scatter_log_likelihood(encoded, log_confusions, plan=plan,
                                       dtype=out_dtype)
-    log_like += log_priors[None, :]
-    log_like -= log_like.max(axis=1, keepdims=True)
-    assignment = np.exp(log_like)
-    assignment /= assignment.sum(axis=1, keepdims=True)
-    return assignment
+    return normalize_log_likelihood(log_like, log_priors)
 
 
 # ----------------------------------------------------------------------
@@ -1097,15 +1116,16 @@ def run_em(encoded: EncodedAnswers,
         Iteration cap, convergence tolerance on ``max |ΔU|``, and M-step
         pseudo-count.
     plan, use_plan:
-        Kernel plan driving the segment-reduce scatters; derived (and
-        memoized on ``encoded``) when omitted. ``use_plan=False`` forces
-        the ``np.add.at`` reference path — bit-for-bit identical, kept for
-        golden-fixture verification and honest before/after benchmarks.
+        Kernel plan whose incidence operators drive both scatters;
+        derived (and memoized on ``encoded``) when omitted.
+        ``use_plan=False`` forces the ``np.add.at`` reference path —
+        bit-for-bit identical, kept for golden-fixture verification and
+        honest before/after benchmarks.
     dtype:
-        Accumulation precision. The ``float64`` default is the bit-exact
-        path; ``float32`` halves the floating working set at float32
-        tolerance (see :func:`m_step`), and assignment/confusion/prior
-        outputs all follow it.
+        Output precision. The ``float64`` default is the bit-exact path;
+        ``float32`` halves the floating working set at float32 tolerance
+        (see :func:`m_step`), and assignment/confusion/prior outputs all
+        follow it.
     parallel_m_step:
         Opt-in shard-parallel M-step (requires ``use_plan`` and the
         ``float64`` path). Accepts a prebuilt

@@ -111,8 +111,8 @@ class IncrementalEM:
             of a streaming session). When given, the ``O(n·k)`` re-flattening
             of the matrix is skipped — and since kernel plans are memoized
             per encoding (:func:`repro.core.em_kernel.kernel_plan`), every
-            conclude over the same cached encoding also shares one set of
-            precomputed scatter indices. The caller is responsible for the
+            conclude over the same cached encoding also shares one pair of
+            incidence operators. The caller is responsible for the
             encoding matching ``answer_set``.
 
         Returns

@@ -1,8 +1,10 @@
 """Experiment drivers — one per table/figure of the paper's evaluation.
 
 Run any of them via ``python -m repro.experiments run <id>`` or through
-:func:`repro.experiments.common.run_experiment`. See DESIGN.md §4 for the
-per-experiment index (workload, parameters, implementing modules).
+:func:`repro.experiments.common.run_experiment`;
+``python -m repro.experiments list`` prints the experiment ids, and
+:data:`ALL_EXPERIMENTS` maps each id to its driver module, whose
+docstring names the workload and parameters.
 """
 
 from repro.experiments.common import (

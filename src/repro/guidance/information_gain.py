@@ -20,8 +20,8 @@ the cost controls mirror — and extend — the paper's implementation notes
 * an :class:`~repro.parallel.executor.Executor` can fan candidates out over
   threads or processes;
 * ``candidate_limit`` optionally prunes candidates to the top-K by object
-  entropy before the expensive look-ahead (an implementation choice
-  documented in DESIGN.md; ``None`` scores every candidate);
+  entropy before the expensive look-ahead (an implementation choice, not
+  part of the paper's Eq. 10; ``None`` scores every candidate);
 * an opt-in **localized look-ahead** (``lookahead="local"``) re-solves only
   the candidate's worker-neighborhood block — the objects coupled to it
   through shared workers, via the same
@@ -33,9 +33,18 @@ the cost controls mirror — and extend — the paper's implementation notes
 The default exact mode reproduces the rebuild-per-conclude selection
 choices bit-for-bit: it feeds identical floats (same encoding, same warm
 start, same clamps) to the same kernel.
+
+Each select reports its look-ahead as one ``guidance.lookahead`` span
+plus three counters: ``lookahead.solves`` (hypothetical i-EM runs),
+``lookahead.iterations`` (their E/M iterations) and
+``lookahead.cap_hits`` (solves that stopped at ``lookahead_max_iter``
+without converging). Scorers return these tallies next to each score, so
+the counts are exact under any executor, process pools included.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +113,22 @@ def information_gain(prob_set: ProbabilisticAnswerSet,
                                          label_floor, encoded=encoded))
 
 
+class LookaheadScore(NamedTuple):
+    """One candidate's expected posterior entropy plus its solve tally."""
+
+    expected: float
+    solves: int
+    iterations: int
+    cap_hits: int
+
+    @classmethod
+    def of(cls, expected: float,
+           results: list[em_kernel.EMResult]) -> "LookaheadScore":
+        return cls(expected, len(results),
+                   sum(result.n_iterations for result in results),
+                   sum(not result.converged for result in results))
+
+
 class _SharedLookahead:
     """Picklable per-candidate scorer over one shared encoding/plan.
 
@@ -135,10 +160,11 @@ class _SharedLookahead:
             encoded, prob_set.confusions, prob_set.priors, plan=plan,
             log_confusions=log_conf, log_priors=log_priors)
 
-    def __call__(self, obj: int) -> float:
+    def __call__(self, obj: int) -> LookaheadScore:
         beliefs = self.assignment[obj]
         hypothetical = self.validated.copy()
         expected = 0.0
+        results = []
         for label, weight in enumerate(beliefs):
             if weight < self.label_floor:
                 expected += weight * self.current_entropy
@@ -150,9 +176,10 @@ class _SharedLookahead:
                 validated_objects, hypothetical[validated_objects],
                 max_iter=self.max_iter, tol=self.tol,
                 smoothing=self.smoothing)
+            results.append(result)
             expected += weight * float(
                 object_entropies(result.assignment).sum())
-        return expected
+        return LookaheadScore.of(expected, results)
 
 
 class _LocalizedLookahead:
@@ -205,7 +232,7 @@ class _LocalizedLookahead:
             self._csr.worker_positions(int(w)) for w in workers])
         return np.unique(self.encoded.object_index[positions])
 
-    def __call__(self, obj: int) -> float:
+    def __call__(self, obj: int) -> LookaheadScore:
         objects = self._neighborhood(obj)
         sub, workers = block_subencoding(self.encoded, objects,
                                          object_starts=self._object_starts)
@@ -220,6 +247,7 @@ class _LocalizedLookahead:
         local_obj = int(np.searchsorted(objects, obj))
         beliefs = self.assignment[obj]
         expected = 0.0
+        results = []
         for label, weight in enumerate(beliefs):
             if weight < self.label_floor:
                 expected += weight * self.current_entropy
@@ -232,9 +260,10 @@ class _LocalizedLookahead:
                 validated_objects, hypothetical[validated_objects],
                 max_iter=self.max_iter, tol=self.tol,
                 smoothing=self.smoothing, plan=plan)
+            results.append(result)
             expected += weight * (entropy_of_rest + float(
                 object_entropies(result.assignment).sum()))
-        return expected
+        return LookaheadScore.of(expected, results)
 
 
 class InformationGainStrategy(GuidanceStrategy):
@@ -315,8 +344,17 @@ class InformationGainStrategy(GuidanceStrategy):
                 tol=context.aggregator.tol,
                 smoothing=context.aggregator.smoothing,
             )
+            telemetry = context.telemetry
+            with telemetry.span("guidance.lookahead", mode=self.lookahead,
+                                candidates=int(candidates.size)) as lookahead:
+                scores = self.executor.map(scorer,
+                                           [int(c) for c in candidates])
+                for name in ("solves", "iterations", "cap_hits"):
+                    total = sum(getattr(score, name) for score in scores)
+                    lookahead.set(name, total)
+                    telemetry.counter(f"lookahead.{name}").inc(total)
             posterior_entropies = np.array(
-                self.executor.map(scorer, [int(c) for c in candidates]))
+                [score.expected for score in scores])
             gains = current_entropy - posterior_entropies
             choice = argmax_with_ties(gains, candidates, context.rng)
             span.set("candidates_scored", int(candidates.size))

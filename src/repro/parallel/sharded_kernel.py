@@ -1,33 +1,37 @@
-"""Shard-parallel E/M scatters over shared-memory kernel plans (§5.4 scaled).
+"""Shard-parallel E/M scatters over shared-memory incidence operators
+(§5.4 scaled).
 
-The plan-driven :func:`repro.core.em_kernel.m_step` is one ``np.bincount``
-over ``m·A`` flat indices; at the 10⁵–10⁶-object tiers that single
-sequential reduction is the whole EM iteration. This module partitions it:
+The plan-driven :func:`repro.core.em_kernel.m_step` is one sparse product
+over all ``A`` answers; at the 10⁵–10⁶-object tiers that single
+sequential product is the whole EM iteration. This module partitions the
+two operators of :class:`repro.core.em_kernel.KernelPlan` by row block:
 
-* the **M-step** (confusion counts) is sharded by *worker ranges* — each
-  shard owns workers ``[w0, w1)`` and scatters only the answers of those
-  workers into the disjoint output slice ``counts[w0:w1]``;
+* the **M-step** (confusion counts) is sharded by *worker ranges* — the
+  shard owning workers ``[w0, w1)`` multiplies rows ``[w0·m, w1·m)`` of
+  ``cell_incidence`` into the disjoint output rows of the same range;
 * the **E-step scatter** (per-object log-likelihood rows) is sharded by
-  *object ranges* — the encoding is already object-sorted, so each shard
-  owns a contiguous answer segment and the disjoint rows ``[o0, o1)``.
+  *object ranges* — the shard owning objects ``[o0, o1)`` multiplies
+  those rows of ``object_incidence``.
 
-Because every shard writes a private output range and, within any output
-cell, visits its answers in the same ascending order as the serial
-bincount (the worker-sorted permutation is a *stable* argsort), the
-sharded results are **bit-for-bit identical** to the serial plan path —
-there is no floating reduction across shards at all, hence the
-"deterministic reduction order" comes for free.
+A row block of a CSR operator is a contiguous slice of its index array,
+so the shards need no permuted copies of anything. Every shard writes a
+private output range and, within any output cell, adds the same entries
+in the same order as the serial product, so the sharded results are
+**bit-for-bit identical** to the serial plan path — there is no floating
+reduction across shards at all, hence the "deterministic reduction order"
+comes for free.
 
 Process parallelism without pickling
 ------------------------------------
-Shipping the ``(m, A)`` index arrays (or even just the per-call
-assignment) to pool workers would cost more than the ~tens of
-milliseconds the serial scatter takes. Instead every operand lives in
-:mod:`multiprocessing.shared_memory` segments:
+Shipping the operators (or even just the per-call assignment) to pool
+workers would cost more than the milliseconds the serial product takes.
+Instead every operand lives in :mod:`multiprocessing.shared_memory`
+segments:
 
-* static per-encoding index arrays, written once at construction;
-* per-call input buffers (flat assignment / log-confusions), overwritten
-  by the parent before each fan-out;
+* the static operator arrays (row pointers, column indices, the shared
+  ones), written once at construction;
+* per-call input buffers (assignment / cell-major log-confusions),
+  overwritten by the parent before each fan-out;
 * disjoint per-shard output buffers, read by the parent after the
   barrier.
 
@@ -37,11 +41,14 @@ per-kernel token: children forked after construction (the common case —
 parent's registry entry outright, and the inherited ``MAP_SHARED``
 mappings alias the same physical pages, so they see per-call input
 updates for free. A worker without the token (pre-existing pools, spawn
-contexts) attaches by segment name once and caches the views.
+contexts) attaches by segment name once and caches the views. Each
+worker builds its shard's row-block operator once and caches it beside
+the views.
 
 ``threads`` executors are supported and bit-identical but give no
-speedup — ``np.bincount`` holds the GIL — so ``processes`` is the mode
-that delivers the ≥2× wins benchmarked in
+speedup — the sparse products hold the GIL (two threads on the two row
+halves run at 0.94–0.99× of one thread at the 50k tier) — so
+``processes`` is the mode benchmarked against the ≥2× floor in
 ``benchmarks/test_scale_tiers.py``.
 """
 
@@ -51,14 +58,16 @@ import uuid
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
+from scipy import sparse
 
 from repro.core import em_kernel
-from repro.core.confusion import PROB_FLOOR, normalize_rows
+from repro.core.confusion import PROB_FLOOR
 from repro.parallel.executor import Executor
 
 #: Worker-side registry: token -> dict of named ndarray views (plus the
-#: SharedMemory objects keeping them alive). Fork-inherited entries alias
-#: the parent's shared mappings; attach-path entries are built lazily.
+#: SharedMemory objects keeping them alive, and each shard's cached
+#: row-block operator). Fork-inherited entries alias the parent's shared
+#: mappings; attach-path entries are built lazily.
 _REGISTRY: dict[str, dict] = {}
 
 
@@ -81,29 +90,25 @@ def _attach(token: str, spec: dict) -> dict:
     return entry
 
 
-def _run_shard(token: str, spec: dict, kind: str, shard: tuple,
-               n_labels: int) -> None:
-    """Scatter one shard into its disjoint output range (worker side)."""
+def _run_shard(token: str, spec: dict, kind: str, shard: tuple) -> None:
+    """Multiply one row block into its disjoint output rows (worker side).
+
+    ``kind`` is ``"m"`` (``cell_incidence`` rows times the assignment) or
+    ``"e"`` (``object_incidence`` rows times the log-confusions).
+    """
     views = _REGISTRY.get(token)
     if views is None:
         views = _attach(token, spec)
-    m = n_labels
-    if kind == "m":
-        w0, w1, a0, a1 = shard
-        base = w0 * m * m
-        flat = views["conf_m"][:, a0:a1].reshape(-1) - base
-        weights = views["assign_in"][views["assign_m"][:, a0:a1].reshape(-1)]
-        views["counts_out"][base:w1 * m * m] = np.bincount(
-            flat, weights=weights, minlength=(w1 - w0) * m * m)
-    else:
-        o0, o1, a0, a1 = shard
-        local_obj = views["obj_e"][a0:a1] - o0
-        conf = views["conf_e"][:, a0:a1]
-        logconf = views["logconf_in"]
-        out = views["loglike_out"]
-        for label in range(m):
-            out[o0:o1, label] = np.bincount(
-                local_obj, weights=logconf[conf[label]], minlength=o1 - o0)
+    r0, r1, a0, a1 = shard
+    source = views[kind + "_in"]
+    block = views.get((kind, shard))
+    if block is None:
+        indptr = views[kind + "_indptr"]
+        block = views[(kind, shard)] = sparse.csr_array(
+            (views["ones"][a0:a1], views[kind + "_indices"][a0:a1],
+             indptr[r0:r1 + 1] - indptr[r0]),
+            shape=(r1 - r0, source.shape[0]))
+    views[kind + "_out"][r0:r1] = block @ source
 
 
 def _shard_bounds(starts: np.ndarray, n_shards: int) -> list[tuple]:
@@ -132,9 +137,9 @@ class ShardedKernel:
     ----------
     encoded:
         The flat encoding to solve over. Its memoized
-        :func:`~repro.core.em_kernel.kernel_plan` and
-        :func:`~repro.core.em_kernel.csr_view` supply the gather indices
-        and the worker/object segment boundaries the shards align to.
+        :func:`~repro.core.em_kernel.kernel_plan` supplies the two
+        incidence operators, whose row pointers are also the
+        worker/object boundaries the shards align to.
     executor:
         A :class:`repro.parallel.Executor` to fan out on. When omitted, a
         process-mode executor is created (and closed by :meth:`close`).
@@ -171,30 +176,28 @@ class ShardedKernel:
 
         plan = em_kernel.kernel_plan(encoded)
         self._plan = plan
-        csr = em_kernel.csr_view(encoded)
         n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
         if encoded.n_answers:
-            order = csr.worker_order
-            self._m_shards = _shard_bounds(
-                np.asarray(csr.worker_starts, dtype=np.int64),
-                self._n_shards)
+            by_object, by_cell = plan.object_incidence, plan.cell_incidence
+            # Worker w's rows of cell_incidence start at indptr[w·m], so
+            # every m-th row pointer is the per-worker answer boundary.
+            worker_starts = np.asarray(by_cell.indptr[::m], dtype=np.int64)
+            self._m_shards = [
+                (w0 * m, w1 * m, a0, a1) for w0, w1, a0, a1
+                in _shard_bounds(worker_starts, self._n_shards)]
             self._e_shards = _shard_bounds(
-                np.asarray(csr.object_starts, dtype=np.int64),
-                self._n_shards)
-            # Static index segments (written once per encoding epoch):
-            # worker-sorted gathers for the M shards, object-sorted (the
-            # encoding's native order) gathers for the E shards.
-            self._share("conf_m", np.ascontiguousarray(
-                plan.conf_gather[:, order]))
-            self._share("assign_m", np.ascontiguousarray(
-                plan.assign_gather[:, order]))
-            self._share("conf_e", plan.conf_gather)
-            self._share("obj_e", plan.object_index)
+                np.asarray(by_object.indptr, dtype=np.int64), self._n_shards)
+            # Static operator arrays (written once per encoding epoch).
+            self._share("ones", by_object.data)
+            self._share("m_indptr", by_cell.indptr)
+            self._share("m_indices", by_cell.indices)
+            self._share("e_indptr", by_object.indptr)
+            self._share("e_indices", by_object.indices)
             # Per-call mutable inputs and disjoint shard outputs.
-            self._share("assign_in", np.zeros(n * m, dtype=np.float64))
-            self._share("logconf_in", np.zeros(k * m * m, dtype=np.float64))
-            self._share("counts_out", np.zeros(k * m * m, dtype=np.float64))
-            self._share("loglike_out", np.zeros((n, m), dtype=np.float64))
+            self._share("m_in", np.zeros((n, m)))
+            self._share("m_out", np.zeros((k * m, m)))
+            self._share("e_in", np.zeros((k * m, m)))
+            self._share("e_out", np.zeros((n, m)))
             entry = dict(self._views)
             entry["_segments"] = []
             _REGISTRY[self._token] = entry
@@ -221,10 +224,9 @@ class ShardedKernel:
         self._views[name] = view
 
     def _fan_out(self, kind: str, shards: list[tuple]) -> None:
-        m = self._encoded.n_labels
         self._executor.starmap(
             _run_shard,
-            [(self._token, self._spec, kind, shard, m) for shard in shards])
+            [(self._token, self._spec, kind, shard) for shard in shards])
 
     # ------------------------------------------------------------------
     def m_step(self, assignment: np.ndarray,
@@ -233,21 +235,13 @@ class ShardedKernel:
         if self._closed:
             raise RuntimeError("ShardedKernel is closed")
         encoded = self._encoded
-        k, m = encoded.n_workers, encoded.n_labels
         if not encoded.n_answers:
             return em_kernel.m_step(encoded, assignment, smoothing,
                                     plan=self._plan)
-        self._views["assign_in"][...] = np.asarray(
-            assignment, dtype=np.float64).reshape(-1)
+        self._views["m_in"][...] = assignment
         self._fan_out("m", self._m_shards)
-        counts = self._views["counts_out"].copy().reshape(k, m, m)
-        if smoothing > 0:
-            # Same inlined smoothed normalization as the serial plan
-            # path of em_kernel.m_step — identical divisions, identical
-            # bits.
-            smoothed = counts + float(smoothing)
-            return smoothed / smoothed.sum(axis=-1, keepdims=True)
-        return normalize_rows(counts, smoothing=smoothing)
+        return em_kernel.confusions_from_cell_counts(self._views["m_out"],
+                                                     smoothing)
 
     def scatter_log_likelihood(self,
                                log_confusions: np.ndarray) -> np.ndarray:
@@ -255,13 +249,14 @@ class ShardedKernel:
         if self._closed:
             raise RuntimeError("ShardedKernel is closed")
         encoded = self._encoded
-        n, m = encoded.n_objects, encoded.n_labels
+        n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
         if not encoded.n_answers:
             return np.zeros((n, m), dtype=float)
-        self._views["logconf_in"][...] = np.asarray(
-            log_confusions, dtype=np.float64).reshape(-1)
+        # Cell-major layout: row w·m + l holds log F_w(·, l).
+        self._views["e_in"].reshape(k, m, m)[...] = \
+            np.transpose(log_confusions, (0, 2, 1))
         self._fan_out("e", self._e_shards)
-        return self._views["loglike_out"].copy()
+        return self._views["e_out"].copy()
 
     def e_step(self, confusions: np.ndarray, priors: np.ndarray,
                *,
@@ -272,12 +267,8 @@ class ShardedKernel:
             log_confusions = np.log(np.clip(confusions, PROB_FLOOR, None))
         if log_priors is None:
             log_priors = np.log(np.clip(priors, PROB_FLOOR, None))
-        log_like = self.scatter_log_likelihood(log_confusions)
-        log_like += log_priors[None, :]
-        log_like -= log_like.max(axis=1, keepdims=True)
-        assignment = np.exp(log_like)
-        assignment /= assignment.sum(axis=1, keepdims=True)
-        return assignment
+        return em_kernel.normalize_log_likelihood(
+            self.scatter_log_likelihood(log_confusions), log_priors)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -4,7 +4,7 @@ Large, sparse answer matrices are divided into smaller, denser blocks that
 "fit for human interactions and can be handled more efficiently": each block
 is a subset of objects together with the workers who answered them. The
 partitioner recursively bisects the bipartite answer graph (spectral
-bisection stands in for METIS, see DESIGN.md) until every block holds at
+bisection stands in for the paper's METIS) until every block holds at
 most ``max_objects_per_block`` objects; disconnected components are packed
 independently, as they share no workers anyway.
 """

@@ -79,7 +79,7 @@ class FaultyWorkerFilter:
             confusion-matrix aggregation — a consistently wrong worker is
             still informative once EM learns to invert them, whereas a
             spammer's answers carry no signal — so the narrower scope is
-            the default (see DESIGN.md).
+            the default.
         """
         if scope == "spammers":
             mask = detection.spammer_mask

@@ -60,9 +60,9 @@ class ValidationSession:
     max_iter, tol, smoothing:
         Kernel knobs; see :func:`repro.core.em_kernel.run_em`.
     use_plan:
-        Whether refinements drive the kernel through a precomputed
-        :class:`~repro.core.em_kernel.KernelPlan` (the bincount fast path)
-        or the ``np.add.at`` reference path. Bit-for-bit identical either
+        Whether refinements drive the kernel through the memoized
+        :class:`~repro.core.em_kernel.KernelPlan` (the sparse-product fast
+        path) or the ``np.add.at`` reference path. Bit-for-bit identical either
         way; the knob exists so conformance suites can pin that equality
         on live sessions.
     parallel_m_step:
@@ -601,11 +601,9 @@ class ValidationSession:
             assignment = self._stats.majority_assignment()
             return em_kernel.clamp_validated(assignment, validated, labels)
         self._ensure_log_like()
-        log_like = self._log_like \
-            + np.log(np.clip(self._model.priors, PROB_FLOOR, None))[None, :]
-        log_like -= log_like.max(axis=1, keepdims=True)
-        assignment = np.exp(log_like)
-        assignment /= assignment.sum(axis=1, keepdims=True)
+        assignment = em_kernel.normalize_log_likelihood(
+            self._log_like.copy(),
+            np.log(np.clip(self._model.priors, PROB_FLOOR, None)))
         return em_kernel.clamp_validated(assignment, validated, labels)
 
     def map_label(self, obj: int) -> int:

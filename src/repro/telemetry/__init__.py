@@ -11,7 +11,7 @@ Design contract:
 * **Disabled is free.** Every instrumented signature defaults to
   :data:`NULL_TELEMETRY`; its instruments are shared no-op singletons,
   so the disabled cost is an attribute lookup + empty call at call
-  boundaries only — never inside the bincount kernels. The overhead
+  boundaries only — never inside the E/M kernels. The overhead
   floor (≤1.02× on the streaming conclude path) is asserted in
   ``benchmarks/test_telemetry_overhead.py``.
 * **Observing never perturbs.** Telemetry must not change a single

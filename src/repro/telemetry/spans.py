@@ -7,7 +7,7 @@ so the exported records form a forest and per-name *self time* (total
 minus direct children) can be computed after the fact.
 
 Spans are deliberately coarse: one per EM call, per guidance select, per
-checkpoint — never inside the vectorised bincount kernels, whose inner
+checkpoint — never inside the vectorised E/M kernels, whose inner
 loops must stay instrumentation-free.
 """
 

@@ -1,8 +1,8 @@
 """Tests for the faulty-worker masking guards (persistence, scope, cap).
 
-These guards are the engineering deviations documented in DESIGN.md and
-EXPERIMENTS.md (D1); each is pinned here so a regression that silently
-reverts to the collapse-prone raw behaviour is caught.
+These guards are engineering deviations from the paper's raw masking
+rule; each is pinned here so a regression that silently reverts to the
+collapse-prone raw behaviour is caught.
 """
 
 from __future__ import annotations

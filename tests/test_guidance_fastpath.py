@@ -2,8 +2,8 @@
 
 Three seams, each with a property suite:
 
-* **Kernel plans** — the segment-reduce (``np.bincount``) E/M scatters must
-  be *bit-for-bit* equal to the ``np.add.at`` reference on arbitrary answer
+* **Kernel plans** — the sparse incidence-operator E/M scatters must be
+  *bit-for-bit* equal to the ``np.add.at`` reference on arbitrary answer
   matrices; ``np.array_equal``, never ``allclose``.
 * **Lazy greedy** — CELF over the incremental Cholesky factor must select
   the identical subset (and return the identical entropy float) as the
@@ -12,7 +12,8 @@ Three seams, each with a property suite:
 * **Look-ahead rework** — ``InformationGainStrategy`` with the shared
   encoding must reproduce the PR-1 rebuild-per-conclude selection choices
   and scores exactly; the localized mode must degrade gracefully to the
-  exact result when the worker neighborhood spans the whole matrix.
+  exact result when the worker neighborhood spans the whole matrix; and
+  the look-ahead counters must count exactly the solves it ran.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import em_kernel
-from repro.core.answer_set import AnswerSet
+from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.core.uncertainty import answer_set_uncertainty
 from repro.core.validation import ExpertValidation
@@ -33,8 +34,10 @@ from repro.guidance import (
     greedy_max_entropy_subset,
 )
 from repro.guidance.base import GuidanceContext
+from repro.parallel import Executor
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.streaming.sharded import block_subencoding, object_segment_starts
+from repro.telemetry import Telemetry
 from repro.workers.spammer_detection import SpammerDetector
 
 
@@ -294,3 +297,75 @@ class TestBatchSelection:
         assert np.unique(batch).size == 5
         for obj in batch:
             assert not context.prob_set.validation.is_validated(int(obj))
+
+
+class TestLookaheadTelemetry:
+    @staticmethod
+    def _direct_tally(context, strategy, candidates):
+        """(solves, iterations, cap_hits) of the same hypotheses, each
+        run through run_em directly."""
+        prob_set = context.prob_set
+        encoded = em_kernel.encode_answers(prob_set.answer_set)
+        initial = em_kernel.e_step(encoded, prob_set.confusions,
+                                   prob_set.priors)
+        validated = prob_set.validation.as_array()
+        results = []
+        for obj in candidates:
+            for label, weight in enumerate(prob_set.assignment[obj]):
+                if weight < strategy.label_floor:
+                    continue
+                hypothetical = validated.copy()
+                hypothetical[obj] = label
+                objects = np.flatnonzero(hypothetical != MISSING)
+                results.append(em_kernel.run_em(
+                    encoded, initial, objects, hypothetical[objects],
+                    max_iter=strategy.lookahead_max_iter,
+                    tol=context.aggregator.tol,
+                    smoothing=context.aggregator.smoothing))
+        return (len(results), sum(r.n_iterations for r in results),
+                sum(not r.converged for r in results))
+
+    @staticmethod
+    def _hub_tally(hub):
+        return tuple(int(hub.registry.counter(f"lookahead.{name}").value)
+                     for name in ("solves", "iterations", "cap_hits"))
+
+    @pytest.mark.parametrize("max_iter", [3, 25])
+    def test_counters_equal_direct_run_em_tallies(self, max_iter):
+        crowd = simulate_crowd(
+            CrowdConfig(n_objects=14, n_workers=6, answers_per_object=3),
+            rng=5)
+        hub = Telemetry()
+        context = _context(crowd)
+        context.telemetry = hub
+        strategy = InformationGainStrategy(candidate_limit=4,
+                                           lookahead_max_iter=max_iter)
+        selection = strategy.select(context)
+        expected = self._direct_tally(context, strategy,
+                                      selection.candidate_indices)
+        assert self._hub_tally(hub) == expected
+        assert expected[0] > 0
+        if max_iter == 3:
+            assert expected[2] > 0  # the cap binds: cap hits are counted
+        spans = [r for r in hub.tracer.records
+                 if r.name == "guidance.lookahead"]
+        assert len(spans) == 1
+        assert (spans[0].attrs["solves"], spans[0].attrs["iterations"],
+                spans[0].attrs["cap_hits"]) == expected
+
+    def test_tallies_survive_a_process_executor(self):
+        crowd = simulate_crowd(
+            CrowdConfig(n_objects=14, n_workers=6, answers_per_object=3),
+            rng=6)
+        tallies = []
+        for executor in (Executor("serial"),
+                         Executor("processes", max_workers=2)):
+            hub = Telemetry()
+            context = _context(crowd)
+            context.telemetry = hub
+            with executor:
+                InformationGainStrategy(candidate_limit=4,
+                                        executor=executor).select(context)
+            tallies.append(self._hub_tally(hub))
+        assert tallies[0] == tallies[1]
+        assert tallies[0][0] > 0

@@ -1,13 +1,15 @@
 """The scale-tier kernel contracts: width-adaptive index dtypes, the
-shared CSR views, geometric log growth, the float32 accumulation path,
-and bit-equality of the shard-parallel M-step.
+shared CSR views, the sparse incidence operators, geometric log growth,
+the float32 accumulation path, and bit-equality of the shard-parallel
+M-step.
 
 These are the regression tripwires behind ``benchmarks/test_scale_tiers``:
 the benchmarks assert throughput and memory, this file pins the
 *semantics* that make the memory-lean encodings safe — narrow dtypes must
-never overflow, narrowed checkpoints must round-trip, and the
-shard-parallel kernel must be indistinguishable from the serial plan path
-float for float.
+never overflow, narrowed checkpoints must round-trip, the operator path
+must be bit-for-bit the ``np.add.at`` reference, and the shard-parallel
+kernel must be indistinguishable from the serial plan path float for
+float.
 """
 
 from __future__ import annotations
@@ -21,12 +23,51 @@ from hypothesis import strategies as st
 
 from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
+from repro.core.confusion import PROB_FLOOR
 from repro.core.em_kernel import INT32_BOUND, AnswerStats, index_dtype
+from repro.errors import InvalidAnswerSetError
 from repro.parallel import Executor, ShardedKernel
 from repro.state import FileSessionStore
 from repro.streaming import ValidationSession
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Same dtype, same shape, same bytes — no tolerance, not even ±0."""
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_incidence(encoded, plan) -> None:
+    """The plan's operators are exactly the answer incidence, in order."""
+    n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
+    objects = encoded.object_index.astype(np.int64)
+    cells = (encoded.worker_index.astype(np.int64) * m
+             + encoded.label_index.astype(np.int64))
+    by_object, by_cell = plan.object_incidence, plan.cell_incidence
+    assert by_object.shape == (n, k * m)
+    assert by_cell.shape == (k * m, n)
+    # G: row o lists its answers' cells in ascending answer order.
+    np.testing.assert_array_equal(by_object.indices, cells)
+    np.testing.assert_array_equal(by_object.indptr,
+                                  em_kernel.csr_view(encoded).object_starts)
+    # S: row w·m + l lists the objects of that cell's answers, in
+    # ascending answer order.
+    order = np.argsort(cells, kind="stable")
+    np.testing.assert_array_equal(by_cell.indices, objects[order])
+    np.testing.assert_array_equal(
+        by_cell.indptr,
+        np.concatenate(([0], np.cumsum(np.bincount(cells,
+                                                   minlength=k * m)))))
+    # Unit weights, one ones array shared by both operators.
+    assert by_cell.data is by_object.data
+    np.testing.assert_array_equal(by_object.data, np.ones(encoded.n_answers))
+    dense = np.zeros((n, k * m))
+    np.add.at(dense, (objects, cells), 1.0)
+    np.testing.assert_array_equal(by_object.toarray(), dense)
+    np.testing.assert_array_equal(by_cell.toarray(), dense.T)
 
 
 def random_encoding(seed: int, n: int = 30, k: int = 8, m: int = 3,
@@ -73,36 +114,45 @@ class TestIndexDtype:
     def test_kernel_plan_narrow_and_correct(self):
         encoded, _ = random_encoding(1)
         plan = em_kernel.kernel_plan(encoded)
-        assert plan.conf_gather.dtype == np.int32
-        assert plan.assign_gather.dtype == np.int32
-        m = encoded.n_labels
-        wi = encoded.worker_index.astype(np.int64)
-        li = encoded.label_index.astype(np.int64)
-        oi = encoded.object_index.astype(np.int64)
-        rows = np.arange(m, dtype=np.int64)[:, None]
-        np.testing.assert_array_equal(
-            plan.conf_gather, (wi[None, :] * m + rows) * m + li[None, :])
-        np.testing.assert_array_equal(
-            plan.assign_gather, oi[None, :] * m + rows)
+        for operator in (plan.object_incidence, plan.cell_incidence):
+            assert operator.indices.dtype == np.int32
+            assert operator.indptr.dtype == np.int32
+        assert plan.n_answers == encoded.n_answers
+        assert_incidence(encoded, plan)
 
-    def test_kernel_plan_upcasts_at_the_int32_boundary(self):
-        """Declared dimensions past the bound force int64 plans whose flat
-        indices exceed int32 range — the overflow this machinery exists to
-        prevent. Tiny arrays, huge dims: the plan is built, never executed
-        (a real (k·m·m) M-step buffer at this size would not fit)."""
-        n = INT32_BOUND  # n·m = 3·(2³¹−1) overflows int32
-        encoded = em_kernel.EncodedAnswers(
-            n_objects=n, n_workers=2, n_labels=3,
-            object_index=np.array([0, n - 1], dtype=np.int64),
-            worker_index=np.array([0, 1], dtype=np.int64),
-            label_index=np.array([1, 2], dtype=np.int64),
-        )
+    def test_kernel_plan_upcasts_at_the_int32_boundary(self, monkeypatch):
+        """The operators take their width from index_dtype, not from
+        scipy's own narrowing (which keeps int32 whenever the values
+        fit): under a lowered bound, an int32 encoding gets int64
+        operators — the same incidence, the same bit-exact products.
+        A real 2³¹ boundary needs an O(n) row pointer of 2³¹ entries."""
+        encoded, assignment = random_encoding(17)
+        assert encoded.object_index.dtype == np.int32
+        monkeypatch.setattr(em_kernel, "INT32_BOUND", 50)
+        assert index_dtype(encoded.n_objects, encoded.n_workers,
+                           encoded.n_labels) == np.int64
         plan = em_kernel.kernel_plan(encoded)
-        assert plan.assign_gather.dtype == np.int64
-        # The last object's last row lands at (n−1)·3 + 2 > 2³¹ − 1:
-        # correct only if the arithmetic ran in int64.
-        assert int(plan.assign_gather[2, 1]) == (n - 1) * 3 + 2
-        assert int(plan.assign_gather[2, 1]) > INT32_BOUND
+        for operator in (plan.object_incidence, plan.cell_incidence):
+            assert operator.indices.dtype == np.int64
+            assert operator.indptr.dtype == np.int64
+        assert_incidence(encoded, plan)
+        assert_bits_equal(
+            em_kernel.m_step(encoded, assignment, plan=plan),
+            em_kernel.m_step(encoded, assignment))
+        confusions = em_kernel.m_step(encoded, assignment)
+        priors = em_kernel.estimate_priors(assignment)
+        assert_bits_equal(
+            em_kernel.e_step(encoded, confusions, priors, plan=plan),
+            em_kernel.e_step(encoded, confusions, priors))
+
+    def test_kernel_plan_rejects_unsorted_encodings(self):
+        encoded = em_kernel.EncodedAnswers(
+            n_objects=3, n_workers=2, n_labels=2,
+            object_index=np.array([2, 0], dtype=np.int32),
+            worker_index=np.array([0, 1], dtype=np.int32),
+            label_index=np.array([1, 0], dtype=np.int32))
+        with pytest.raises(InvalidAnswerSetError, match="object-sorted"):
+            em_kernel.kernel_plan(encoded)
 
     def test_block_subencoding_renarrows(self):
         """A small block cut out of a (hypothetically) huge encoding gets
@@ -287,6 +337,147 @@ class TestFloat32Path:
                                   dtype=np.float32)
         assert counts.dtype == np.float32
         assert counts.shape == (2, 2, 2)
+
+
+# ----------------------------------------------------------------------
+# Incidence operators: bit-for-bit the np.add.at reference
+# ----------------------------------------------------------------------
+@st.composite
+def answer_instances(draw):
+    """A sparse answer set with m ∈ {2, 3, 5, 8} — sometimes with an
+    object or a worker that has no answers — plus a soft assignment."""
+    m = draw(st.sampled_from([2, 3, 5, 8]))
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, 9))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    matrix = np.where(rng.random((n, k)) < density,
+                      rng.integers(0, m, size=(n, k)), MISSING)
+    if draw(st.booleans()):
+        matrix[rng.integers(n)] = MISSING
+    if draw(st.booleans()):
+        matrix[:, rng.integers(k)] = MISSING
+    answer_set = AnswerSet(matrix, tuple(f"l{i}" for i in range(m)))
+    return answer_set, rng.dirichlet(np.ones(m), size=n), rng
+
+
+def _flat_gathers(encoded):
+    """The retired plan's ``(m, A)`` confusion and assignment gathers."""
+    m = encoded.n_labels
+    rows = np.arange(m, dtype=np.int64)[:, None]
+    wi = encoded.worker_index.astype(np.int64)[None, :]
+    li = encoded.label_index.astype(np.int64)[None, :]
+    oi = encoded.object_index.astype(np.int64)[None, :]
+    return (wi * m + rows) * m + li, oi * m + rows
+
+
+def bincount_float32_m_step(encoded, assignment, smoothing):
+    """Replica of the retired float32 bincount M-step (per-row loop)."""
+    k, m = encoded.n_workers, encoded.n_labels
+    conf_gather, assign_gather = _flat_gathers(encoded)
+    flat = np.ascontiguousarray(assignment, dtype=np.float32).reshape(-1)
+    counts = np.empty((k, m, m), dtype=np.float32)
+    for row in range(m):
+        row_counts = np.bincount(conf_gather[row],
+                                 weights=flat[assign_gather[row]],
+                                 minlength=k * m * m).reshape(k, m, m)
+        counts[:, row, :] = row_counts[:, row, :]
+    smoothed = counts + np.float32(smoothing)
+    return smoothed / smoothed.sum(axis=-1, keepdims=True)
+
+
+def bincount_float32_e_step(encoded, confusions, priors):
+    """Replica of the retired float32 bincount E-step (per-label loop)."""
+    n, m = encoded.n_objects, encoded.n_labels
+    conf_gather, _ = _flat_gathers(encoded)
+    flat = np.log(np.clip(confusions, PROB_FLOOR, None)).astype(
+        np.float32).reshape(-1)
+    log_like = np.empty((n, m), dtype=np.float32)
+    for label in range(m):
+        log_like[:, label] = np.bincount(
+            encoded.object_index, weights=flat[conf_gather[label]],
+            minlength=n)
+    log_like += np.log(np.clip(priors, PROB_FLOOR, None))[None, :]
+    log_like -= log_like.max(axis=1, keepdims=True)
+    assignment = np.exp(log_like)
+    assignment /= assignment.sum(axis=1, keepdims=True)
+    return assignment
+
+
+class TestOperatorPathBitEquality:
+    @given(answer_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_operators_equal_the_incidence(self, instance):
+        answer_set, _, _ = instance
+        encoded = em_kernel.encode_answers(answer_set)
+        assert_incidence(encoded, em_kernel.kernel_plan(encoded))
+
+    @given(answer_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_e_and_m_steps_bit_equal_reference(self, instance):
+        answer_set, assignment, _ = instance
+        encoded = em_kernel.encode_answers(answer_set)
+        plan = em_kernel.kernel_plan(encoded)
+        confusions = em_kernel.m_step(encoded, assignment)
+        assert_bits_equal(em_kernel.m_step(encoded, assignment, plan=plan),
+                          confusions)
+        priors = em_kernel.estimate_priors(assignment)
+        assert_bits_equal(
+            em_kernel.e_step(encoded, confusions, priors, plan=plan),
+            em_kernel.e_step(encoded, confusions, priors))
+
+    @given(answer_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_run_em_bit_equal_reference_masked_and_clamped(self, instance):
+        answer_set, assignment, rng = instance
+        stats = AnswerStats.from_answer_set(answer_set)
+        stats.set_masked_workers(np.flatnonzero(
+            rng.random(stats.n_workers) < 0.3))
+        encoded = stats.encoded()
+        validated = np.flatnonzero(rng.random(stats.n_objects) < 0.3)
+        labels = rng.integers(0, stats.n_labels, size=validated.size)
+        planned = em_kernel.run_em(encoded, assignment, validated, labels,
+                                   max_iter=15)
+        reference = em_kernel.run_em(encoded, assignment, validated, labels,
+                                     max_iter=15, use_plan=False)
+        assert_bits_equal(planned.assignment, reference.assignment)
+        assert_bits_equal(planned.confusions, reference.confusions)
+        assert_bits_equal(planned.priors, reference.priors)
+        assert planned.n_iterations == reference.n_iterations
+        assert planned.converged == reference.converged
+
+    @given(answer_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_float32_bit_equal_bincount_replica(self, instance):
+        answer_set, assignment, _ = instance
+        encoded = em_kernel.encode_answers(answer_set)
+        if not encoded.n_answers:
+            return  # both paths short-circuit before any scatter
+        plan = em_kernel.kernel_plan(encoded)
+        confusions = em_kernel.m_step(encoded, assignment, 0.01, plan=plan,
+                                      dtype=np.float32)
+        assert_bits_equal(
+            confusions, bincount_float32_m_step(encoded, assignment, 0.01))
+        priors = em_kernel.estimate_priors(assignment)
+        assert_bits_equal(
+            em_kernel.e_step(encoded, confusions, priors, plan=plan,
+                             dtype=np.float32),
+            bincount_float32_e_step(encoded, confusions, priors))
+
+    @given(answer_instances(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=30, deadline=None)
+    def test_shard_row_blocks_bit_equal_serial(self, instance, n_shards):
+        answer_set, assignment, _ = instance
+        encoded = em_kernel.encode_answers(answer_set)
+        plan = em_kernel.kernel_plan(encoded)
+        confusions = em_kernel.m_step(encoded, assignment, 0.01, plan=plan)
+        priors = em_kernel.estimate_priors(assignment)
+        with ShardedKernel(encoded, Executor("serial"),
+                           n_shards=n_shards) as kernel:
+            assert_bits_equal(kernel.m_step(assignment, 0.01), confusions)
+            assert_bits_equal(
+                kernel.e_step(confusions, priors),
+                em_kernel.e_step(encoded, confusions, priors, plan=plan))
 
 
 # ----------------------------------------------------------------------
