@@ -5,11 +5,20 @@ same driver the full-scale CLI uses (``python -m repro.experiments run``),
 at a reduced ``scale`` so the whole suite stays minutes, not hours. The
 driver output is printed so ``pytest benchmarks/ --benchmark-only -s``
 doubles as a results report.
+
+The before/after benches compare against the reference implementations in
+``tests/reference.py``; ``tests/`` goes on ``sys.path`` here so they can
+``import reference`` even when only ``benchmarks/`` is collected.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def pytest_configure(config: pytest.Config) -> None:

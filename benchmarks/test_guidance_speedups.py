@@ -3,9 +3,9 @@
 Three floor-asserted speedups, each measured against a faithful replica of
 the pre-overhaul ("PR-1") code path:
 
-* one EM iteration, segment-reduce (:class:`~repro.core.em_kernel.KernelPlan`
-  + ``np.bincount``) vs the ``np.add.at`` reference — floor **2x** at
-  ``n=2000, k=200``;
+* one EM iteration, the sparse-operator kernel
+  (:class:`~repro.core.em_kernel.KernelPlan`) vs the ``np.add.at``
+  reference of ``tests/reference.py`` — floor **2x** at ``n=2000, k=200``;
 * ``InformationGainStrategy.select`` vs the rebuild-per-conclude PR-1
   scorer at ``n=1000, candidate_limit=50`` — floor **5x** for the
   localized look-ahead mode (the exact shared-encoding mode is recorded,
@@ -34,6 +34,7 @@ from repro.guidance.joint_entropy import object_covariance
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.workers.spammer_detection import SpammerDetector
 
+import reference
 from _bench import median_seconds, record
 
 
@@ -51,23 +52,21 @@ def test_em_iteration_segment_reduce_speedup():
         CrowdConfig(n_objects=2000, n_workers=200, n_labels=4,
                     answers_per_object=15, reliability=0.8), rng=0)
     encoded = em_kernel.encode_answers(crowd.answer_set)
-    plan = em_kernel.kernel_plan(encoded)
     assignment = em_kernel.initial_assignment_majority(encoded)
-    confusions = em_kernel.m_step(encoded, assignment, plan=plan)
+    confusions = em_kernel.m_step(encoded, assignment)  # builds the plan
     priors = em_kernel.estimate_priors(assignment)
 
-    def iteration(active_plan):
-        updated = em_kernel.e_step(encoded, confusions, priors,
-                                   plan=active_plan)
-        return em_kernel.m_step(encoded, updated, plan=active_plan)
+    def iteration(impl):
+        updated = impl.e_step(encoded, confusions, priors)
+        return impl.m_step(encoded, updated)
 
-    fast_conf = iteration(plan)
-    ref_conf = iteration(None)
+    fast_conf = iteration(em_kernel)
+    ref_conf = iteration(reference)
     assert np.array_equal(fast_conf, ref_conf), \
         "segment-reduce iteration is not bit-for-bit with np.add.at"
 
-    fast = median_seconds(lambda: iteration(plan), rounds=11)
-    ref = median_seconds(lambda: iteration(None), rounds=11)
+    fast = median_seconds(lambda: iteration(em_kernel), rounds=11)
+    ref = median_seconds(lambda: iteration(reference), rounds=11)
     speedup = ref / fast
     print(f"\nEM iteration at n=2000/k=200/m=4: plan {fast * 1e3:.2f} ms "
           f"vs add.at {ref * 1e3:.2f} ms -> {speedup:.1f}x")
@@ -98,12 +97,12 @@ def _pr1_scores(prob_set, candidates, label_floor, max_iter, tol, smoothing):
             hypothetical = prob_set.validation.with_assignment(
                 int(obj), int(label))
             encoded = em_kernel.encode_answers(prob_set.answer_set)
-            initial = em_kernel.e_step(encoded, prob_set.confusions,
+            initial = reference.e_step(encoded, prob_set.confusions,
                                        prob_set.priors)
-            result = em_kernel.run_em(
+            result = reference.run_em(
                 encoded, initial, hypothetical.validated_indices(),
                 hypothetical.validated_labels(), max_iter=max_iter, tol=tol,
-                smoothing=smoothing, use_plan=False)
+                smoothing=smoothing)
             total += weight * float(
                 object_entropies(result.assignment).sum())
         expected.append(total)

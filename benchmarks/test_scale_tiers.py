@@ -150,14 +150,12 @@ def int64_baseline_iteration(encoded: em_kernel.EncodedAnswers) -> None:
 
 def narrow_iteration(encoded: em_kernel.EncodedAnswers) -> None:
     """Plan build + one EM iteration on the narrow float32 path."""
-    plan = em_kernel.kernel_plan(encoded)
+    em_kernel.kernel_plan(encoded)
     assignment = em_kernel.initial_assignment_majority(encoded) \
         .astype(np.float32, copy=False)
-    confusions = em_kernel.m_step(encoded, assignment, plan=plan,
-                                  dtype=np.float32)
+    confusions = em_kernel.m_step(encoded, assignment, dtype=np.float32)
     priors = em_kernel.estimate_priors(assignment)
-    em_kernel.e_step(encoded, confusions, priors, plan=plan,
-                     dtype=np.float32)
+    em_kernel.e_step(encoded, confusions, priors, dtype=np.float32)
 
 
 def plan_bytes(plan: em_kernel.KernelPlan) -> int:
@@ -198,12 +196,12 @@ def _run_tier(tier: dict, tier_name: str, throughput_floor: float) -> None:
     assert plan.cell_incidence.indices.dtype == np.int32
     plan_bytes_per_answer = plan_bytes(plan) / n_answers
     assignment = em_kernel.initial_assignment_majority(encoded)
-    confusions = em_kernel.m_step(encoded, assignment, plan=plan)
+    confusions = em_kernel.m_step(encoded, assignment)
     priors = em_kernel.estimate_priors(assignment)
 
     def iteration() -> None:
-        updated = em_kernel.e_step(encoded, confusions, priors, plan=plan)
-        em_kernel.m_step(encoded, updated, plan=plan)
+        updated = em_kernel.e_step(encoded, confusions, priors)
+        em_kernel.m_step(encoded, updated)
 
     iteration()  # warm-up
     seconds = median_seconds(iteration, rounds=5)
@@ -260,12 +258,12 @@ def test_parallel_m_step_speedup_50k():
     """
     cpus = os.cpu_count() or 1
     encoded = synth_encoding(**TIER_50K)
-    plan = em_kernel.kernel_plan(encoded)
+    em_kernel.kernel_plan(encoded)  # built once, outside the timing
     assignment = em_kernel.initial_assignment_majority(encoded)
 
     serial_seconds = median_seconds(
-        lambda: em_kernel.m_step(encoded, assignment, plan=plan), rounds=5)
-    serial_counts = em_kernel.m_step(encoded, assignment, plan=plan)
+        lambda: em_kernel.m_step(encoded, assignment), rounds=5)
+    serial_counts = em_kernel.m_step(encoded, assignment)
 
     with ShardedKernel(encoded,
                        Executor("processes", max_workers=4)) as kernel:

@@ -50,22 +50,20 @@ def _bare_conclude(session: ValidationSession) -> em_kernel.EMResult:
     """``ValidationSession.conclude``'s warm body, instrumentation stripped.
 
     Line-for-line the same work the instrumented method does on the warm
-    path — encoding, plan, warm e-step, ``run_em``, install — minus the
+    path — encoding, warm e-step, ``run_em``, install — minus the
     span, histogram, and gauge calls. If this twin drifts from the real
     method the equality assertion below catches it (different floats),
     so the pair can't silently measure different work.
     """
     encoded = session._stats.encoded()
-    plan = em_kernel.kernel_plan(encoded) if session.use_plan else None
     validated = session._validation.validated_indices()
     labels = session._validation.validated_labels()
     initial = em_kernel.e_step(encoded, session._model.confusions,
-                               session._model.priors, plan=plan)
+                               session._model.priors)
     result = em_kernel.run_em(
         encoded, initial, validated, labels,
         max_iter=session.max_iter, tol=session.tol,
-        smoothing=session.smoothing, plan=plan, use_plan=session.use_plan,
-        parallel_m_step=session.parallel_m_step)
+        smoothing=session.smoothing)
     session._install(result)
     return result
 

@@ -83,7 +83,6 @@ class DawidSkeneEM:
         if validation is None:
             validation = ExpertValidation.empty_for(answer_set)
         encoded = em_kernel.encode_answers(answer_set)
-        plan = em_kernel.kernel_plan(encoded)
         if self.init == "majority":
             initial = em_kernel.initial_assignment_majority(encoded)
         elif self.init == "random":
@@ -98,7 +97,6 @@ class DawidSkeneEM:
             max_iter=self.max_iter,
             tol=self.tol,
             smoothing=self.smoothing,
-            plan=plan,
         )
         if self.require_convergence and not result.converged:
             raise ConvergenceError(

@@ -14,12 +14,13 @@ Implementation notes
   the E-step adds ``log F_w(·, l)`` into object rows, and the M-step adds
   ``U(o, ·)`` into ``(worker, label)`` cells. Complexity per iteration is
   ``O(A·m)`` for ``A`` answers.
-* The scatters run in one of two interchangeable forms: a reference
-  ``np.add.at`` path, and a fast path that multiplies by the two CSR
-  incidence operators of a :class:`KernelPlan`. Every output cell starts
-  at 0.0 and adds its answers one at a time, with unit weight, in
-  ascending answer order on both paths, so the two are **bit-for-bit
-  identical**; the golden Dawid–Skene fixtures pin this equivalence.
+* Each scatter is one product with a CSR incidence operator of the
+  encoding's memoized :class:`KernelPlan`. Every output cell starts at
+  0.0 and adds its answers one at a time, with unit weight, in ascending
+  answer order — exactly the accumulation of a plain ``np.add.at``
+  scatter, so the products are **bit-for-bit** that reference. The
+  reference itself lives in ``tests/reference.py``; the test suite pins
+  the equality and the golden Dawid–Skene fixtures pin the numerics.
 * All likelihood products run in log space with probability flooring, so
   degenerate confusion rows never produce NaNs.
 * Objects with an expert validation are clamped to a one-hot row after
@@ -30,6 +31,7 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -38,6 +40,9 @@ from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.confusion import PROB_FLOOR, normalize_rows
 from repro.errors import InvalidAnswerSetError
 from repro.telemetry import NULL_TELEMETRY
+
+if TYPE_CHECKING:
+    from repro.parallel.sharded_kernel import ShardedKernel
 
 #: Default Laplace-style smoothing added to confusion counts in the M-step.
 DEFAULT_SMOOTHING = 0.01
@@ -222,12 +227,11 @@ def _with_index_dtype(operator: sparse.csr_array,
 class EncodingCSR:
     """Lazy CSR segment views over one encoding epoch.
 
-    The per-object and per-worker neighborhood structures that
-    :func:`object_segment_starts` and ad-hoc ``argsort``/``searchsorted``
-    pairs used to half-build in three different places (guidance
-    look-aheads, :class:`repro.streaming.ShardedRefresher` block payloads,
-    session read paths) live here, built **once per encoding epoch** and
-    memoized on the encoding itself via :func:`csr_view`:
+    The per-object and per-worker neighborhood structures shared by the
+    guidance look-aheads, :func:`block_subencoding` (and through it the
+    :class:`repro.streaming.ShardedRefresher` block payloads), the kernel
+    plan, and the session read paths live here, built **once per encoding
+    epoch** and memoized on the encoding itself via :func:`csr_view`:
 
     ``object_starts``
         Length ``n + 1`` segment boundaries; the answers of object ``o``
@@ -325,27 +329,11 @@ def csr_view(encoded: EncodedAnswers) -> EncodingCSR:
 # ----------------------------------------------------------------------
 # Block extraction (partition-scoped and neighborhood-scoped solves)
 # ----------------------------------------------------------------------
-def object_segment_starts(encoded: EncodedAnswers) -> np.ndarray:
-    """Per-object segment boundaries into a sorted flat encoding.
-
-    ``encoded.object_index`` is non-decreasing on both construction paths
-    (:func:`encode_answers` emits row-major ``np.nonzero`` order;
-    :meth:`AnswerStats.encoded` lexsorts by ``(object, worker)``), so the
-    answers of object ``o`` are exactly positions
-    ``starts[o]:starts[o + 1]``. Computing the boundaries once lets block
-    extraction run in ``O(block answers)`` instead of an ``O(A)`` scan per
-    block. Delegates to the shared :func:`csr_view`, so the boundaries are
-    built once per encoding epoch no matter how many subsystems ask.
-    """
-    return csr_view(encoded).object_starts
-
-
 def block_subencoding(encoded: EncodedAnswers,
                       objects: np.ndarray,
                       workers: np.ndarray | None = None,
                       *,
                       n_labels: int | None = None,
-                      object_starts: np.ndarray | None = None,
                       ) -> tuple[EncodedAnswers, np.ndarray]:
     """Restrict a flat encoding to an object block with local indices.
 
@@ -366,11 +354,11 @@ def block_subencoding(encoded: EncodedAnswers,
         derived from the block's answers when omitted.
     n_labels:
         Label vocabulary of the sub-encoding (defaults to ``encoded``'s).
-    object_starts:
-        Precomputed :func:`object_segment_starts` of ``encoded``. With it,
-        the block's answer positions are gathered segment-by-segment in
-        ``O(block answers)``; without it, an ``O(A)`` ``np.isin`` scan
-        locates them.
+
+    The block's answer positions are gathered segment by segment from the
+    memoized :func:`csr_view` ``object_starts`` — ``O(block answers)``,
+    never an ``O(A)`` scan — so the sub-encoding is object-sorted like
+    its parent.
 
     Returns
     -------
@@ -379,19 +367,12 @@ def block_subencoding(encoded: EncodedAnswers,
         indices, and the worker index set actually used.
     """
     objects = np.asarray(objects, dtype=np.int64)
-    if object_starts is not None:
-        counts = object_starts[objects + 1] - object_starts[objects]
-        positions = np.repeat(object_starts[objects], counts) \
-            + _ranges(counts)
-        local_obj = np.repeat(np.arange(objects.size, dtype=np.int64),
-                              counts)
-        kept_workers = encoded.worker_index[positions]
-        kept_labels = encoded.label_index[positions]
-    else:
-        keep = np.isin(encoded.object_index, objects)
-        local_obj = np.searchsorted(objects, encoded.object_index[keep])
-        kept_workers = encoded.worker_index[keep]
-        kept_labels = encoded.label_index[keep]
+    object_starts = csr_view(encoded).object_starts
+    counts = object_starts[objects + 1] - object_starts[objects]
+    positions = np.repeat(object_starts[objects], counts) + _ranges(counts)
+    local_obj = np.repeat(np.arange(objects.size, dtype=np.int64), counts)
+    kept_workers = encoded.worker_index[positions]
+    kept_labels = encoded.label_index[positions]
     if workers is None:
         workers = np.unique(kept_workers)
     else:
@@ -446,8 +427,7 @@ class AnswerStats:
     identical** to ``encode_answers(equivalent AnswerSet)``: answers are
     lexicographically sorted by ``(object, worker)``, which is exactly the
     row-major order ``np.nonzero`` yields, so every downstream kernel
-    computation (``np.add.at`` scatter order included) matches the batch
-    path exactly.
+    computation (scatter order included) matches the batch path exactly.
 
     Dimensions may grow (:meth:`grow`) as unseen objects/workers appear in
     the stream; label vocabulary size is fixed at construction.
@@ -927,26 +907,18 @@ def m_step(encoded: EncodedAnswers,
            assignment: np.ndarray,
            smoothing: float = DEFAULT_SMOOTHING,
            *,
-           plan: KernelPlan | None = None,
            dtype: np.dtype | type | str = np.float64) -> np.ndarray:
     """Estimate worker confusion matrices from the soft assignment (Eq. 5).
 
     ``F_w(l', l) ∝ Σ_o U(o, l') · d_w(o, l)``, row-normalized with
     ``smoothing`` pseudo-counts; rows with no evidence become uniform.
-
-    With a ``plan`` the counts are one sparse product,
-    ``cell_incidence @ U``; without one, the reference ``np.add.at``
-    scatter rebuilds flat indices in place. Both accumulate each count
-    cell in ascending answer order, so the results are bit-for-bit
-    identical.
+    The counts are one sparse product, ``cell_incidence @ U``, with the
+    encoding's memoized :func:`kernel_plan`.
 
     ``dtype`` selects the output precision. The ``float64`` default is
-    the bit-exact path above. ``float32`` is the scale-tier opt-in: the
-    plan path casts ``U`` to float32, accumulates in float64 inside the
-    product, and casts the ``k·m·m`` counts back, so its only floating
-    temporaries are ``O(n·m)``. The reference path accumulates in
-    float32, so at float32 the two agree to float32 tolerance, not
-    bit-wise.
+    bit-exact. ``float32`` is the scale-tier opt-in: ``U`` is cast to
+    float32, the product accumulates in float64, and the ``k·m·m`` counts
+    are cast back, so its only floating temporaries are ``O(n·m)``.
     """
     k, m = encoded.n_workers, encoded.n_labels
     out_dtype = np.dtype(dtype)
@@ -954,23 +926,9 @@ def m_step(encoded: EncodedAnswers,
         return normalize_rows(np.zeros((k, m, m), dtype=float),
                               smoothing=smoothing).astype(out_dtype,
                                                           copy=False)
-    if plan is not None:
-        cell_counts = plan.cell_incidence @ np.ascontiguousarray(
-            assignment, dtype=out_dtype)
-        return confusions_from_cell_counts(cell_counts, smoothing,
-                                           out_dtype)
-    # counts[w, :, l] += U[o, :] for each answer (o, w, l). Flattened
-    # scatter: index = (w*m + row)*m + l for each of the m rows.
-    counts = np.zeros((k, m, m), dtype=out_dtype)
-    rows = np.arange(m)
-    flat_index = ((encoded.worker_index.astype(np.int64)[:, None] * m
-                   + rows[None, :]) * m
-                  + encoded.label_index[:, None])
-    np.add.at(counts.reshape(-1), flat_index.reshape(-1),
-              np.ascontiguousarray(
-                  assignment[encoded.object_index, :],
-                  dtype=out_dtype).reshape(-1))
-    return normalize_rows(counts, smoothing=smoothing)
+    cell_counts = kernel_plan(encoded).cell_incidence @ np.ascontiguousarray(
+        assignment, dtype=out_dtype)
+    return confusions_from_cell_counts(cell_counts, smoothing, out_dtype)
 
 
 def confusions_from_cell_counts(cell_counts: np.ndarray, smoothing: float,
@@ -980,8 +938,8 @@ def confusions_from_cell_counts(cell_counts: np.ndarray, smoothing: float,
 
     The product is laid out ``[w·m + l, r]``; transposing it into a
     C-contiguous ``(k, m, m)`` stack ``counts[w, r, l]`` restores the
-    memory layout the reference path normalizes, so the row sums add in
-    the same order.
+    memory layout an ``np.add.at`` scatter would normalize, so the row
+    sums add in the same order.
     """
     m = cell_counts.shape[1]
     counts = np.ascontiguousarray(
@@ -999,35 +957,25 @@ def confusions_from_cell_counts(cell_counts: np.ndarray, smoothing: float,
 def scatter_log_likelihood(encoded: EncodedAnswers,
                            log_confusions: np.ndarray,
                            *,
-                           plan: KernelPlan | None = None,
                            dtype: np.dtype | type | str = np.float64,
                            ) -> np.ndarray:
     """Per-object log-likelihood rows ``Σ_answers log F_w(·, l)``.
 
     The E-step's scatter, factored out so delta-maintained read paths
-    (:meth:`repro.streaming.ValidationSession.posteriors`) share it. With a
-    ``plan`` it is one sparse product, ``object_incidence @ logF``;
-    without one, the reference ``np.add.at`` scatter runs. Bit-for-bit
-    identical either way at the ``float64`` default. The ``float32``
-    opt-in halves the output; the product still accumulates in float64
-    and casts each row back once, so no answer-length float temporary is
-    ever built.
+    (:meth:`repro.streaming.ValidationSession.posteriors`) share it: one
+    sparse product, ``object_incidence @ logF``, with the encoding's
+    memoized :func:`kernel_plan`. The ``float32`` opt-in halves the
+    output; the product still accumulates in float64 and casts each row
+    back once, so no answer-length float temporary is ever built.
     """
     n, m = encoded.n_objects, encoded.n_labels
     out_dtype = np.dtype(dtype)
     if not encoded.n_answers:
         return np.zeros((n, m), dtype=out_dtype)
-    if plan is not None:
-        # logF[w·m + l, r] = log F_w(r, l): one row per incidence column.
-        cell_log_confusions = log_confusions.transpose(0, 2, 1).reshape(-1, m)
-        return (plan.object_incidence @ cell_log_confusions).astype(
-            out_dtype, copy=False)
-    log_like = np.zeros((n, m), dtype=out_dtype)
-    contributions = log_confusions[encoded.worker_index, :,
-                                   encoded.label_index]
-    np.add.at(log_like, encoded.object_index,
-              contributions.astype(out_dtype, copy=False))
-    return log_like
+    # logF[w·m + l, r] = log F_w(r, l): one row per incidence column.
+    cell_log_confusions = log_confusions.transpose(0, 2, 1).reshape(-1, m)
+    return (kernel_plan(encoded).object_incidence
+            @ cell_log_confusions).astype(out_dtype, copy=False)
 
 
 def normalize_log_likelihood(log_like: np.ndarray,
@@ -1054,7 +1002,6 @@ def e_step(encoded: EncodedAnswers,
            confusions: np.ndarray,
            priors: np.ndarray,
            *,
-           plan: KernelPlan | None = None,
            log_confusions: np.ndarray | None = None,
            log_priors: np.ndarray | None = None,
            dtype: np.dtype | type | str = np.float64) -> np.ndarray:
@@ -1069,8 +1016,7 @@ def e_step(encoded: EncodedAnswers,
     ``confusions``/``priors`` so callers evaluating many E-steps against
     the *same* model (look-ahead fans, shared warm starts) hoist the
     ``log(clip(...))`` work out of the loop; when omitted they are
-    computed here. ``plan`` selects the sparse-product scatter (see
-    :func:`scatter_log_likelihood`).
+    computed here. The scatter is :func:`scatter_log_likelihood`.
     """
     out_dtype = np.dtype(dtype)
     if log_confusions is None:
@@ -1079,7 +1025,7 @@ def e_step(encoded: EncodedAnswers,
                                                           copy=False)
     if log_priors is None:
         log_priors = np.log(np.clip(priors, PROB_FLOOR, None))
-    log_like = scatter_log_likelihood(encoded, log_confusions, plan=plan,
+    log_like = scatter_log_likelihood(encoded, log_confusions,
                                       dtype=out_dtype)
     return normalize_log_likelihood(log_like, log_priors)
 
@@ -1095,17 +1041,16 @@ def run_em(encoded: EncodedAnswers,
            max_iter: int = DEFAULT_MAX_ITER,
            tol: float = DEFAULT_TOL,
            smoothing: float = DEFAULT_SMOOTHING,
-           plan: KernelPlan | None = None,
-           use_plan: bool = True,
            dtype: np.dtype | type | str = np.float64,
-           parallel_m_step=None,
+           kernel: ShardedKernel | None = None,
            telemetry=NULL_TELEMETRY) -> EMResult:
     """Run EM to convergence from an initial soft assignment.
 
     Parameters
     ----------
     encoded:
-        Flattened answers (see :func:`encode_answers`).
+        Flattened answers (see :func:`encode_answers`); its memoized
+        :func:`kernel_plan` drives both scatters.
     initial_assignment:
         ``n × m`` starting value of ``U``; not mutated.
     validated_objects, validated_labels:
@@ -1115,33 +1060,23 @@ def run_em(encoded: EncodedAnswers,
     max_iter, tol, smoothing:
         Iteration cap, convergence tolerance on ``max |ΔU|``, and M-step
         pseudo-count.
-    plan, use_plan:
-        Kernel plan whose incidence operators drive both scatters;
-        derived (and memoized on ``encoded``) when omitted.
-        ``use_plan=False`` forces the ``np.add.at`` reference path —
-        bit-for-bit identical, kept for golden-fixture verification and
-        honest before/after benchmarks.
     dtype:
         Output precision. The ``float64`` default is the bit-exact path;
         ``float32`` halves the floating working set at float32 tolerance
         (see :func:`m_step`), and assignment/confusion/prior outputs all
         follow it.
-    parallel_m_step:
-        Opt-in shard-parallel M-step (requires ``use_plan`` and the
-        ``float64`` path). Accepts a prebuilt
-        :class:`repro.parallel.sharded_kernel.ShardedKernel` over this
-        same encoding, a :class:`repro.parallel.Executor` to build one
-        on, ``True`` for a process-parallel kernel with default workers,
-        or an ``int`` worker count. Kernels built here are closed before
-        returning; a caller-supplied kernel is the caller's to close.
-        The shard reduction is deterministic and bit-for-bit equal to
-        the serial plan path (``tests/test_scale_kernel.py`` pins it).
+    kernel:
+        Opt-in shard-parallel M-step: a
+        :class:`repro.parallel.sharded_kernel.ShardedKernel` built over
+        this same encoding (``float64`` only). The caller builds and
+        closes it. The shard reduction is deterministic and bit-for-bit
+        equal to the serial path (``tests/test_scale_kernel.py`` pins it).
     telemetry:
         A :class:`repro.telemetry.Telemetry` hub (or spawn scope). One
         ``em.run`` span wraps the whole call — never the inner E/M
-        loop — tagged with the path (plan vs reference), dtype,
-        parallelism, and final iteration count / convergence delta.
-        Disabled (the default) this costs a handful of no-op calls.
+        loop — tagged with the dtype, parallelism, and final iteration
+        count / convergence delta. Disabled (the default) this costs a
+        handful of no-op calls.
 
     Returns
     -------
@@ -1155,80 +1090,49 @@ def run_em(encoded: EncodedAnswers,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     compute = np.dtype(dtype)
-    if not use_plan:
-        plan = None
-    elif plan is None:
-        plan = kernel_plan(encoded)
-
-    if parallel_m_step is None or parallel_m_step is False:
-        kernel = owned_kernel = None
-    else:
-        if plan is None:
-            raise ValueError(
-                "parallel_m_step requires the plan path (use_plan=True)")
+    if kernel is not None:
         if compute != np.float64:
-            raise ValueError(
-                "parallel_m_step shards the float64 plan path; "
-                f"got dtype={compute}")
-        from repro.parallel.sharded_kernel import ShardedKernel
-        owned_kernel = None
-        if isinstance(parallel_m_step, ShardedKernel):
-            kernel = parallel_m_step
-        elif parallel_m_step is True:
-            kernel = owned_kernel = ShardedKernel(encoded)
-        elif isinstance(parallel_m_step, (int, np.integer)):
-            kernel = owned_kernel = ShardedKernel(
-                encoded, max_workers=int(parallel_m_step))
-        else:
-            kernel = owned_kernel = ShardedKernel(encoded, parallel_m_step)
+            raise ValueError("a ShardedKernel shards the float64 path; "
+                             f"got dtype={compute}")
         if kernel.encoded is not encoded:
             raise ValueError(
-                "parallel_m_step kernel was built for a different encoding")
+                "the ShardedKernel was built for a different encoding")
 
     def _m_step(current: np.ndarray) -> np.ndarray:
         if kernel is not None:
             return kernel.m_step(current, smoothing)
-        return m_step(encoded, current, smoothing, plan=plan, dtype=compute)
+        return m_step(encoded, current, smoothing, dtype=compute)
 
     # One span per EM call; the E/M inner loop stays instrumentation-free.
-    span = telemetry.span(
-        "em.run",
-        path="plan" if plan is not None else "reference",
-        dtype=compute.name,
-        parallel=kernel is not None,
-        n_objects=encoded.n_objects, n_workers=encoded.n_workers,
-        n_labels=encoded.n_labels, n_answers=encoded.n_answers,
-        n_validated=int(validated_objects.size))
-    try:
-        with span:
-            assignment = np.array(initial_assignment, dtype=compute,
-                                  copy=True)
-            clamp_validated(assignment, validated_objects, validated_labels)
+    with telemetry.span(
+            "em.run", dtype=compute.name, parallel=kernel is not None,
+            n_objects=encoded.n_objects, n_workers=encoded.n_workers,
+            n_labels=encoded.n_labels, n_answers=encoded.n_answers,
+            n_validated=int(validated_objects.size)) as span:
+        assignment = np.array(initial_assignment, dtype=compute, copy=True)
+        clamp_validated(assignment, validated_objects, validated_labels)
 
+        confusions = _m_step(assignment)
+        priors = estimate_priors(assignment)
+        converged = False
+        iterations = 0
+        delta = 0.0
+        for iterations in range(1, max_iter + 1):
+            new_assignment = e_step(encoded, confusions, priors,
+                                    dtype=compute)
+            clamp_validated(new_assignment, validated_objects,
+                            validated_labels)
+            delta = float(np.max(np.abs(new_assignment - assignment))) \
+                if assignment.size else 0.0
+            assignment = new_assignment
             confusions = _m_step(assignment)
             priors = estimate_priors(assignment)
-            converged = False
-            iterations = 0
-            delta = 0.0
-            for iterations in range(1, max_iter + 1):
-                new_assignment = e_step(encoded, confusions, priors,
-                                        plan=plan, dtype=compute)
-                clamp_validated(new_assignment, validated_objects,
-                                validated_labels)
-                delta = float(np.max(np.abs(new_assignment - assignment))) \
-                    if assignment.size else 0.0
-                assignment = new_assignment
-                confusions = _m_step(assignment)
-                priors = estimate_priors(assignment)
-                if delta < tol:
-                    converged = True
-                    break
-            span.set("n_iterations", iterations)
-            span.set("converged", converged)
-            span.set("final_delta", delta)
-    finally:
-        if owned_kernel is not None:
-            owned_kernel.close()
+            if delta < tol:
+                converged = True
+                break
+        span.set("n_iterations", iterations)
+        span.set("converged", converged)
+        span.set("final_delta", delta)
     telemetry.counter("em.calls").inc()
     telemetry.counter("em.iterations").inc(iterations)
     return EMResult(assignment=assignment, confusions=confusions,

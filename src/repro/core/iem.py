@@ -40,11 +40,6 @@ class IncrementalEM:
         warm-start from the previous snapshot.
     max_iter, tol, smoothing:
         Kernel knobs; see :func:`repro.core.em_kernel.run_em`.
-    parallel_m_step:
-        Opt-in shard-parallel M-step forwarded to
-        :func:`repro.core.em_kernel.run_em` on every conclude
-        (bit-for-bit identical to the serial path; pass an
-        :class:`~repro.parallel.Executor`, a worker count, or ``True``).
     rng:
         Randomness for the ``"random"`` first initialization.
     telemetry:
@@ -72,14 +67,12 @@ class IncrementalEM:
                  max_iter: int = em_kernel.DEFAULT_MAX_ITER,
                  tol: float = em_kernel.DEFAULT_TOL,
                  smoothing: float = em_kernel.DEFAULT_SMOOTHING,
-                 parallel_m_step=None,
                  rng: np.random.Generator | int | None = None,
                  telemetry=NULL_TELEMETRY) -> None:
         self.init = init
         self.max_iter = int(max_iter)
         self.tol = float(tol)
         self.smoothing = float(smoothing)
-        self.parallel_m_step = parallel_m_step
         self.rng = ensure_rng(rng)
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -88,8 +81,6 @@ class IncrementalEM:
                  answer_set: AnswerSet,
                  validation: ExpertValidation,
                  previous: ProbabilisticAnswerSet | None = None,
-                 *,
-                 encoded: em_kernel.EncodedAnswers | None = None,
                  ) -> ProbabilisticAnswerSet:
         """Aggregate answers under the current expert validation.
 
@@ -105,15 +96,6 @@ class IncrementalEM:
             iteration. When provided, EM warm-starts from its confusion
             matrices and priors (one E-step reconstructs ``U``); when
             ``None``, the configured cold-start policy applies.
-        encoded:
-            Externally maintained flat encoding of ``answer_set`` (e.g. the
-            delta-maintained :meth:`repro.core.em_kernel.AnswerStats.encoded`
-            of a streaming session). When given, the ``O(n·k)`` re-flattening
-            of the matrix is skipped — and since kernel plans are memoized
-            per encoding (:func:`repro.core.em_kernel.kernel_plan`), every
-            conclude over the same cached encoding also shares one pair of
-            incidence operators. The caller is responsible for the
-            encoding matching ``answer_set``.
 
         Returns
         -------
@@ -121,28 +103,17 @@ class IncrementalEM:
             The new snapshot ``P_s`` (its ``n_em_iterations`` counts this
             invocation only).
         """
-        if encoded is None:
-            encoded = em_kernel.encode_answers(answer_set)
-        elif (encoded.n_objects != answer_set.n_objects
-                or encoded.n_workers != answer_set.n_workers
-                or encoded.n_labels != answer_set.n_labels):
-            raise ValueError(
-                f"externally maintained encoding has shape "
-                f"({encoded.n_objects}×{encoded.n_workers}, "
-                f"{encoded.n_labels} labels) but the answer set has "
-                f"({answer_set.n_objects}×{answer_set.n_workers}, "
-                f"{answer_set.n_labels} labels)")
+        encoded = em_kernel.encode_answers(answer_set)
         validated_objects = validation.validated_indices()
         validated_labels = validation.validated_labels()
 
-        plan = em_kernel.kernel_plan(encoded)
         with self.telemetry.span("iem.conclude",
                                  warm=previous is not None,
                                  n_validated=int(validated_objects.size)):
             if previous is not None:
                 self._check_compatible(answer_set, previous)
                 initial = em_kernel.e_step(encoded, previous.confusions,
-                                           previous.priors, plan=plan)
+                                           previous.priors)
             elif self.init == "majority":
                 initial = em_kernel.initial_assignment_majority(encoded)
             elif self.init == "random":
@@ -161,8 +132,6 @@ class IncrementalEM:
                 max_iter=self.max_iter,
                 tol=self.tol,
                 smoothing=self.smoothing,
-                plan=plan,
-                parallel_m_step=self.parallel_m_step,
                 telemetry=self.telemetry,
             )
         return ProbabilisticAnswerSet(

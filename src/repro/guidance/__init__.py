@@ -23,8 +23,6 @@ from repro.guidance.hybrid import HybridStrategy
 from repro.guidance.information_gain import (
     LOOKAHEAD_MODES,
     InformationGainStrategy,
-    expected_posterior_entropy,
-    information_gain,
 )
 from repro.guidance.joint_entropy import (
     exact_max_entropy_subset,
@@ -49,10 +47,8 @@ __all__ = [
     "WorkerDrivenStrategy",
     "argmax_with_ties",
     "exact_max_entropy_subset",
-    "expected_posterior_entropy",
     "gaussian_joint_entropy",
     "greedy_max_entropy_subset",
     "greedy_validation_order",
-    "information_gain",
     "object_covariance",
 ]

@@ -1,7 +1,7 @@
 """Shard-parallel E/M scatters over shared-memory incidence operators
 (§5.4 scaled).
 
-The plan-driven :func:`repro.core.em_kernel.m_step` is one sparse product
+The serial :func:`repro.core.em_kernel.m_step` is one sparse product
 over all ``A`` answers; at the 10⁵–10⁶-object tiers that single
 sequential product is the whole EM iteration. This module partitions the
 two operators of :class:`repro.core.em_kernel.KernelPlan` by row block:
@@ -17,7 +17,7 @@ A row block of a CSR operator is a contiguous slice of its index array,
 so the shards need no permuted copies of anything. Every shard writes a
 private output range and, within any output cell, adds the same entries
 in the same order as the serial product, so the sharded results are
-**bit-for-bit identical** to the serial plan path — there is no floating
+**bit-for-bit identical** to the serial path — there is no floating
 reduction across shards at all, hence the "deterministic reduction order"
 comes for free.
 
@@ -152,8 +152,10 @@ class ShardedKernel:
         disjoint output range is computed, never the per-cell addition
         order.
 
-    Use as a context manager (or call :meth:`close`) so the shared-memory
-    segments are unlinked deterministically.
+    Pass it to :func:`repro.core.em_kernel.run_em` as ``kernel=`` for a
+    shard-parallel M-step. Use as a context manager (or call
+    :meth:`close`) so the shared-memory segments are unlinked
+    deterministically.
     """
 
     def __init__(self, encoded: em_kernel.EncodedAnswers,
@@ -175,7 +177,6 @@ class ShardedKernel:
         self._closed = False
 
         plan = em_kernel.kernel_plan(encoded)
-        self._plan = plan
         n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
         if encoded.n_answers:
             by_object, by_cell = plan.object_incidence, plan.cell_incidence
@@ -231,13 +232,12 @@ class ShardedKernel:
     # ------------------------------------------------------------------
     def m_step(self, assignment: np.ndarray,
                smoothing: float = em_kernel.DEFAULT_SMOOTHING) -> np.ndarray:
-        """Worker-sharded Eq. 5 — bit-for-bit equal to the serial plan path."""
+        """Worker-sharded Eq. 5 — bit-for-bit equal to the serial path."""
         if self._closed:
             raise RuntimeError("ShardedKernel is closed")
         encoded = self._encoded
         if not encoded.n_answers:
-            return em_kernel.m_step(encoded, assignment, smoothing,
-                                    plan=self._plan)
+            return em_kernel.m_step(encoded, assignment, smoothing)
         self._views["m_in"][...] = assignment
         self._fan_out("m", self._m_shards)
         return em_kernel.confusions_from_cell_counts(self._views["m_out"],
@@ -245,7 +245,7 @@ class ShardedKernel:
 
     def scatter_log_likelihood(self,
                                log_confusions: np.ndarray) -> np.ndarray:
-        """Object-sharded E scatter — bit-equal to the serial plan path."""
+        """Object-sharded E scatter — bit-equal to the serial path."""
         if self._closed:
             raise RuntimeError("ShardedKernel is closed")
         encoded = self._encoded

@@ -12,13 +12,12 @@ worker-driven, the max-entropy baseline, random — because strategies are
 plug-in selectors; Algorithm 1's spammer handling is keyed to iterations in
 which the worker-driven branch was drawn, exactly as in the paper.
 
-Since the streaming engine landed, the loop is driven through a
-:class:`~repro.streaming.ValidationSession` instead of rebuilding the flat
-answer encoding and aggregation state from the full matrix every iteration:
-expert validations and worker maskings are ingested as deltas and every
+The loop is driven through a :class:`~repro.streaming.ValidationSession`:
+expert validations and worker maskings are ingested as deltas, and every
 ``conclude`` is a warm-started refinement over the session's maintained
-sufficient statistics. The session's exact path is bit-for-bit consistent
-with the former rebuild-per-step behaviour, so results are unchanged.
+sufficient statistics — bit-for-bit what ``IncrementalEM.conclude`` would
+compute from the full matrix, and replayable from the session's
+write-ahead log.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core import em_kernel
 from repro.core.answer_set import AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.core.instantiation import deterministic_assignment
@@ -66,10 +64,12 @@ class ValidationProcess:
         Guidance strategy; defaults to the paper's hybrid approach.
     aggregator:
         i-EM instance whose knobs (init policy, ``max_iter``, ``tol``,
-        ``smoothing``, rng) configure the streaming session driving the
-        main-line ``conclude``s, and which guidance strategies use for
-        look-ahead concludes; defaults to a fresh
-        :class:`~repro.core.iem.IncrementalEM`.
+        ``smoothing``, rng) configure the streaming session that runs
+        every ``conclude``, and which guidance strategies read for their
+        look-ahead solves; defaults to a fresh
+        :class:`~repro.core.iem.IncrementalEM`. The session *is* the
+        conclude, so a subclass that overrides ``conclude`` is rejected
+        with :class:`TypeError` rather than silently bypassed.
     goal:
         Stopping predicate Δ; defaults to "never" (budget-bound only).
     budget:
@@ -153,6 +153,11 @@ class ValidationProcess:
         self.expert = expert
         self.strategy = strategy or HybridStrategy()
         self.aggregator = aggregator or IncrementalEM()
+        if type(self.aggregator).conclude is not IncrementalEM.conclude:
+            raise TypeError(
+                f"{type(self.aggregator).__name__} overrides conclude, but "
+                f"the process concludes through its streaming session; "
+                f"pass a plain IncrementalEM to configure it")
         self.goal = goal or NeverSatisfied()
         self.budget = int(budget) if budget is not None else answer_set.n_objects
         if self.budget < 0:
@@ -195,21 +200,14 @@ class ValidationProcess:
 
         # Mutable run state (Algorithm 1, lines 1–4), held by a streaming
         # session: validations and worker maskings are ingested as deltas
-        # and every conclude is a warm-started refinement (bit-for-bit
-        # equal to the former rebuild-per-step aggregation). An aggregator
-        # with an *overridden* conclude keeps driving the legacy
-        # rebuild-per-step path so its custom behaviour is not bypassed.
-        self._session_driven = \
-            type(self.aggregator).conclude is IncrementalEM.conclude
+        # and every conclude is a warm-started refinement.
         self.session = ValidationSession.from_answer_set(
             answer_set,
-            init=getattr(self.aggregator, "init", "majority"),
-            max_iter=getattr(self.aggregator, "max_iter",
-                             em_kernel.DEFAULT_MAX_ITER),
-            tol=getattr(self.aggregator, "tol", em_kernel.DEFAULT_TOL),
-            smoothing=getattr(self.aggregator, "smoothing",
-                              em_kernel.DEFAULT_SMOOTHING),
-            rng=getattr(self.aggregator, "rng", None),
+            init=self.aggregator.init,
+            max_iter=self.aggregator.max_iter,
+            tol=self.aggregator.tol,
+            smoothing=self.aggregator.smoothing,
+            rng=self.aggregator.rng,
             telemetry=self.telemetry)
         self.validation = self.session.validation
         self.faulty_filter = FaultyWorkerFilter()
@@ -217,31 +215,20 @@ class ValidationProcess:
         self.iteration = 0
         self.effort = 0
         self.records: list[StepRecord] = []
-        self._active_answer_set = answer_set
-        self.prob_set: ProbabilisticAnswerSet = self._conclude(previous=None)
+        self.prob_set: ProbabilisticAnswerSet = \
+            self.session.conclude_snapshot()
         self._sync_quality_targets()
         self._initial_precision = self.current_precision()
         self._initial_uncertainty = answer_set_uncertainty(self.prob_set)
 
-    def _conclude(self,
-                  previous: ProbabilisticAnswerSet | None,
-                  ) -> ProbabilisticAnswerSet:
-        """Integrate the current validation state into a new snapshot."""
-        if self._session_driven:
-            return self.session.conclude_snapshot()
-        return self.aggregator.conclude(self._active_answer_set,
-                                        self.validation, previous=previous)
-
     def _log(self, record: dict) -> None:
         """Append a WAL record when a state store is attached.
 
-        Only the session-driven path logs ``conclude`` markers: replaying
-        them re-runs the same warm-started refinement chain, which is what
-        makes a restored session bit-equal to the dead one. A legacy
-        aggregator with an overridden conclude is not WAL-replayable.
+        Replaying the ``conclude`` markers re-runs the same warm-started
+        refinement chain, which is what makes a restored session bit-equal
+        to the dead one.
         """
-        if self.store is not None \
-                and (self._session_driven or record.get("kind") != "conclude"):
+        if self.store is not None:
             self.store.append(record)
 
     def _sync_quality_targets(self) -> None:
@@ -356,7 +343,6 @@ class ValidationProcess:
                 self._log(state_events.mask_event(
                     self.faulty_filter.suspected))
                 self.session.set_masked_workers(self.faulty_filter.suspected)
-                self._active_answer_set = self.session.answer_set
             spammer_ratio = detection.faulty_ratio()
             self.hybrid_weight = dynamic_weight(
                 error_rate, spammer_ratio, self.validation.ratio())
@@ -365,7 +351,7 @@ class ValidationProcess:
             # warm-started refinement over the session's delta-maintained
             # statistics.
             self._log(state_events.conclude_event())
-            self.prob_set = self._conclude(previous=self.prob_set)
+            self.prob_set = self.session.conclude_snapshot()
 
             # (5) Periodic confirmation check for erroneous expert
             # input (§5.5).
@@ -415,7 +401,7 @@ class ValidationProcess:
         with self.telemetry.span("process.confirmation",
                                  iteration=self.iteration):
             report = self.confirmation_check.run(
-                self._active_answer_set, self.validation, self.prob_set)
+                self.session.answer_set, self.validation, self.prob_set)
         reconsidered: list[int] = []
         for obj in report.flagged:
             if self.effort >= self.budget:
@@ -430,7 +416,7 @@ class ValidationProcess:
             reconsidered.append(int(obj))
         if reconsidered:
             self._log(state_events.conclude_event())
-            self.prob_set = self._conclude(previous=self.prob_set)
+            self.prob_set = self.session.conclude_snapshot()
         return tuple(reconsidered)
 
     # ------------------------------------------------------------------

@@ -633,7 +633,6 @@ class ScenarioRunner:
             max_iter=template.max_iter,
             tol=template.tol,
             smoothing=template.smoothing,
-            use_plan=template.use_plan,
             telemetry=telemetry,
         )
 

@@ -208,7 +208,6 @@ class FileSessionStore(SessionStore):
                      "n_labels": state.n_labels},
             "config": {"init": state.init, "max_iter": state.max_iter,
                        "tol": state.tol, "smoothing": state.smoothing,
-                       "use_plan": state.use_plan,
                        "on_conflict": state.on_conflict},
             "vocab": {
                 "labels": None if state.labels is None
@@ -458,7 +457,6 @@ class FileSessionStore(SessionStore):
             init=str(config["init"]), max_iter=int(config["max_iter"]),
             tol=float(config["tol"]),
             smoothing=float(config["smoothing"]),
-            use_plan=bool(config.get("use_plan", True)),
             on_conflict=str(config.get("on_conflict", "error")),
             labels=None if vocab.get("labels") is None
             else tuple(vocab["labels"]),

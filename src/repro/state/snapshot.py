@@ -23,9 +23,10 @@ from repro.core.answer_set import MISSING
 from repro.core.em_kernel import EMResult
 from repro.utils.rng import rng_from_state, rng_state
 
-#: Version stamp of the serialized checkpoint layout. Bump on any change to
-#: the :class:`SessionState` fields or their on-disk encoding; stores refuse
-#: to load other versions (:class:`repro.errors.CheckpointSchemaError`).
+#: Version stamp of the serialized checkpoint layout. Bump on any change
+#: an older reader cannot load; stores refuse to load other versions
+#: (:class:`repro.errors.CheckpointSchemaError`). Dropping a manifest key
+#: that readers default, or that they ignore, is not such a change.
 STATE_SCHEMA_VERSION = 1
 
 
@@ -47,7 +48,6 @@ class SessionState:
     max_iter: int
     tol: float
     smoothing: float
-    use_plan: bool
     on_conflict: str
 
     # Optional vocabularies (snapshot materialization only).
@@ -114,7 +114,7 @@ class SessionState:
 
         scalar_fields = (
             "schema_version", "n_objects", "n_workers", "n_labels", "init",
-            "max_iter", "tol", "smoothing", "use_plan", "on_conflict",
+            "max_iter", "tol", "smoothing", "on_conflict",
             "labels", "objects", "workers", "masked_workers", "dirty",
             "model_n_iterations", "model_converged", "model_dims",
             "n_concludes", "total_em_iterations", "n_conflicts")
@@ -145,7 +145,6 @@ def capture_session(session) -> SessionState:
         max_iter=session.max_iter,
         tol=session.tol,
         smoothing=session.smoothing,
-        use_plan=session.use_plan,
         on_conflict=session.on_conflict,
         labels=session._labels,
         objects=session._objects,
@@ -179,7 +178,7 @@ def restore_session(state: SessionState,
 
     ``telemetry`` optionally re-attaches an instrumentation hub to the
     restored session. Snapshots never carry telemetry state (it is
-    execution machinery, like ``parallel_m_step``), and the hub is
+    execution machinery), and the hub is
     attached only *after* the state replay below, so rebuilding a
     session never replays ingestion counters into the hub.
 
@@ -198,8 +197,7 @@ def restore_session(state: SessionState,
         state.n_objects, state.n_workers, state.n_labels,
         labels=state.labels, objects=state.objects, workers=state.workers,
         init=state.init, max_iter=state.max_iter, tol=state.tol,
-        smoothing=state.smoothing, use_plan=state.use_plan,
-        on_conflict=state.on_conflict,
+        smoothing=state.smoothing, on_conflict=state.on_conflict,
         rng=rng_from_state(state.rng_state))
     session.stats.add_answers(state.log_objects, state.log_workers,
                               state.log_labels)

@@ -53,15 +53,10 @@ Scaling refreshes with partitioning::
 """
 
 from repro.streaming.session import ValidationSession
-from repro.streaming.sharded import (
-    RefreshReport,
-    ShardedRefresher,
-    block_subencoding,
-)
+from repro.streaming.sharded import RefreshReport, ShardedRefresher
 
 __all__ = [
     "RefreshReport",
     "ShardedRefresher",
     "ValidationSession",
-    "block_subencoding",
 ]

@@ -58,22 +58,9 @@ class ValidationSession:
         used for the first refinement and after dimension growth;
         subsequent refinements warm-start from the previous model.
     max_iter, tol, smoothing:
-        Kernel knobs; see :func:`repro.core.em_kernel.run_em`.
-    use_plan:
-        Whether refinements drive the kernel through the memoized
-        :class:`~repro.core.em_kernel.KernelPlan` (the sparse-product fast
-        path) or the ``np.add.at`` reference path. Bit-for-bit identical either
-        way; the knob exists so conformance suites can pin that equality
-        on live sessions.
-    parallel_m_step:
-        Opt-in shard-parallel M-step for refinements, forwarded to
-        :func:`repro.core.em_kernel.run_em` (``True``, a worker count, an
-        :class:`~repro.parallel.Executor`, or a prebuilt kernel — but
-        note a prebuilt kernel is tied to one encoding epoch, so live
-        sessions should pass an executor or worker count and let each
-        ``conclude`` build against the current encoding). Bit-for-bit
-        identical to the serial path, so it is an execution detail:
-        checkpoints neither capture nor restore it.
+        Kernel knobs; see :func:`repro.core.em_kernel.run_em`. Every
+        refinement and read path drives the kernel through the memoized
+        :class:`~repro.core.em_kernel.KernelPlan` of the current encoding.
     on_conflict:
         Policy for a *conflicting* re-answer to an already-answered cell
         (exact duplicates are always dropped silently): ``"error"`` raises
@@ -122,8 +109,6 @@ class ValidationSession:
                  max_iter: int = em_kernel.DEFAULT_MAX_ITER,
                  tol: float = em_kernel.DEFAULT_TOL,
                  smoothing: float = em_kernel.DEFAULT_SMOOTHING,
-                 use_plan: bool = True,
-                 parallel_m_step=None,
                  on_conflict: str = "error",
                  rng: np.random.Generator | int | None = None,
                  telemetry=NULL_TELEMETRY) -> None:
@@ -135,8 +120,6 @@ class ValidationSession:
         self.max_iter = int(max_iter)
         self.tol = float(tol)
         self.smoothing = float(smoothing)
-        self.use_plan = bool(use_plan)
-        self.parallel_m_step = parallel_m_step
         self.on_conflict = on_conflict
         self.rng = ensure_rng(rng)
 
@@ -518,12 +501,11 @@ class ValidationSession:
             n_answers=self.n_answers, n_dirty=len(self._dirty))
         with span:
             encoded = self._stats.encoded()
-            plan = em_kernel.kernel_plan(encoded) if self.use_plan else None
             validated = self._validation.validated_indices()
             labels = self._validation.validated_labels()
             if warm:
                 initial = em_kernel.e_step(encoded, self._model.confusions,
-                                           self._model.priors, plan=plan)
+                                           self._model.priors)
             elif self.init == "majority":
                 initial = self._stats.majority_assignment()
             elif self.init == "random":
@@ -534,10 +516,7 @@ class ValidationSession:
             result = em_kernel.run_em(
                 encoded, initial, validated, labels,
                 max_iter=self.max_iter, tol=self.tol,
-                smoothing=self.smoothing,
-                plan=plan, use_plan=self.use_plan,
-                parallel_m_step=self.parallel_m_step,
-                telemetry=self.telemetry)
+                smoothing=self.smoothing, telemetry=self.telemetry)
             self._install(result)
             span.set("em_iterations", result.n_iterations)
         self._tel_conclude_s.observe(span.duration)
@@ -614,12 +593,10 @@ class ValidationSession:
         if self._log_like is not None:
             return
         assert self._model is not None
-        encoded = self._stats.encoded()
-        plan = em_kernel.kernel_plan(encoded) if self.use_plan else None
         self._log_conf = np.log(
             np.clip(self._model.confusions, PROB_FLOOR, None))
         self._log_like = em_kernel.scatter_log_likelihood(
-            encoded, self._log_conf, plan=plan)
+            self._stats.encoded(), self._log_conf)
 
     # ------------------------------------------------------------------
     # Snapshots

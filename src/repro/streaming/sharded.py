@@ -58,13 +58,6 @@ class RefreshReport:
         return int(sum(self.em_iterations))
 
 
-# Re-exported here because the refresher is these helpers' primary host —
-# they operate purely on EncodedAnswers and therefore live in the kernel
-# (keeping guidance's localized look-ahead free of a streaming dependency).
-block_subencoding = em_kernel.block_subencoding
-object_segment_starts = em_kernel.object_segment_starts
-
-
 def _refine_block(n_objects: int, n_workers: int, n_labels: int,
                   object_index: np.ndarray, worker_index: np.ndarray,
                   label_index: np.ndarray, initial: np.ndarray,
@@ -191,10 +184,6 @@ class ShardedRefresher:
             supervised=self.supervisor is not None)
         with span:
             encoded = session.stats.encoded()
-            # One CSR view per encoding epoch, shared with the guidance
-            # look-aheads and the session's own read paths (memoized on the
-            # encoding, so whoever asks first pays the build).
-            object_starts = em_kernel.csr_view(encoded).object_starts
             validated = session.validation.as_array()
 
             if warm:
@@ -207,7 +196,7 @@ class ShardedRefresher:
 
             payloads = [
                 self._block_payload(session, partition, index, encoded,
-                                    validated, warm, object_starts)
+                                    validated, warm)
                 for index in dirty_blocks]
             if self.supervisor is not None:
                 outcomes = self.supervisor.run(_refine_block, payloads,
@@ -238,8 +227,7 @@ class ShardedRefresher:
                         .counter("em.iterations").inc(int(n_iter))
 
             confusions = em_kernel.m_step(encoded, assignment,
-                                          session.smoothing,
-                                          plan=em_kernel.kernel_plan(encoded))
+                                          session.smoothing)
             priors = em_kernel.estimate_priors(assignment)
             session.install_model(assignment, confusions, priors,
                                   n_iterations=max(iterations, default=0),
@@ -290,14 +278,12 @@ class ShardedRefresher:
     def _block_payload(self, session: ValidationSession,
                        partition: Partition, block_index: int,
                        encoded: em_kernel.EncodedAnswers,
-                       validated: np.ndarray, warm: bool,
-                       object_starts: np.ndarray | None = None) -> tuple:
+                       validated: np.ndarray, warm: bool) -> tuple:
         block = partition.blocks[block_index]
         objects = np.sort(block.object_indices)
         workers = np.sort(block.worker_indices)
-        sub, workers = block_subencoding(encoded, objects, workers,
-                                         n_labels=session.n_labels,
-                                         object_starts=object_starts)
+        sub, workers = em_kernel.block_subencoding(
+            encoded, objects, workers, n_labels=session.n_labels)
         if warm:
             initial = em_kernel.e_step(
                 sub, session.model.confusions[workers],

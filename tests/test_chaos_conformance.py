@@ -17,14 +17,18 @@ differential harness):
   ``fallback-exact`` degradation events and a completed replay, never an
   exception.
 
-Every test deposits its degradation record into ``CHAOS_events.json`` at
-the repo root (written at module teardown, partial results included), so
-the CI chaos job can upload what actually fired as a build artifact.
+Every test deposits its degradation record, and with
+``REPRO_BENCH_RECORD=1`` the records are written to ``CHAOS_events.json``
+at the repo root (at module teardown, partial results included), so the
+CI chaos job can upload what actually fired as a build artifact. Without
+it the tracked file is left alone: a partial run (``-k``, ``-x``, one
+node id) must not replace it with a partial artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -46,9 +50,12 @@ _ARTIFACT: list[dict] = []
 
 @pytest.fixture(scope="module", autouse=True)
 def chaos_artifact():
-    """Write ``CHAOS_events.json`` even when only some tests ran/passed."""
+    """Write ``CHAOS_events.json`` (when recording) even when only some
+    tests ran/passed."""
     _ARTIFACT.clear()
     yield
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
     ARTIFACT_PATH.write_text(
         json.dumps({"artifact": "chaos-degradation-events",
                     "entries": _ARTIFACT}, indent=1),

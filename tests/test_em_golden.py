@@ -9,15 +9,20 @@ fails loudly with a diff instead of surfacing as downstream flakiness.
 
 If a change to the kernel is *intentional* (e.g. a new smoothing default),
 regenerate the constants below with the snippet in each test's docstring
-and call the change out in the commit message.
+and call the change out in the commit message. The ``np.add.at``
+reference of ``tests/reference.py`` must land on the very same floats, so
+the pinned constants hold for it too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.em import DawidSkeneEM
+
+import reference
 
 ATOL = 1e-9
 
@@ -106,3 +111,16 @@ def test_golden_outputs_are_reproducible_across_runs(table1_answer_set):
     second = DawidSkeneEM(init="majority").fit(table1_answer_set)
     assert np.array_equal(first.assignment, second.assignment)
     assert np.array_equal(first.confusions, second.confusions)
+
+
+def test_reference_scatter_reproduces_the_pinned_fit(table1_answer_set):
+    """The np.add.at reference EM is bit-for-bit the operator kernel
+    behind DawidSkeneEM, so the golden constants pin both."""
+    encoded = em_kernel.encode_answers(table1_answer_set)
+    scattered = reference.run_em(
+        encoded, em_kernel.initial_assignment_majority(encoded))
+    fitted = DawidSkeneEM(init="majority").fit(table1_answer_set)
+    assert scattered.n_iterations == fitted.n_em_iterations == 5
+    assert np.array_equal(scattered.assignment, fitted.assignment)
+    assert np.array_equal(scattered.confusions, fitted.confusions)
+    assert np.array_equal(scattered.priors, fitted.priors)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.em import DawidSkeneEM
 from repro.core.iem import IncrementalEM
-from repro.core.uncertainty import answer_set_uncertainty, object_entropies
+from repro.core.uncertainty import object_entropies
 from repro.core.validation import ExpertValidation
 from repro.errors import GuidanceError
 from repro.guidance import (
@@ -19,8 +19,6 @@ from repro.guidance import (
     Selection,
     WorkerDrivenStrategy,
     argmax_with_ties,
-    expected_posterior_entropy,
-    information_gain,
 )
 from repro.workers.spammer_detection import SpammerDetector
 
@@ -100,14 +98,6 @@ class TestInformationGain:
         assert selection.scores is not None
         best = selection.scores.max()
         assert best >= -1e-6  # gain of the best object is non-negative
-
-    def test_gain_definition_matches_helper(self, table1_answer_set):
-        context = make_context(table1_answer_set)
-        aggregator = IncrementalEM(max_iter=25)
-        gain = information_gain(context.prob_set, aggregator, 3)
-        expected = answer_set_uncertainty(context.prob_set) - \
-            expected_posterior_entropy(context.prob_set, aggregator, 3)
-        assert gain == pytest.approx(expected)
 
     def test_candidate_limit_prunes_to_top_entropy(self, small_crowd):
         context = make_context(small_crowd.answer_set)

@@ -3,8 +3,8 @@
 Three seams, each with a property suite:
 
 * **Kernel plans** — the sparse incidence-operator E/M scatters must be
-  *bit-for-bit* equal to the ``np.add.at`` reference on arbitrary answer
-  matrices; ``np.array_equal``, never ``allclose``.
+  *bit-for-bit* equal to the ``np.add.at`` reference (``tests/reference.py``)
+  on arbitrary answer matrices; ``np.array_equal``, never ``allclose``.
 * **Lazy greedy** — CELF over the incremental Cholesky factor must select
   the identical subset (and return the identical entropy float) as the
   quadratic slogdet-per-candidate greedy, with reproducible lowest-index
@@ -28,17 +28,14 @@ from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.core.uncertainty import answer_set_uncertainty
 from repro.core.validation import ExpertValidation
-from repro.guidance import (
-    InformationGainStrategy,
-    expected_posterior_entropy,
-    greedy_max_entropy_subset,
-)
+from repro.guidance import InformationGainStrategy, greedy_max_entropy_subset
 from repro.guidance.base import GuidanceContext
 from repro.parallel import Executor
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
-from repro.streaming.sharded import block_subencoding, object_segment_starts
 from repro.telemetry import Telemetry
 from repro.workers.spammer_detection import SpammerDetector
+
+import reference
 
 
 @st.composite
@@ -59,24 +56,21 @@ class TestKernelPlanEquivalence:
     @given(encoded_instances())
     def test_m_step_bit_for_bit(self, instance):
         encoded, n, k, m, rng = instance
-        plan = em_kernel.kernel_plan(encoded)
         assignment = rng.dirichlet(np.ones(m), size=n)
         for smoothing in (0.0, em_kernel.DEFAULT_SMOOTHING):
-            fast = em_kernel.m_step(encoded, assignment, smoothing,
-                                    plan=plan)
-            reference = em_kernel.m_step(encoded, assignment, smoothing)
-            assert np.array_equal(fast, reference)
+            fast = em_kernel.m_step(encoded, assignment, smoothing)
+            scattered = reference.m_step(encoded, assignment, smoothing)
+            assert np.array_equal(fast, scattered)
 
     @settings(max_examples=60, deadline=None)
     @given(encoded_instances())
     def test_e_step_bit_for_bit(self, instance):
         encoded, n, k, m, rng = instance
-        plan = em_kernel.kernel_plan(encoded)
         confusions = rng.dirichlet(np.ones(m), size=(k, m))
         priors = rng.dirichlet(np.ones(m))
-        fast = em_kernel.e_step(encoded, confusions, priors, plan=plan)
-        reference = em_kernel.e_step(encoded, confusions, priors)
-        assert np.array_equal(fast, reference)
+        fast = em_kernel.e_step(encoded, confusions, priors)
+        scattered = reference.e_step(encoded, confusions, priors)
+        assert np.array_equal(fast, scattered)
 
     @settings(max_examples=40, deadline=None)
     @given(encoded_instances())
@@ -87,12 +81,12 @@ class TestKernelPlanEquivalence:
         labels = np.array([m - 1], dtype=np.int64)
         fast = em_kernel.run_em(encoded, initial, validated, labels,
                                 max_iter=15)
-        reference = em_kernel.run_em(encoded, initial, validated, labels,
-                                     max_iter=15, use_plan=False)
-        assert np.array_equal(fast.assignment, reference.assignment)
-        assert np.array_equal(fast.confusions, reference.confusions)
-        assert np.array_equal(fast.priors, reference.priors)
-        assert fast.n_iterations == reference.n_iterations
+        scattered = reference.run_em(encoded, initial, validated, labels,
+                                     max_iter=15)
+        assert np.array_equal(fast.assignment, scattered.assignment)
+        assert np.array_equal(fast.confusions, scattered.confusions)
+        assert np.array_equal(fast.priors, scattered.priors)
+        assert fast.n_iterations == scattered.n_iterations
 
     def test_plan_is_memoized_per_encoding(self):
         encoded = em_kernel.encode_answers(
@@ -112,11 +106,10 @@ class TestKernelPlanEquivalence:
     def test_empty_encoding(self):
         encoded = em_kernel.encode_answers(
             AnswerSet(np.full((2, 2), -1), ("a", "b")))
-        plan = em_kernel.kernel_plan(encoded)
         assignment = np.full((2, 2), 0.5)
         assert np.array_equal(
-            em_kernel.m_step(encoded, assignment, plan=plan),
-            em_kernel.m_step(encoded, assignment))
+            em_kernel.m_step(encoded, assignment),
+            reference.m_step(encoded, assignment))
 
     def test_memoized_plan_is_not_pickled(self):
         """Process-executor tasks ship encodings; the plan memo must not
@@ -189,8 +182,8 @@ class TestSharedLookaheadEquivalence:
     @given(seed=st.integers(0, 1_000))
     def test_select_reproduces_pr1_choices(self, seed):
         """The shared-encoding select must match a per-candidate scoring
-        through the PR-1 interface (`expected_posterior_entropy` with a
-        fresh conclude, hence a fresh encoding, per call) bit-for-bit."""
+        through the PR-1 interface (`reference.expected_posterior_entropy`:
+        a fresh conclude, hence a fresh encoding, per call) bit-for-bit."""
         crowd = simulate_crowd(
             CrowdConfig(n_objects=12, n_workers=5, answers_per_object=3),
             rng=seed)
@@ -202,24 +195,15 @@ class TestSharedLookaheadEquivalence:
                                   tol=context.aggregator.tol,
                                   smoothing=context.aggregator.smoothing)
         current = answer_set_uncertainty(context.prob_set)
-        reference = np.array([
-            current - expected_posterior_entropy(
+        pr1_scores = np.array([
+            current - reference.expected_posterior_entropy(
                 context.prob_set, lookahead, int(obj), strategy.label_floor)
             for obj in selection.candidate_indices])
-        assert np.array_equal(selection.scores, reference)
+        assert np.array_equal(selection.scores, pr1_scores)
         chosen = np.flatnonzero(
             selection.candidate_indices == selection.object_index)[0]
         # argmax_with_ties may pick any score within its 1e-12 tie band.
-        assert selection.scores[chosen] >= reference.max() - 1e-12
-
-    def test_explicit_encoding_matches_fresh_encoding(self, small_crowd):
-        context = _context(small_crowd)
-        lookahead = IncrementalEM(max_iter=25)
-        encoded = em_kernel.encode_answers(context.prob_set.answer_set)
-        with_shared = expected_posterior_entropy(
-            context.prob_set, lookahead, 3, encoded=encoded)
-        without = expected_posterior_entropy(context.prob_set, lookahead, 3)
-        assert with_shared == without
+        assert selection.scores[chosen] >= pr1_scores.max() - 1e-12
 
 
 class TestLocalizedLookahead:
@@ -275,9 +259,9 @@ class TestBlockSubencoding:
         rng = np.random.default_rng(seed)
         block_size = int(rng.integers(1, n + 1))
         objects = np.sort(rng.choice(n, size=block_size, replace=False))
-        via_scan, workers_scan = block_subencoding(encoded, objects)
-        via_segments, workers_seg = block_subencoding(
-            encoded, objects, object_starts=object_segment_starts(encoded))
+        via_scan, workers_scan = reference.block_subencoding(encoded, objects)
+        via_segments, workers_seg = em_kernel.block_subencoding(
+            encoded, objects)
         assert np.array_equal(workers_scan, workers_seg)
         assert np.array_equal(via_scan.object_index,
                               via_segments.object_index)

@@ -75,10 +75,12 @@ class TestAllObjectsPreValidated:
 
 
 class TestCustomAggregator:
-    """An aggregator with an overridden conclude keeps driving the loop."""
+    """The streaming session is the conclude; the aggregator configures it."""
 
-    def test_overridden_conclude_is_honored(self, table1_answer_set,
-                                            table1_gold):
+    def test_overridden_conclude_is_rejected(self, table1_answer_set,
+                                             table1_gold):
+        """A custom conclude would never run (and the WAL could not replay
+        it), so the process refuses it up front instead of ignoring it."""
         from repro.core.iem import IncrementalEM
 
         class CountingIEM(IncrementalEM):
@@ -88,25 +90,30 @@ class TestCustomAggregator:
                 type(self).calls += 1
                 return super().conclude(*args, **kwargs)
 
-        process = ValidationProcess(
-            table1_answer_set, OracleExpert(table1_gold),
-            strategy=MaxEntropyStrategy(), aggregator=CountingIEM(),
-            budget=2, gold=table1_gold, rng=0)
-        initial_calls = CountingIEM.calls
-        assert initial_calls >= 1  # the initial aggregation went through it
-        process.step()
-        assert CountingIEM.calls > initial_calls
+        with pytest.raises(TypeError, match="CountingIEM overrides conclude"):
+            ValidationProcess(
+                table1_answer_set, OracleExpert(table1_gold),
+                strategy=MaxEntropyStrategy(), aggregator=CountingIEM(),
+                budget=2, gold=table1_gold, rng=0)
+        assert CountingIEM.calls == 0
 
     def test_stock_aggregator_uses_the_session(self, table1_answer_set,
                                                table1_gold):
+        from repro.core.iem import IncrementalEM
+
+        aggregator = IncrementalEM(init="uniform", max_iter=7, tol=1e-3,
+                                   smoothing=0.5)
         process = ValidationProcess(
             table1_answer_set, OracleExpert(table1_gold),
-            strategy=MaxEntropyStrategy(), budget=2,
+            strategy=MaxEntropyStrategy(), aggregator=aggregator, budget=2,
             gold=table1_gold, rng=0)
-        assert process._session_driven
-        before = process.session.n_concludes
+        session = process.session
+        assert (session.init, session.max_iter, session.tol,
+                session.smoothing) == ("uniform", 7, 1e-3, 0.5)
+        assert session.rng is aggregator.rng
+        before = session.n_concludes
         process.step()
-        assert process.session.n_concludes == before + 1
+        assert session.n_concludes == before + 1
 
 
 class TestSilentWorker:

@@ -30,6 +30,8 @@ from repro.parallel import Executor, ShardedKernel
 from repro.state import FileSessionStore
 from repro.streaming import ValidationSession
 
+import reference
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -137,13 +139,13 @@ class TestIndexDtype:
             assert operator.indptr.dtype == np.int64
         assert_incidence(encoded, plan)
         assert_bits_equal(
-            em_kernel.m_step(encoded, assignment, plan=plan),
-            em_kernel.m_step(encoded, assignment))
+            em_kernel.m_step(encoded, assignment),
+            reference.m_step(encoded, assignment))
         confusions = em_kernel.m_step(encoded, assignment)
         priors = em_kernel.estimate_priors(assignment)
         assert_bits_equal(
-            em_kernel.e_step(encoded, confusions, priors, plan=plan),
-            em_kernel.e_step(encoded, confusions, priors))
+            em_kernel.e_step(encoded, confusions, priors),
+            reference.e_step(encoded, confusions, priors))
 
     def test_kernel_plan_rejects_unsorted_encodings(self):
         encoded = em_kernel.EncodedAnswers(
@@ -158,11 +160,9 @@ class TestIndexDtype:
         """A small block cut out of a (hypothetically) huge encoding gets
         its own narrow dtype — sub-problems re-run the width decision."""
         encoded, _ = random_encoding(2)
-        starts = em_kernel.object_segment_starts(encoded)
         objects = np.arange(5)
         workers = np.arange(encoded.n_workers)
-        sub, used = em_kernel.block_subencoding(encoded, objects, workers,
-                                                object_starts=starts)
+        sub, used = em_kernel.block_subencoding(encoded, objects, workers)
         assert sub.object_index.dtype == np.int32
         assert sub.n_objects == 5
         np.testing.assert_array_equal(used, workers)
@@ -202,9 +202,6 @@ class TestEncodingCSR:
     def test_memoized_once_per_encoding(self):
         encoded, _ = random_encoding(6)
         assert em_kernel.csr_view(encoded) is em_kernel.csr_view(encoded)
-        # object_segment_starts delegates to the same shared view.
-        assert em_kernel.object_segment_starts(encoded) \
-            is em_kernel.csr_view(encoded).object_starts
 
     def test_pickling_drops_the_memoized_views(self):
         import pickle
@@ -298,10 +295,9 @@ class TestAnswerStatsGrowth:
 class TestFloat32Path:
     def test_m_step_float32_close_to_float64(self):
         encoded, assignment = random_encoding(8)
-        plan = em_kernel.kernel_plan(encoded)
-        f64 = em_kernel.m_step(encoded, assignment, 0.01, plan=plan)
+        f64 = em_kernel.m_step(encoded, assignment, 0.01)
         f32 = em_kernel.m_step(encoded, assignment.astype(np.float32),
-                               0.01, plan=plan, dtype=np.float32)
+                               0.01, dtype=np.float32)
         assert f32.dtype == np.float32
         np.testing.assert_allclose(f32, f64, rtol=1e-5, atol=1e-6)
 
@@ -309,11 +305,10 @@ class TestFloat32Path:
         encoded, assignment = random_encoding(9)
         assignment = assignment.astype(np.float32)
         planned = em_kernel.m_step(encoded, assignment, 0.01,
-                                   plan=em_kernel.kernel_plan(encoded),
                                    dtype=np.float32)
-        reference = em_kernel.m_step(encoded, assignment, 0.01,
+        scattered = reference.m_step(encoded, assignment, 0.01,
                                      dtype=np.float32)
-        np.testing.assert_allclose(planned, reference, rtol=1e-6)
+        np.testing.assert_allclose(planned, scattered, rtol=1e-6)
 
     def test_run_em_float32_end_to_end(self):
         encoded, assignment = random_encoding(10)
@@ -417,14 +412,12 @@ class TestOperatorPathBitEquality:
     def test_e_and_m_steps_bit_equal_reference(self, instance):
         answer_set, assignment, _ = instance
         encoded = em_kernel.encode_answers(answer_set)
-        plan = em_kernel.kernel_plan(encoded)
-        confusions = em_kernel.m_step(encoded, assignment)
-        assert_bits_equal(em_kernel.m_step(encoded, assignment, plan=plan),
-                          confusions)
+        confusions = reference.m_step(encoded, assignment)
+        assert_bits_equal(em_kernel.m_step(encoded, assignment), confusions)
         priors = em_kernel.estimate_priors(assignment)
         assert_bits_equal(
-            em_kernel.e_step(encoded, confusions, priors, plan=plan),
-            em_kernel.e_step(encoded, confusions, priors))
+            em_kernel.e_step(encoded, confusions, priors),
+            reference.e_step(encoded, confusions, priors))
 
     @given(answer_instances())
     @settings(max_examples=40, deadline=None)
@@ -438,13 +431,13 @@ class TestOperatorPathBitEquality:
         labels = rng.integers(0, stats.n_labels, size=validated.size)
         planned = em_kernel.run_em(encoded, assignment, validated, labels,
                                    max_iter=15)
-        reference = em_kernel.run_em(encoded, assignment, validated, labels,
-                                     max_iter=15, use_plan=False)
-        assert_bits_equal(planned.assignment, reference.assignment)
-        assert_bits_equal(planned.confusions, reference.confusions)
-        assert_bits_equal(planned.priors, reference.priors)
-        assert planned.n_iterations == reference.n_iterations
-        assert planned.converged == reference.converged
+        scattered = reference.run_em(encoded, assignment, validated, labels,
+                                     max_iter=15)
+        assert_bits_equal(planned.assignment, scattered.assignment)
+        assert_bits_equal(planned.confusions, scattered.confusions)
+        assert_bits_equal(planned.priors, scattered.priors)
+        assert planned.n_iterations == scattered.n_iterations
+        assert planned.converged == scattered.converged
 
     @given(answer_instances())
     @settings(max_examples=40, deadline=None)
@@ -453,15 +446,13 @@ class TestOperatorPathBitEquality:
         encoded = em_kernel.encode_answers(answer_set)
         if not encoded.n_answers:
             return  # both paths short-circuit before any scatter
-        plan = em_kernel.kernel_plan(encoded)
-        confusions = em_kernel.m_step(encoded, assignment, 0.01, plan=plan,
+        confusions = em_kernel.m_step(encoded, assignment, 0.01,
                                       dtype=np.float32)
         assert_bits_equal(
             confusions, bincount_float32_m_step(encoded, assignment, 0.01))
         priors = em_kernel.estimate_priors(assignment)
         assert_bits_equal(
-            em_kernel.e_step(encoded, confusions, priors, plan=plan,
-                             dtype=np.float32),
+            em_kernel.e_step(encoded, confusions, priors, dtype=np.float32),
             bincount_float32_e_step(encoded, confusions, priors))
 
     @given(answer_instances(), st.integers(min_value=1, max_value=6))
@@ -469,15 +460,13 @@ class TestOperatorPathBitEquality:
     def test_shard_row_blocks_bit_equal_serial(self, instance, n_shards):
         answer_set, assignment, _ = instance
         encoded = em_kernel.encode_answers(answer_set)
-        plan = em_kernel.kernel_plan(encoded)
-        confusions = em_kernel.m_step(encoded, assignment, 0.01, plan=plan)
+        confusions = em_kernel.m_step(encoded, assignment, 0.01)
         priors = em_kernel.estimate_priors(assignment)
         with ShardedKernel(encoded, Executor("serial"),
                            n_shards=n_shards) as kernel:
             assert_bits_equal(kernel.m_step(assignment, 0.01), confusions)
-            assert_bits_equal(
-                kernel.e_step(confusions, priors),
-                em_kernel.e_step(encoded, confusions, priors, plan=plan))
+            assert_bits_equal(kernel.e_step(confusions, priors),
+                              em_kernel.e_step(encoded, confusions, priors))
 
 
 # ----------------------------------------------------------------------
@@ -489,8 +478,7 @@ class TestShardedKernelBitEquality:
     @settings(max_examples=25, deadline=None)
     def test_m_step_bit_equal_serial_executor(self, seed, n_shards):
         encoded, assignment = random_encoding(seed)
-        plan = em_kernel.kernel_plan(encoded)
-        serial = em_kernel.m_step(encoded, assignment, 0.01, plan=plan)
+        serial = em_kernel.m_step(encoded, assignment, 0.01)
         with ShardedKernel(encoded, Executor("serial"),
                            n_shards=n_shards) as kernel:
             sharded = kernel.m_step(assignment, 0.01)
@@ -500,10 +488,9 @@ class TestShardedKernelBitEquality:
     @settings(max_examples=10, deadline=None)
     def test_e_step_bit_equal_serial_executor(self, seed):
         encoded, assignment = random_encoding(seed)
-        plan = em_kernel.kernel_plan(encoded)
-        confusions = em_kernel.m_step(encoded, assignment, 0.01, plan=plan)
+        confusions = em_kernel.m_step(encoded, assignment, 0.01)
         priors = em_kernel.estimate_priors(assignment)
-        serial = em_kernel.e_step(encoded, confusions, priors, plan=plan)
+        serial = em_kernel.e_step(encoded, confusions, priors)
         with ShardedKernel(encoded, Executor("serial"),
                            n_shards=3) as kernel:
             sharded = kernel.e_step(confusions, priors)
@@ -511,8 +498,7 @@ class TestShardedKernelBitEquality:
 
     def test_threads_executor_bit_equal(self):
         encoded, assignment = random_encoding(99, n=200, k=20)
-        plan = em_kernel.kernel_plan(encoded)
-        serial = em_kernel.m_step(encoded, assignment, 0.01, plan=plan)
+        serial = em_kernel.m_step(encoded, assignment, 0.01)
         with ShardedKernel(encoded, Executor("threads", max_workers=3),
                            n_shards=5) as kernel:
             np.testing.assert_array_equal(kernel.m_step(assignment, 0.01),
@@ -526,8 +512,9 @@ class TestShardedKernelBitEquality:
         validated = np.array([0, 5, 9])
         labels = np.array([1, 0, 2])
         serial = em_kernel.run_em(encoded, assignment, validated, labels)
-        parallel = em_kernel.run_em(encoded, assignment, validated, labels,
-                                    parallel_m_step=2)
+        with ShardedKernel(encoded, max_workers=2) as kernel:
+            parallel = em_kernel.run_em(encoded, assignment, validated,
+                                        labels, kernel=kernel)
         np.testing.assert_array_equal(parallel.assignment, serial.assignment)
         np.testing.assert_array_equal(parallel.confusions, serial.confusions)
         np.testing.assert_array_equal(parallel.priors, serial.priors)
@@ -552,33 +539,25 @@ class TestShardedKernelBitEquality:
 
 
 class TestRunEmParallelValidation:
-    def test_requires_plan_path(self):
-        encoded, assignment = random_encoding(12)
-        with pytest.raises(ValueError, match="use_plan"):
-            em_kernel.run_em(encoded, assignment, use_plan=False,
-                             parallel_m_step=True)
-
     def test_requires_float64(self):
         encoded, assignment = random_encoding(13)
-        with pytest.raises(ValueError, match="float64"):
-            em_kernel.run_em(encoded, assignment, dtype=np.float32,
-                             parallel_m_step=True)
+        with ShardedKernel(encoded, Executor("serial")) as kernel:
+            with pytest.raises(ValueError, match="float64"):
+                em_kernel.run_em(encoded, assignment, dtype=np.float32,
+                                 kernel=kernel)
 
     def test_rejects_foreign_encoding_kernel(self):
         encoded, assignment = random_encoding(14)
         other, _ = random_encoding(15)
         with ShardedKernel(other, Executor("serial")) as kernel:
             with pytest.raises(ValueError, match="different encoding"):
-                em_kernel.run_em(encoded, assignment,
-                                 parallel_m_step=kernel)
+                em_kernel.run_em(encoded, assignment, kernel=kernel)
 
     def test_caller_supplied_kernel_stays_open(self):
         encoded, assignment = random_encoding(16)
         with ShardedKernel(encoded, Executor("serial")) as kernel:
-            first = em_kernel.run_em(encoded, assignment,
-                                     parallel_m_step=kernel)
-            second = em_kernel.run_em(encoded, assignment,
-                                      parallel_m_step=kernel)
+            first = em_kernel.run_em(encoded, assignment, kernel=kernel)
+            second = em_kernel.run_em(encoded, assignment, kernel=kernel)
         np.testing.assert_array_equal(first.assignment, second.assignment)
 
 

@@ -7,9 +7,9 @@ Two layers:
   and sharded execution paths under both guidance look-ahead modes, with
   the runner's cross-path agreement assertions armed;
 * the **property layer** (hypothesis) — on randomly drawn small scenarios,
-  batch and streaming posteriors must agree, and the kernel's
-  ``use_plan=True/False`` paths must stay bit-for-bit equal under
-  drift/collusion workloads.
+  batch and streaming posteriors must agree, and the kernel's operator
+  path must stay bit-for-bit equal to the ``np.add.at`` reference
+  (``tests/reference.py``) under drift/collusion workloads.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.streaming import ValidationSession
+
+import reference
 
 #: The workloads the acceptance criteria require, at minimum.
 REQUIRED_SCENARIOS = ("reliability-drift", "sleeper-spammers",
@@ -209,7 +211,8 @@ class TestScenarioProperties:
     @given(spec=small_scenarios)
     @settings(max_examples=20, deadline=None)
     def test_kernel_plan_paths_bit_equal(self, spec):
-        """use_plan=True/False must match bit for bit on scenario data."""
+        """Operator path ≡ np.add.at reference, bit for bit, on scenario
+        data."""
         compiled = compile_scenario(spec)
         encoded = em_kernel.encode_answers(compiled.answer_set)
         initial = em_kernel.initial_assignment_majority(encoded)
@@ -218,14 +221,12 @@ class TestScenarioProperties:
         validated = np.array(sorted(validations), dtype=np.int64)
         labels = np.array([validations[i] for i in validated],
                           dtype=np.int64)
-        fast = em_kernel.run_em(encoded, initial, validated, labels,
-                                use_plan=True)
-        reference = em_kernel.run_em(encoded, initial, validated, labels,
-                                     use_plan=False)
-        np.testing.assert_array_equal(fast.assignment, reference.assignment)
-        np.testing.assert_array_equal(fast.confusions, reference.confusions)
-        np.testing.assert_array_equal(fast.priors, reference.priors)
-        assert fast.n_iterations == reference.n_iterations
+        fast = em_kernel.run_em(encoded, initial, validated, labels)
+        scattered = reference.run_em(encoded, initial, validated, labels)
+        np.testing.assert_array_equal(fast.assignment, scattered.assignment)
+        np.testing.assert_array_equal(fast.confusions, scattered.confusions)
+        np.testing.assert_array_equal(fast.priors, scattered.priors)
+        assert fast.n_iterations == scattered.n_iterations
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=15, deadline=None)

@@ -67,11 +67,10 @@ def _assert_sessions_bit_equal(a: ValidationSession, b: ValidationSession):
 
 class TestRoundTripProperties:
     @given(spec=small_specs, backend=st.sampled_from(["memory", "file"]),
-           use_plan=st.booleans(),
            cut_fraction=st.floats(min_value=0.2, max_value=0.8))
     @settings(max_examples=12, deadline=None)
     def test_checkpoint_restore_continue_is_bit_equal(
-            self, spec, backend, use_plan, cut_fraction):
+            self, spec, backend, cut_fraction):
         """checkpoint → crash → restore → continue ≡ never interrupted."""
         compiled = compile_scenario(spec)
         events = list(compiled.events())
@@ -79,20 +78,17 @@ class TestRoundTripProperties:
                          int(round(cut_fraction * len(events)))))
         cadence = max(2, len(events) // 5)
 
-        baseline = ValidationSession(1, 1, compiled.n_labels,
-                                     use_plan=use_plan, rng=spec.seed)
+        baseline = ValidationSession(1, 1, compiled.n_labels, rng=spec.seed)
         replay(events[:cut], baseline, conclude_every=cadence)
         replay(events[cut:], baseline, conclude_every=cadence)
 
         with tempfile.TemporaryDirectory() as tmpdir:
             store = _make_store(backend, tmpdir)
-            live = ValidationSession(1, 1, compiled.n_labels,
-                                     use_plan=use_plan, rng=spec.seed)
+            live = ValidationSession(1, 1, compiled.n_labels, rng=spec.seed)
             replay(events[:cut], live, conclude_every=cadence, store=store)
             del live  # the crash: only the store survives
             restored = store.restore()
             session = restored.session
-            assert session.use_plan is use_plan
             replay(events[cut:], session, conclude_every=cadence)
 
         _assert_sessions_bit_equal(baseline, session)

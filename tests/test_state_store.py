@@ -38,7 +38,8 @@ from repro.errors import (
     CheckpointSchemaError,
     StateStoreError,
 )
-from repro.state import FileSessionStore, MemorySessionStore
+from repro.state import (STATE_SCHEMA_VERSION, FileSessionStore,
+                         MemorySessionStore)
 from repro.state import store as state_events
 from repro.streaming import ValidationSession
 
@@ -217,6 +218,41 @@ class TestWalSemantics:
         assert restored.session.stats.n_answers == session.stats.n_answers
         np.testing.assert_array_equal(restored.session.model.assignment,
                                       session.model.assignment)
+
+
+class TestOldManifests:
+    """Manifests written before the scatter switch was retired still load.
+
+    Older writers recorded ``config.use_plan`` (true or false). Every
+    kernel path was bit-identical, so the key carries no state: readers
+    ignore it, new manifests omit it, and the schema version stays put.
+    """
+
+    def test_use_plan_false_manifest_restores_bit_exactly(self, tmp_path):
+        store = FileSessionStore(tmp_path)
+        live = _session()
+        store.checkpoint(live)
+        _edit_manifest(store, lambda manifest:
+                       manifest["config"].update(use_plan=False))
+
+        restored = store.restore().session
+        assert restored.capture_state().equals(live.capture_state())
+        for session in (live, restored):
+            session.add_answer(5, 1, 1)
+            session.add_validation(2, 0)
+            session.conclude()
+        for name in ("assignment", "confusions", "priors"):
+            np.testing.assert_array_equal(getattr(restored.model, name),
+                                          getattr(live.model, name))
+        assert restored.total_em_iterations == live.total_em_iterations
+
+    def test_new_manifest_has_no_use_plan_key(self, tmp_path):
+        store = FileSessionStore(tmp_path)
+        store.checkpoint(_session())
+        manifest = json.loads(
+            (_checkpoint_dir(store) / "manifest.json").read_text())
+        assert "use_plan" not in manifest["config"]
+        assert manifest["schema_version"] == STATE_SCHEMA_VERSION == 1
 
 
 class TestMemoryStoreParity:

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.core.validation import ExpertValidation
@@ -175,20 +174,6 @@ class TestStreamingMatchesBatch:
         assert session.add_answer(0, 0, 1)
         assert not session.add_answer(0, 0, 1)
         assert session.n_answers == 1
-
-    def test_external_encoding_path_of_incremental_em(self, small_crowd):
-        answers = small_crowd.answer_set
-        validation = ExpertValidation.empty_for(answers)
-        encoded = em_kernel.encode_answers(answers)
-        iem = IncrementalEM()
-        via_encoded = iem.conclude(answers, validation, encoded=encoded)
-        direct = iem.conclude(answers, validation)
-        assert np.array_equal(via_encoded.assignment, direct.assignment)
-        wrong = em_kernel.AnswerStats(answers.n_objects + 1,
-                                      answers.n_workers,
-                                      answers.n_labels).encoded()
-        with pytest.raises(ValueError, match="encoding"):
-            iem.conclude(answers, validation, encoded=wrong)
 
 
 class TestShardedRefresh:
