@@ -17,8 +17,8 @@ every encoding paid before the width-adaptive dtypes and the sparse
 incidence operators landed:
 
 1. **peak-memory ceiling** — tracemalloc peak across plan build + one
-   full EM iteration on the narrow path (int32 incidence operators +
-   float32 accumulation) must be ≤ 0.6× the int64 baseline's peak;
+   full EM iteration on the narrow path (int32 incidence operators,
+   float64 values) must be ≤ 0.6× the int64 baseline's peak;
 2. **plan size** — the narrow plan must hold ≤ 20 bytes per answer;
 3. **throughput floor** — the bit-exact float64 plan path must sustain a
    conservative answers/second floor per EM iteration.
@@ -149,13 +149,12 @@ def int64_baseline_iteration(encoded: em_kernel.EncodedAnswers) -> None:
 
 
 def narrow_iteration(encoded: em_kernel.EncodedAnswers) -> None:
-    """Plan build + one EM iteration on the narrow float32 path."""
+    """Plan build + one EM iteration on the narrow (int32) path."""
     em_kernel.kernel_plan(encoded)
-    assignment = em_kernel.initial_assignment_majority(encoded) \
-        .astype(np.float32, copy=False)
-    confusions = em_kernel.m_step(encoded, assignment, dtype=np.float32)
+    assignment = em_kernel.initial_assignment_majority(encoded)
+    confusions = em_kernel.m_step(encoded, assignment)
     priors = em_kernel.estimate_priors(assignment)
-    em_kernel.e_step(encoded, confusions, priors, dtype=np.float32)
+    em_kernel.e_step(encoded, confusions, priors)
 
 
 def plan_bytes(plan: em_kernel.KernelPlan) -> int:
@@ -183,7 +182,7 @@ def _peak_em_bytes(tier: dict, iteration) -> int:
 def _run_tier(tier: dict, tier_name: str, throughput_floor: float) -> None:
     n_answers = tier["n"] * tier["per"]
 
-    # -- memory: narrow (int32 operators + float32) vs int64 ------------
+    # -- memory: narrow (int32 operators) vs int64 ----------------------
     baseline_peak = _peak_em_bytes(tier, int64_baseline_iteration)
     narrow_peak = _peak_em_bytes(tier, narrow_iteration)
     ratio = narrow_peak / baseline_peak

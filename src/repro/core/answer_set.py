@@ -44,9 +44,11 @@ class AnswerSet:
     Instances are treated as immutable: the matrix is copied on construction
     and marked read-only. Transformations (:meth:`mask_workers`,
     :meth:`subset_objects`, :meth:`with_answers`) return new instances.
+    That is what lets :func:`repro.core.em_kernel.encode_answers` memoize
+    its flat encoding on the instance.
     """
 
-    __slots__ = ("_matrix", "_labels", "_objects", "_workers")
+    __slots__ = ("_matrix", "_labels", "_objects", "_workers", "_encoded")
 
     def __init__(self,
                  matrix: np.ndarray | Sequence[Sequence[int]],
@@ -85,6 +87,7 @@ class AnswerSet:
         self._labels = label_tuple
         self._objects = object_tuple
         self._workers = worker_tuple
+        self._encoded = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -318,6 +321,13 @@ class AnswerSet:
     def __hash__(self) -> int:
         return hash((self._labels, self._objects, self._workers,
                      self._matrix.tobytes()))
+
+    def __getstate__(self) -> tuple[None, dict]:
+        # The memoized encoding (see encode_answers) is derived data, as
+        # large as the answers themselves; never ship it.
+        return None, {"_matrix": self._matrix, "_labels": self._labels,
+                      "_objects": self._objects, "_workers": self._workers,
+                      "_encoded": None}
 
     def __repr__(self) -> str:
         return (f"AnswerSet(n_objects={self.n_objects}, "

@@ -26,6 +26,9 @@ Implementation notes
 * Objects with an expert validation are clamped to a one-hot row after
   every E-step (Eq. 4) and therefore act as ground truth in the following
   M-step — this is what makes expert input a "first-class citizen".
+* :func:`run_em` iterates the E/M map with squared extrapolation
+  (:func:`squarem`), which reaches the plain loop's fixed points in far
+  fewer maps; ``tests/reference.py`` keeps the plain loop as the oracle.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ if TYPE_CHECKING:
 #: Default Laplace-style smoothing added to confusion counts in the M-step.
 DEFAULT_SMOOTHING = 0.01
 
-#: Default convergence tolerance on ``max |U_t − U_{t−1}|``.
+#: Default convergence tolerance on ``max |ΔU|`` across one E/M map.
 DEFAULT_TOL = 1e-4
 
-#: Default cap on EM iterations.
+#: Default cap on E/M maps per EM run.
 DEFAULT_MAX_ITER = 100
 
 #: Largest value an ``int32`` index may take; the width-adaptive dtype
@@ -110,19 +113,29 @@ def encode_answers(answer_set: AnswerSet) -> EncodedAnswers:
     Index arrays carry the narrowest safe dtype (:func:`index_dtype`):
     ``int32`` for every realistically sized campaign, ``int64`` beyond
     the 2³¹ flat-index bound.
+
+    The encoding is memoized on the answer set, whose matrix is a
+    read-only copy, so it never goes stale: repeated calls — one per
+    look-ahead select on the same answer set — return the same
+    encoding, and with it the same :func:`kernel_plan` and
+    :func:`csr_view`. Pickling an answer set drops the memo.
     """
-    matrix = answer_set.matrix
-    obj, wrk = np.nonzero(matrix != MISSING)
-    dtype = index_dtype(answer_set.n_objects, answer_set.n_workers,
-                        answer_set.n_labels, obj.size)
-    return EncodedAnswers(
-        n_objects=answer_set.n_objects,
-        n_workers=answer_set.n_workers,
-        n_labels=answer_set.n_labels,
-        object_index=np.ascontiguousarray(obj, dtype=dtype),
-        worker_index=np.ascontiguousarray(wrk, dtype=dtype),
-        label_index=np.ascontiguousarray(matrix[obj, wrk], dtype=dtype),
-    )
+    encoded = answer_set._encoded
+    if encoded is None:
+        matrix = answer_set.matrix
+        obj, wrk = np.nonzero(matrix != MISSING)
+        dtype = index_dtype(answer_set.n_objects, answer_set.n_workers,
+                            answer_set.n_labels, obj.size)
+        encoded = EncodedAnswers(
+            n_objects=answer_set.n_objects,
+            n_workers=answer_set.n_workers,
+            n_labels=answer_set.n_labels,
+            object_index=np.ascontiguousarray(obj, dtype=dtype),
+            worker_index=np.ascontiguousarray(wrk, dtype=dtype),
+            label_index=np.ascontiguousarray(matrix[obj, wrk], dtype=dtype),
+        )
+        answer_set._encoded = encoded
+    return encoded
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +169,7 @@ class KernelPlan:
     entries one at a time in stored order; a unit weight leaves each
     operand exact. That is the ascending-answer-order accumulation of
     the ``np.add.at`` reference, so plan-driven results are bit-for-bit
-    equal to it. A float32 operand is upcast and accumulated in float64,
-    then cast back once.
+    equal to it.
 
     Obtain plans through :func:`kernel_plan`, which memoizes the plan on
     the encoding object itself — and since :meth:`AnswerStats.encoded`
@@ -833,9 +845,9 @@ class EMResult:
     priors:
         Length-``m`` label prior ``p(l)`` (Eq. 3).
     n_iterations:
-        Number of E/M iterations executed.
+        Number of E/M maps executed.
     converged:
-        Whether the tolerance was reached before the iteration cap.
+        Whether the tolerance was reached before the cap on maps.
     """
 
     assignment: np.ndarray
@@ -892,12 +904,17 @@ def clamp_validated(assignment: np.ndarray,
 
 
 def estimate_priors(assignment: np.ndarray) -> np.ndarray:
-    """Label priors ``p(l) = Σ_o U(o, l) / |O|`` (Eq. 3)."""
-    n = assignment.shape[0]
+    """Label priors ``p(l) = Σ_o U(o, l) / |O|`` (Eq. 3).
+
+    Each label column is summed on its own, by numpy's pairwise sum: with
+    ``m ≪ n`` an axis-0 reduction runs one ``m``-long inner loop per
+    object and costs several times more.
+    """
+    n, m = assignment.shape
     if n == 0:
-        m = assignment.shape[1]
         return np.full(m, 1.0 / m)
-    priors = assignment.sum(axis=0) / n
+    priors = np.array([assignment[:, label].sum()
+                       for label in range(m)]) / n
     # Guard against all-mass-on-one-label degeneracies feeding log(0).
     clipped = np.clip(priors, PROB_FLOOR, None)
     return clipped / clipped.sum()
@@ -905,35 +922,24 @@ def estimate_priors(assignment: np.ndarray) -> np.ndarray:
 
 def m_step(encoded: EncodedAnswers,
            assignment: np.ndarray,
-           smoothing: float = DEFAULT_SMOOTHING,
-           *,
-           dtype: np.dtype | type | str = np.float64) -> np.ndarray:
+           smoothing: float = DEFAULT_SMOOTHING) -> np.ndarray:
     """Estimate worker confusion matrices from the soft assignment (Eq. 5).
 
     ``F_w(l', l) ∝ Σ_o U(o, l') · d_w(o, l)``, row-normalized with
     ``smoothing`` pseudo-counts; rows with no evidence become uniform.
     The counts are one sparse product, ``cell_incidence @ U``, with the
     encoding's memoized :func:`kernel_plan`.
-
-    ``dtype`` selects the output precision. The ``float64`` default is
-    bit-exact. ``float32`` is the scale-tier opt-in: ``U`` is cast to
-    float32, the product accumulates in float64, and the ``k·m·m`` counts
-    are cast back, so its only floating temporaries are ``O(n·m)``.
     """
     k, m = encoded.n_workers, encoded.n_labels
-    out_dtype = np.dtype(dtype)
     if not encoded.n_answers:
-        return normalize_rows(np.zeros((k, m, m), dtype=float),
-                              smoothing=smoothing).astype(out_dtype,
-                                                          copy=False)
+        return normalize_rows(np.zeros((k, m, m)), smoothing=smoothing)
     cell_counts = kernel_plan(encoded).cell_incidence @ np.ascontiguousarray(
-        assignment, dtype=out_dtype)
-    return confusions_from_cell_counts(cell_counts, smoothing, out_dtype)
+        assignment, dtype=np.float64)
+    return confusions_from_cell_counts(cell_counts, smoothing)
 
 
-def confusions_from_cell_counts(cell_counts: np.ndarray, smoothing: float,
-                                dtype: np.dtype | type | str = np.float64,
-                                ) -> np.ndarray:
+def confusions_from_cell_counts(cell_counts: np.ndarray,
+                                smoothing: float) -> np.ndarray:
     """Row-normalize ``cell_incidence @ U`` into confusion matrices (Eq. 5).
 
     The product is laid out ``[w·m + l, r]``; transposing it into a
@@ -943,39 +949,32 @@ def confusions_from_cell_counts(cell_counts: np.ndarray, smoothing: float,
     """
     m = cell_counts.shape[1]
     counts = np.ascontiguousarray(
-        cell_counts.reshape(-1, m, m).transpose(0, 2, 1), dtype=dtype)
+        cell_counts.reshape(-1, m, m).transpose(0, 2, 1))
     if smoothing > 0:
         # Inline the normalize_rows smoothed branch: counts are sums of
         # non-negative probabilities and smoothing makes every row total
         # positive, so the validation scan and zero-row selects are dead
         # weight here. Same divisions, bit-for-bit identical result.
-        smoothed = counts + counts.dtype.type(smoothing)
+        smoothed = counts + smoothing
         return smoothed / smoothed.sum(axis=-1, keepdims=True)
     return normalize_rows(counts, smoothing=smoothing)
 
 
 def scatter_log_likelihood(encoded: EncodedAnswers,
-                           log_confusions: np.ndarray,
-                           *,
-                           dtype: np.dtype | type | str = np.float64,
-                           ) -> np.ndarray:
+                           log_confusions: np.ndarray) -> np.ndarray:
     """Per-object log-likelihood rows ``Σ_answers log F_w(·, l)``.
 
     The E-step's scatter, factored out so delta-maintained read paths
     (:meth:`repro.streaming.ValidationSession.posteriors`) share it: one
     sparse product, ``object_incidence @ logF``, with the encoding's
-    memoized :func:`kernel_plan`. The ``float32`` opt-in halves the
-    output; the product still accumulates in float64 and casts each row
-    back once, so no answer-length float temporary is ever built.
+    memoized :func:`kernel_plan`.
     """
     n, m = encoded.n_objects, encoded.n_labels
-    out_dtype = np.dtype(dtype)
     if not encoded.n_answers:
-        return np.zeros((n, m), dtype=out_dtype)
+        return np.zeros((n, m))
     # logF[w·m + l, r] = log F_w(r, l): one row per incidence column.
     cell_log_confusions = log_confusions.transpose(0, 2, 1).reshape(-1, m)
-    return (kernel_plan(encoded).object_incidence
-            @ cell_log_confusions).astype(out_dtype, copy=False)
+    return kernel_plan(encoded).object_incidence @ cell_log_confusions
 
 
 def normalize_log_likelihood(log_like: np.ndarray,
@@ -983,19 +982,45 @@ def normalize_log_likelihood(log_like: np.ndarray,
     """Posterior rows from log-likelihood rows and log priors (Eq. 1).
 
     Adds the priors, shifts each row by its maximum, exponentiates and
-    normalizes, overwriting ``log_like``. The row maximum is an
-    elementwise maximum over the label columns: max is exact in any
-    order, and with ``m ≪ n`` it is far cheaper than a label-axis
-    reduction.
+    normalizes, in place: the returned posterior is ``log_like`` itself.
+    Every per-object pass runs as ``m`` elementwise operations on the
+    label columns, because with ``m ≪ n`` a label-axis reduction or
+    broadcast costs one short inner loop per object. The row maximum is
+    exact in any order. The row total adds the columns in ascending label
+    order, which is exactly numpy's row sum for ``m ≤ 7``; past that
+    numpy sums pairwise, so totals differ from ``sum(axis=1)`` by
+    rounding.
     """
-    log_like += log_priors[None, :]
-    peak = log_like[:, 0].copy()
-    for label in range(1, log_like.shape[1]):
-        np.maximum(peak, log_like[:, label], out=peak)
-    log_like -= peak[:, None]
-    assignment = np.exp(log_like)
-    assignment /= assignment.sum(axis=1, keepdims=True)
-    return assignment
+    _normalize_columns(log_like, log_priors)
+    return log_like
+
+
+def _normalize_columns(log_like: np.ndarray, log_priors: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize_log_likelihood`, also returning each row's peak
+    and exponentiated total (``log`` of the row's normalizer is
+    ``peak + log(total)``)."""
+    columns = [log_like[:, label] for label in range(log_like.shape[1])]
+    for column, log_prior in zip(columns, log_priors):
+        column += log_prior
+    peak = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(peak, column, out=peak)
+    for column in columns:
+        column -= peak
+    np.exp(log_like, out=log_like)
+    return peak, _divide_by_row_totals(columns)
+
+
+def _divide_by_row_totals(columns: list[np.ndarray]) -> np.ndarray:
+    """Divide the label ``columns`` of an array by its row totals, summed
+    in ascending label order; return the totals."""
+    total = columns[0].copy()
+    for column in columns[1:]:
+        total += column
+    for column in columns:
+        column /= total
+    return total
 
 
 def e_step(encoded: EncodedAnswers,
@@ -1003,8 +1028,7 @@ def e_step(encoded: EncodedAnswers,
            priors: np.ndarray,
            *,
            log_confusions: np.ndarray | None = None,
-           log_priors: np.ndarray | None = None,
-           dtype: np.dtype | type | str = np.float64) -> np.ndarray:
+           log_priors: np.ndarray | None = None) -> np.ndarray:
     """Estimate assignment probabilities from confusion matrices (Eq. 1).
 
     ``U(o, l) ∝ p(l) · Π_w Π_{l'} F_w(l, l')^{d_w(o, l')}``, computed in log
@@ -1018,21 +1042,206 @@ def e_step(encoded: EncodedAnswers,
     ``log(clip(...))`` work out of the loop; when omitted they are
     computed here. The scatter is :func:`scatter_log_likelihood`.
     """
-    out_dtype = np.dtype(dtype)
     if log_confusions is None:
-        log_confusions = np.log(
-            np.clip(confusions, PROB_FLOOR, None)).astype(out_dtype,
-                                                          copy=False)
+        log_confusions = np.log(np.clip(confusions, PROB_FLOOR, None))
     if log_priors is None:
         log_priors = np.log(np.clip(priors, PROB_FLOOR, None))
-    log_like = scatter_log_likelihood(encoded, log_confusions,
-                                      dtype=out_dtype)
-    return normalize_log_likelihood(log_like, log_priors)
+    return normalize_log_likelihood(
+        scatter_log_likelihood(encoded, log_confusions), log_priors)
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
+#: Extrapolated entries below this are flushed to zero before their rows
+#: are renormalized. That removes negative entries, and it keeps
+#: denormals out of the next maps, which they slow several-fold.
+FLUSH_BELOW = 1e-15
+
+#: An extrapolation is rejected when it loses more than this many nats of
+#: observed-data log-likelihood against its cycle's start (SQUAREM's
+#: default ``objfn.inc``).
+LIKELIHOOD_SLACK = 1.0
+
+#: The extrapolation's step cap grows by this factor each time it binds
+#: and shrinks by it after a rejection (SQUAREM's ``mstep``).
+STEP_FACTOR = 4.0
+
+
+class EMMap:
+    """One E/M map ``U ↦ clamp(E(M(U)))`` over a pair of scatters.
+
+    ``m_step(U)`` returns the confusion matrices of Eq. 5 and
+    ``scatter(log F)`` the per-object log-likelihood rows of Eq. 1.
+    Besides the next ``U``, a map returns the model ``M(U)`` it started
+    from (confusions and priors) and what the likelihood guard needs:
+    each row's peak and exponentiated total from the E-step
+    normalization, and the log-likelihood of each validated row's
+    clamped label.
+    """
+
+    def __init__(self, m_step, scatter, validated_objects: np.ndarray,
+                 validated_labels: np.ndarray) -> None:
+        self.m_step = m_step
+        self.scatter = scatter
+        self.validated_objects = validated_objects
+        self.validated_labels = validated_labels
+
+    def __call__(self, assignment: np.ndarray,
+                 ) -> tuple[np.ndarray, tuple, tuple]:
+        objects, labels = self.validated_objects, self.validated_labels
+        confusions = self.m_step(assignment)
+        priors = estimate_priors(assignment)
+        log_priors = np.log(np.clip(priors, PROB_FLOOR, None))
+        log_like = self.scatter(np.log(np.clip(confusions, PROB_FLOOR,
+                                               None)))
+        clamped = log_like[objects, labels] + log_priors[labels]
+        peak, total = _normalize_columns(log_like, log_priors)
+        clamp_validated(log_like, objects, labels)
+        return log_like, (confusions, priors), (peak, total, clamped)
+
+    def log_likelihood(self, parts: tuple) -> float:
+        """Observed-data log-likelihood of the model a map started from."""
+        peak, total, clamped = parts
+        rows = peak + np.log(total)
+        rows[self.validated_objects] = clamped
+        return float(rows.sum())
+
+
+def squarem(em_map: EMMap, initial_assignment: np.ndarray, *,
+            max_iter: int, tol: float) -> tuple[EMResult, dict]:
+    """EM to tolerance by squared extrapolation (SQUAREM, SqS3).
+
+    The method is Varadhan & Roland, "Simple and globally convergent
+    methods for accelerating the convergence of any EM algorithm"
+    (Scand. J. Stat., 2008). One cycle runs two maps ``U0 → U1 → U2``,
+    takes ``r = U1 − U0`` and ``v = U2 − 2·U1 + U0``, and the step
+    ``α = max(1, ‖r‖/‖v‖)`` capped at a step cap that starts at 1, grows
+    ×4 whenever it binds and shrinks ×4 after a rejection. At ``α = 1``
+    the extrapolated point is ``U2`` itself; otherwise it is
+    ``U′ = U0 + 2α·r + α²·v``, with entries below :data:`FLUSH_BELOW`
+    zeroed, rows renormalized and validated rows re-clamped. One
+    stabilizing map runs from ``U′``. If the model at ``U′`` loses more
+    than :data:`LIKELIHOOD_SLACK` nats of observed-data log-likelihood
+    against the cycle's start, the cycle keeps ``U2`` instead.
+
+    The stopping test is ``max |ΔU| < tol`` across one map, checked after
+    every map that starts from a map's output — every map but the
+    stabilizing map from an extrapolated ``U′``, whose small move need
+    not carry over to the next map. A converged solve returns that last
+    map's input, with the model ``M(U)`` the map computed, so one more
+    map moves the returned ``U`` by less than ``tol``; a solve that
+    converges on its first map returns that map's output instead. A
+    solve that hits ``max_iter`` returns the newest map output. The
+    returned ``U`` is thus always a map's output, never ``U′``, and its
+    confusions and priors are ``M(U)``. ``n_iterations`` counts maps,
+    the stabilizing and rejected ones included.
+
+    Returns the result and the loop's tallies: how many extrapolations
+    ran, how many of them the likelihood guard rejected, and the last
+    tested ``max |ΔU|``.
+    """
+    assignment = np.array(initial_assignment, dtype=np.float64, copy=True)
+    clamp_validated(assignment, em_map.validated_objects,
+                    em_map.validated_labels)
+    # Residual, curvature and extrapolation buffers, reused every cycle.
+    first, second, scratch = (np.empty_like(assignment) for _ in range(3))
+    step_max = 1.0
+    iterations = extrapolations = rejections = 0
+    model = None  # M(assignment), when the returned U is a map's input
+    while True:
+        start = assignment
+        one, start_model, start_parts = em_map(start)
+        iterations += 1
+        delta = _max_abs(np.subtract(one, start, out=first))
+        if delta < tol and iterations > 1:
+            model = start_model
+            break
+        if delta < tol or iterations == max_iter:
+            assignment = one
+            break
+        two, one_model, _ = em_map(one)
+        iterations += 1
+        delta = _max_abs(np.subtract(two, one, out=second))
+        if delta < tol:
+            assignment, model = one, one_model
+            break
+        if iterations == max_iter:
+            assignment = two
+            break
+        curvature = np.subtract(second, first, out=second)
+        alpha = _step_length(first, curvature, step_max, scratch)
+        if alpha == 1.0:
+            extrapolated = two
+        else:
+            extrapolated = _extrapolate(start, first, curvature, alpha,
+                                        em_map, out=scratch)
+            extrapolations += 1
+        three, extrapolated_model, parts = em_map(extrapolated)
+        iterations += 1
+        if alpha > 1.0 and not (em_map.log_likelihood(parts)
+                                >= em_map.log_likelihood(start_parts)
+                                - LIKELIHOOD_SLACK):
+            rejections += 1
+            step_max = max(1.0, step_max / STEP_FACTOR)
+            assignment = two
+        else:
+            if alpha == step_max:
+                step_max *= STEP_FACTOR
+            assignment = three
+            if alpha == 1.0:
+                delta = _max_abs(np.subtract(three, two, out=first))
+                if delta < tol:
+                    assignment, model = two, extrapolated_model
+                    break
+        if iterations == max_iter:
+            break
+    confusions, priors = model if model is not None else (
+        em_map.m_step(assignment), estimate_priors(assignment))
+    result = EMResult(assignment=assignment, confusions=confusions,
+                      priors=priors, n_iterations=iterations,
+                      converged=delta < tol)
+    return result, {"extrapolations": extrapolations,
+                    "rejections": rejections, "final_delta": delta}
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """``max |values|`` without an ``abs`` temporary (0.0 when empty)."""
+    if not values.size:
+        return 0.0
+    return float(max(values.max(), -values.min()))
+
+
+def _step_length(residual: np.ndarray, curvature: np.ndarray,
+                 step_max: float, scratch: np.ndarray) -> float:
+    """SqS3 step ``max(1, ‖r‖/‖v‖)``, capped at ``step_max``."""
+    residual_sq = float(np.multiply(residual, residual, out=scratch).sum())
+    curvature_sq = float(np.multiply(curvature, curvature,
+                                     out=scratch).sum())
+    if residual_sq == 0.0:
+        return 1.0
+    if curvature_sq == 0.0:
+        return step_max
+    return min(step_max, max(1.0, float(np.sqrt(residual_sq
+                                                 / curvature_sq))))
+
+
+def _extrapolate(start: np.ndarray, residual: np.ndarray,
+                 curvature: np.ndarray, alpha: float, em_map: EMMap,
+                 out: np.ndarray) -> np.ndarray:
+    """``U0 + 2α·r + α²·v`` projected back onto the row simplex.
+
+    Consumes ``curvature`` (it is scaled in place).
+    """
+    np.multiply(residual, 2.0 * alpha, out=out)
+    out += start
+    out += np.multiply(curvature, alpha * alpha, out=curvature)
+    out[out < FLUSH_BELOW] = 0.0
+    _divide_by_row_totals([out[:, label] for label in range(out.shape[1])])
+    return clamp_validated(out, em_map.validated_objects,
+                           em_map.validated_labels)
+
+
 def run_em(encoded: EncodedAnswers,
            initial_assignment: np.ndarray,
            validated_objects: np.ndarray | None = None,
@@ -1041,10 +1250,15 @@ def run_em(encoded: EncodedAnswers,
            max_iter: int = DEFAULT_MAX_ITER,
            tol: float = DEFAULT_TOL,
            smoothing: float = DEFAULT_SMOOTHING,
-           dtype: np.dtype | type | str = np.float64,
            kernel: ShardedKernel | None = None,
            telemetry=NULL_TELEMETRY) -> EMResult:
     """Run EM to convergence from an initial soft assignment.
+
+    The loop is :func:`squarem`: squared extrapolation over ``U`` with a
+    likelihood guard, which reaches the plain loop's fixed points in
+    far fewer E/M maps. ``tests/reference.py`` drives the same loop over
+    its ``np.add.at`` scatters, and keeps the plain loop as the
+    fixed-point oracle.
 
     Parameters
     ----------
@@ -1058,30 +1272,26 @@ def run_em(encoded: EncodedAnswers,
         Their rows are clamped to one-hot before every M-step, making the
         expert input ground truth for worker-reliability estimation.
     max_iter, tol, smoothing:
-        Iteration cap, convergence tolerance on ``max |ΔU|``, and M-step
-        pseudo-count.
-    dtype:
-        Output precision. The ``float64`` default is the bit-exact path;
-        ``float32`` halves the floating working set at float32 tolerance
-        (see :func:`m_step`), and assignment/confusion/prior outputs all
-        follow it.
+        Cap on E/M maps, convergence tolerance on ``max |ΔU|`` across one
+        map, and M-step pseudo-count.
     kernel:
         Opt-in shard-parallel M-step: a
         :class:`repro.parallel.sharded_kernel.ShardedKernel` built over
-        this same encoding (``float64`` only). The caller builds and
-        closes it. The shard reduction is deterministic and bit-for-bit
-        equal to the serial path (``tests/test_scale_kernel.py`` pins it).
+        this same encoding. The caller builds and closes it. The shard
+        reduction is deterministic and bit-for-bit equal to the serial
+        path (``tests/test_scale_kernel.py`` pins it).
     telemetry:
         A :class:`repro.telemetry.Telemetry` hub (or spawn scope). One
         ``em.run`` span wraps the whole call — never the inner E/M
-        loop — tagged with the dtype, parallelism, and final iteration
-        count / convergence delta. Disabled (the default) this costs a
+        loop — tagged with the parallelism, the map count, convergence,
+        the final ``max |ΔU|``, and how many extrapolations ran and how
+        many the guard rejected. Disabled (the default) this costs a
         handful of no-op calls.
 
     Returns
     -------
     EMResult
-        Final assignment, confusion matrices, priors, and iteration count.
+        Final assignment, confusion matrices, priors, and map count.
     """
     if validated_objects is None:
         validated_objects = np.empty(0, dtype=np.int64)
@@ -1089,52 +1299,31 @@ def run_em(encoded: EncodedAnswers,
         validated_labels = np.empty(0, dtype=np.int64)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    compute = np.dtype(dtype)
-    if kernel is not None:
-        if compute != np.float64:
-            raise ValueError("a ShardedKernel shards the float64 path; "
-                             f"got dtype={compute}")
-        if kernel.encoded is not encoded:
-            raise ValueError(
-                "the ShardedKernel was built for a different encoding")
+    if kernel is not None and kernel.encoded is not encoded:
+        raise ValueError(
+            "the ShardedKernel was built for a different encoding")
 
     def _m_step(current: np.ndarray) -> np.ndarray:
         if kernel is not None:
             return kernel.m_step(current, smoothing)
-        return m_step(encoded, current, smoothing, dtype=compute)
+        return m_step(encoded, current, smoothing)
 
+    em_map = EMMap(_m_step,
+                   lambda log_confusions: scatter_log_likelihood(
+                       encoded, log_confusions),
+                   validated_objects, validated_labels)
     # One span per EM call; the E/M inner loop stays instrumentation-free.
     with telemetry.span(
-            "em.run", dtype=compute.name, parallel=kernel is not None,
+            "em.run", parallel=kernel is not None,
             n_objects=encoded.n_objects, n_workers=encoded.n_workers,
             n_labels=encoded.n_labels, n_answers=encoded.n_answers,
             n_validated=int(validated_objects.size)) as span:
-        assignment = np.array(initial_assignment, dtype=compute, copy=True)
-        clamp_validated(assignment, validated_objects, validated_labels)
-
-        confusions = _m_step(assignment)
-        priors = estimate_priors(assignment)
-        converged = False
-        iterations = 0
-        delta = 0.0
-        for iterations in range(1, max_iter + 1):
-            new_assignment = e_step(encoded, confusions, priors,
-                                    dtype=compute)
-            clamp_validated(new_assignment, validated_objects,
-                            validated_labels)
-            delta = float(np.max(np.abs(new_assignment - assignment))) \
-                if assignment.size else 0.0
-            assignment = new_assignment
-            confusions = _m_step(assignment)
-            priors = estimate_priors(assignment)
-            if delta < tol:
-                converged = True
-                break
-        span.set("n_iterations", iterations)
-        span.set("converged", converged)
-        span.set("final_delta", delta)
+        result, tallies = squarem(em_map, initial_assignment,
+                                  max_iter=max_iter, tol=tol)
+        span.set("n_iterations", result.n_iterations)
+        span.set("converged", result.converged)
+        for name, value in tallies.items():
+            span.set(name, value)
     telemetry.counter("em.calls").inc()
-    telemetry.counter("em.iterations").inc(iterations)
-    return EMResult(assignment=assignment, confusions=confusions,
-                    priors=priors, n_iterations=iterations,
-                    converged=converged)
+    telemetry.counter("em.iterations").inc(result.n_iterations)
+    return result

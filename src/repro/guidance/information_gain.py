@@ -39,7 +39,7 @@ means the full answer set, not converged solves (see
 
 Each select reports its look-ahead as one ``guidance.lookahead`` span
 plus three counters: ``lookahead.solves`` (hypothetical i-EM runs),
-``lookahead.iterations`` (their E/M iterations) and
+``lookahead.iterations`` (their E/M maps) and
 ``lookahead.cap_hits`` (solves that stopped at ``lookahead_max_iter``
 without converging). Scorers return these tallies next to each score, so
 the counts are exact under any executor, process pools included.
@@ -236,20 +236,19 @@ class InformationGainStrategy(GuidanceStrategy):
     executor:
         Parallel map for candidate scoring (defaults to serial).
     lookahead_max_iter:
-        Iteration cap for look-ahead i-EM runs; it bounds the
-        per-selection latency. In practice the cap, not the tolerance,
-        ends almost every hypothetical solve: on the ``perfbench``
-        campaigns at seed 1, 850 of 869 ``guided-2k`` solves (21,665
-        iterations) and all 400 ``guided-20k-local`` solves stopped at
-        the default 25 without converging. The ``lookahead.cap_hits``
-        counter reports this per run.
+        Cap on E/M maps per look-ahead i-EM run; it bounds the
+        per-selection latency. With the accelerated ``run_em`` most
+        ``guided-2k`` solves converge under the default 25: on the
+        ``perfbench`` campaigns at seed 1, 157 of 891 solves (16,984
+        maps) stopped at the cap, and at a cap of 100 none of 955 did
+        (21,498 maps). All 400 ``guided-20k-local`` solves still stop
+        at 25. The ``lookahead.cap_hits`` counter reports this per run.
     lookahead:
         ``"exact"`` (default) runs each hypothetical solve over the full
         answer set through one shared encoding/plan — identical selections
         to the rebuild-per-conclude path, several times faster. "Exact"
-        refers to the answer set, not to convergence: the expected
-        entropy of Eq. 8 is taken over posteriors truncated at
-        ``lookahead_max_iter`` iterations, not over converged i-EM.
+        refers to the answer set, not to convergence: a solve that hits
+        ``lookahead_max_iter`` scores Eq. 8 on its truncated posterior.
         ``"local"`` additionally restricts each solve to the candidate's
         worker-neighborhood block (see :class:`_LocalizedLookahead`) — an
         approximation suited to large sparse answer sets where even the

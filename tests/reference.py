@@ -5,7 +5,10 @@ routine that is now only ever run through a faster path:
 
 * ``m_step``, ``scatter_log_likelihood``, ``e_step`` and ``run_em`` — the
   ``np.add.at`` EM scatters (paper Eq. 1 and Eq. 5). The kernel's sparse
-  incidence-operator products must equal them bit for bit.
+  incidence-operator products must equal them bit for bit. ``run_em``
+  drives the kernel's accelerated loop over these scatters.
+* ``run_plain_em`` — EM without extrapolation, one map per iteration: the
+  fixed-point oracle the accelerated loop is checked against.
 * ``block_subencoding`` — the ``O(A)`` ``np.isin`` scan that locates a
   block's answers; the kernel gathers them from CSR segments instead.
 * ``expected_posterior_entropy`` — Eq. 8 by one fresh, rebuild-everything
@@ -24,72 +27,83 @@ import numpy as np
 from repro.core.confusion import PROB_FLOOR, normalize_rows
 from repro.core.em_kernel import (DEFAULT_MAX_ITER, DEFAULT_SMOOTHING,
                                   DEFAULT_TOL, EMResult, EncodedAnswers,
-                                  clamp_validated, estimate_priors,
-                                  index_dtype, normalize_log_likelihood)
+                                  EMMap, clamp_validated, estimate_priors,
+                                  index_dtype, normalize_log_likelihood,
+                                  squarem)
 from repro.core.uncertainty import answer_set_uncertainty
 from repro.guidance.information_gain import DEFAULT_LABEL_FLOOR
 
 
-def m_step(encoded, assignment, smoothing=DEFAULT_SMOOTHING, *,
-           dtype=np.float64):
+def m_step(encoded, assignment, smoothing=DEFAULT_SMOOTHING):
     """Eq. 5 counts ``counts[w, :, l] += U[o, :]`` by ``np.add.at``."""
     k, m = encoded.n_workers, encoded.n_labels
-    out_dtype = np.dtype(dtype)
+    counts = np.zeros((k, m, m))
     if not encoded.n_answers:
-        return normalize_rows(np.zeros((k, m, m)),
-                              smoothing=smoothing).astype(out_dtype)
-    counts = np.zeros((k, m, m), dtype=out_dtype)
+        return normalize_rows(counts, smoothing=smoothing)
     rows = np.arange(m)
     flat_index = ((encoded.worker_index.astype(np.int64)[:, None] * m
                    + rows[None, :]) * m + encoded.label_index[:, None])
     np.add.at(counts.reshape(-1), flat_index.reshape(-1),
               np.ascontiguousarray(assignment[encoded.object_index, :],
-                                   dtype=out_dtype).reshape(-1))
+                                   dtype=np.float64).reshape(-1))
     return normalize_rows(counts, smoothing=smoothing)
 
 
-def scatter_log_likelihood(encoded, log_confusions, *, dtype=np.float64):
+def scatter_log_likelihood(encoded, log_confusions):
     """Rows ``Σ_answers log F_w(·, l)`` by ``np.add.at``."""
-    out_dtype = np.dtype(dtype)
-    log_like = np.zeros((encoded.n_objects, encoded.n_labels),
-                        dtype=out_dtype)
-    contributions = log_confusions[encoded.worker_index, :,
-                                   encoded.label_index]
+    log_like = np.zeros((encoded.n_objects, encoded.n_labels))
     np.add.at(log_like, encoded.object_index,
-              contributions.astype(out_dtype, copy=False))
+              log_confusions[encoded.worker_index, :, encoded.label_index])
     return log_like
 
 
-def e_step(encoded, confusions, priors, *, dtype=np.float64):
+def e_step(encoded, confusions, priors):
     """Eq. 1 over the ``np.add.at`` scatter."""
-    log_confusions = np.log(np.clip(confusions, PROB_FLOOR, None)).astype(
-        dtype, copy=False)
+    log_confusions = np.log(np.clip(confusions, PROB_FLOOR, None))
     log_priors = np.log(np.clip(priors, PROB_FLOOR, None))
     return normalize_log_likelihood(
-        scatter_log_likelihood(encoded, log_confusions, dtype=dtype),
-        log_priors)
+        scatter_log_likelihood(encoded, log_confusions), log_priors)
 
 
-def run_em(encoded, initial_assignment, validated_objects=None,
-           validated_labels=None, *, max_iter=DEFAULT_MAX_ITER,
-           tol=DEFAULT_TOL, smoothing=DEFAULT_SMOOTHING, dtype=np.float64):
-    """The kernel's EM loop (clamp, M, then E/clamp/M to tolerance)."""
+def _validated(validated_objects, validated_labels):
     if validated_objects is None:
         validated_objects = np.empty(0, dtype=np.int64)
     if validated_labels is None:
         validated_labels = np.empty(0, dtype=np.int64)
-    assignment = np.array(initial_assignment, dtype=dtype, copy=True)
+    return validated_objects, validated_labels
+
+
+def run_em(encoded, initial_assignment, validated_objects=None,
+           validated_labels=None, *, max_iter=DEFAULT_MAX_ITER,
+           tol=DEFAULT_TOL, smoothing=DEFAULT_SMOOTHING):
+    """The kernel's accelerated loop (``em_kernel.squarem``) over the
+    ``np.add.at`` maps."""
+    em_map = EMMap(lambda assignment: m_step(encoded, assignment, smoothing),
+                   lambda log_confusions: scatter_log_likelihood(
+                       encoded, log_confusions),
+                   *_validated(validated_objects, validated_labels))
+    return squarem(em_map, initial_assignment, max_iter=max_iter, tol=tol)[0]
+
+
+def run_plain_em(encoded, initial_assignment, validated_objects=None,
+                 validated_labels=None, *, max_iter=DEFAULT_MAX_ITER,
+                 tol=DEFAULT_TOL, smoothing=DEFAULT_SMOOTHING):
+    """Plain EM (clamp, M, then E/clamp/M to tolerance): the fixed-point
+    oracle for the accelerated loop."""
+    validated_objects, validated_labels = _validated(validated_objects,
+                                                     validated_labels)
+    assignment = np.array(initial_assignment, dtype=np.float64, copy=True)
     clamp_validated(assignment, validated_objects, validated_labels)
-    confusions = m_step(encoded, assignment, smoothing, dtype=dtype)
+    confusions = m_step(encoded, assignment, smoothing)
     priors = estimate_priors(assignment)
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
-        updated = e_step(encoded, confusions, priors, dtype=dtype)
+        updated = e_step(encoded, confusions, priors)
         clamp_validated(updated, validated_objects, validated_labels)
         delta = float(np.max(np.abs(updated - assignment))) \
             if assignment.size else 0.0
         assignment = updated
-        confusions = m_step(encoded, assignment, smoothing, dtype=dtype)
+        confusions = m_step(encoded, assignment, smoothing)
         priors = estimate_priors(assignment)
         if delta < tol:
             converged = True

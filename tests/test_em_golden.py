@@ -27,48 +27,49 @@ import reference
 ATOL = 1e-9
 
 TABLE1_ASSIGNMENT = np.array([
-    [9.708779098775e-07, 9.999980486307e-01, 9.708815068843e-07,
-     9.609897812329e-09],
-    [9.610794248965e-09, 9.709030195454e-07, 9.999990098763e-01,
-     9.609869892660e-09],
-    [9.609841175899e-09, 9.609838836849e-09, 9.609843611583e-09,
-     9.999999711705e-01],
-    [9.999990099060e-01, 9.708733607868e-07, 9.610806836958e-09,
-     9.609868558767e-09],
+    [9.715361685281e-07, 9.999980355173e-01,
+     9.833303353722e-07, 9.616221266478e-09],
+    [9.615204461496e-09, 1.071125557217e-06,
+     9.999989096450e-01, 9.614235479101e-09],
+    [9.612305201938e-09, 9.601867931862e-09,
+     9.617838243890e-09, 9.999999711680e-01],
+    [9.999990106552e-01, 9.700788053438e-07,
+     9.656008255627e-09, 9.609948679880e-09],
 ])
 
-TABLE1_PRIORS = np.array([0.25, 0.25, 0.25, 0.25])
+TABLE1_PRIORS = np.array([0.250000000354729, 0.250000021580876,
+                          0.249999978062296, 0.250000000002099])
 
 TABLE1_CONFUSION_W0 = np.array([
-    [0.009615393855575, 0.009616318151795, 0.009615393856491,
-     0.971152894136139],
-    [0.009615393855458, 0.971151969821412, 0.009616318175824,
-     0.009616318147306],
-    [0.009615393855818, 0.009616318155494, 0.971152894131944,
-     0.009615393856744],
-    [0.971153818433045, 0.009615393855670, 0.009615393855643,
+    [0.009615393844867, 0.009616318771657, 0.009615393847655,
+     0.971152893535821],
+    [0.009615393049840, 0.971151876619270, 0.009616413745610,
+     0.009616316585280],
+    [0.009615394674612, 0.009616330936708, 0.971152879677365,
+     0.009615394711314],
+    [0.971153818422920, 0.009615393861674, 0.009615393859764,
      0.009615393855642],
 ])
 
 SPARSE_BINARY_ASSIGNMENT = np.array([
-    [9.799053840406987e-01, 2.009461595930127e-02],
-    [5.009694520831870e-03, 9.949903054791681e-01],
-    [9.899989239602157e-01, 1.000107603978426e-02],
-    [9.920082417849470e-05, 9.999007991758215e-01],
-    [9.998992377852772e-01, 1.007622147228228e-04],
+    [9.800752129396407e-01, 1.992478706035932e-02],
+    [5.114816567152488e-03, 9.948851834328476e-01],
+    [9.900879375410101e-01, 9.912062458989800e-03],
+    [1.012305625008490e-04, 9.998987694374991e-01],
+    [9.999000355255346e-01, 9.996447446532777e-05],
 ])
 
-SPARSE_BINARY_PRIORS = np.array([0.59498248822624, 0.40501751177376])
+SPARSE_BINARY_PRIORS = np.array([0.59505584662717, 0.40494415337283])
 
 SPARSE_BINARY_CONFUSIONS = np.array([
-    [[0.994955146221469, 0.005044853778531],
-     [0.019655126275396, 0.980344873724604]],
-    [[0.664428046483573, 0.335571953516427],
-     [0.503692945997688, 0.496307054002312]],
-    [[0.503712119817660, 0.496287880182340],
-     [0.004963308586612, 0.995036691413388]],
-    [[0.990051105279545, 0.009948894720455],
-     [0.501257000839764, 0.498742999160236]],
+    [[0.994919990443187, 0.005080009556813],
+     [0.019531671336748, 0.980468328663252]],
+    [[0.664404325650871, 0.335595674349129],
+     [0.503698860823839, 0.496301139176161]],
+    [[0.503642738597643, 0.496357261402357],
+     [0.004963594097371, 0.995036405902629]],
+    [[0.990051028347163, 0.009948971652837],
+     [0.501209681951575, 0.498790318048425]],
 ])
 
 
@@ -84,7 +85,7 @@ def test_table1_majority_init_is_pinned(table1_answer_set):
     weights = np.arange(result.confusions.size).reshape(
         result.confusions.shape)
     assert np.isclose((result.confusions * weights).sum(),
-                      789.0384615384855, atol=1e-7)
+                      789.0384616208962, atol=1e-7)
     assert result.map_labels().tolist() == [1, 2, 3, 0]
 
 
@@ -99,7 +100,7 @@ def test_sparse_binary_majority_init_is_pinned():
     ])
     answers = AnswerSet(matrix, labels=("T", "F"))
     result = DawidSkeneEM(init="majority").fit(answers)
-    assert result.n_em_iterations == 28
+    assert result.n_em_iterations == 14
     assert np.allclose(result.assignment, SPARSE_BINARY_ASSIGNMENT, atol=ATOL)
     assert np.allclose(result.priors, SPARSE_BINARY_PRIORS, atol=ATOL)
     assert np.allclose(result.confusions, SPARSE_BINARY_CONFUSIONS, atol=ATOL)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,11 @@ from hypothesis import strategies as st
 
 from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
+from repro.core.confusion import PROB_FLOOR
+from repro.simulation.crowd import CrowdConfig, simulate_crowd
+from repro.telemetry import Telemetry
+
+import reference
 
 
 def encode(matrix, n_labels=2):
@@ -23,6 +30,23 @@ class TestEncoding:
         assert encoded.object_index.tolist() == [0, 1, 1]
         assert encoded.worker_index.tolist() == [0, 0, 1]
         assert encoded.label_index.tolist() == [0, 1, 1]
+
+    def test_encoding_is_memoized_on_the_answer_set(self):
+        answers = AnswerSet(np.array([[0, 1, MISSING], [1, MISSING, 0]]),
+                            ("a", "b"))
+        pickled = pickle.dumps(answers)
+        first = em_kernel.encode_answers(answers)
+        assert em_kernel.encode_answers(answers) is first
+        fresh = em_kernel.encode_answers(AnswerSet(answers.matrix, ("a", "b")))
+        assert fresh is not first
+        for name in ("object_index", "worker_index", "label_index"):
+            ours, theirs = getattr(first, name), getattr(fresh, name)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+        # The memo (and the plan cached on it) is never pickled.
+        em_kernel.kernel_plan(first)
+        assert pickle.dumps(answers) == pickled
+        assert pickle.loads(pickled) == answers
 
     def test_empty_matrix(self):
         encoded = encode(np.full((2, 2), MISSING))
@@ -181,3 +205,104 @@ def test_property_clamped_objects_survive_any_run(n, seed):
         encoded, em_kernel.initial_assignment_majority(encoded),
         validated_objects=np.array([obj]), validated_labels=np.array([label]))
     assert result.assignment[obj, label] == 1.0
+
+
+# ----------------------------------------------------------------------
+# The accelerated loop against the plain fixed-point oracle
+# ----------------------------------------------------------------------
+def simulated_encoding(seed, n=200, k=15, m=3, reliability=0.7,
+                       answers_per_object=4):
+    crowd = simulate_crowd(CrowdConfig(
+        n_objects=n, n_workers=k, n_labels=m, reliability=reliability,
+        answers_per_object=answers_per_object), rng=seed)
+    return em_kernel.encode_answers(crowd.answer_set)
+
+
+class TestAcceleratedLoop:
+    #: Stated bound on the L∞ distance between the accelerated and the
+    #: plain loop's fixed points, both solved to tol 1e-10 (observed
+    #: ≤ 2.4e-8 on simulated crowds from the majority start).
+    FIXED_POINT_BOUND = 1e-6
+
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        k=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_converged_result_is_a_fixed_point(self, n, k, m, seed):
+        """One more plain map moves a converged U by less than tol."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(-1, m, size=(n, k))
+        encoded = em_kernel.encode_answers(
+            AnswerSet(matrix, tuple(f"l{i}" for i in range(m))))
+        validated = np.flatnonzero(rng.random(n) < 0.3)
+        labels = rng.integers(0, m, size=validated.size)
+        result = em_kernel.run_em(
+            encoded, rng.dirichlet(np.ones(m), size=n), validated, labels)
+        if not result.converged:
+            return
+        step = em_kernel.clamp_validated(
+            em_kernel.e_step(encoded, result.confusions, result.priors),
+            validated, labels)
+        assert np.abs(step - result.assignment).max() < em_kernel.DEFAULT_TOL
+
+    @pytest.mark.parametrize("seed,m,reliability", [
+        (1, 2, 0.6), (2, 3, 0.7), (3, 4, 0.55), (4, 3, 0.8), (5, 4, 0.65)])
+    def test_reaches_the_plain_fixed_point(self, seed, m, reliability):
+        encoded = simulated_encoding(seed, m=m, reliability=reliability)
+        initial = em_kernel.initial_assignment_majority(encoded)
+        validated = np.array([0, 7, 19])
+        labels = np.array([1, 0, m - 1])
+        options = dict(tol=1e-10, max_iter=20_000)
+        accelerated = em_kernel.run_em(encoded, initial, validated, labels,
+                                       **options)
+        plain = reference.run_plain_em(encoded, initial, validated, labels,
+                                       **options)
+        assert accelerated.converged and plain.converged
+        assert accelerated.n_iterations < plain.n_iterations
+        np.testing.assert_array_equal(accelerated.assignment.argmax(axis=1),
+                                      plain.assignment.argmax(axis=1))
+        assert np.abs(accelerated.assignment
+                      - plain.assignment).max() <= self.FIXED_POINT_BOUND
+
+    def test_pinned_boundary_instance(self):
+        """One worker answers (1, 0) and object 0 is validated as 1: the
+        fixed point puts label 0's prior at the floor. The accelerated
+        loop gets there in 13 maps; the plain loop needs 174."""
+        encoded = encode(np.array([[1], [0]]))
+        initial = em_kernel.initial_assignment_majority(encoded)
+        validated, labels = np.array([0]), np.array([1])
+        accelerated = em_kernel.run_em(encoded, initial, validated, labels)
+        plain = reference.run_plain_em(encoded, initial, validated, labels,
+                                       tol=1e-12, max_iter=1000)
+        assert (accelerated.n_iterations, plain.n_iterations) == (13, 174)
+        assert accelerated.converged and plain.converged
+        for result in (accelerated, plain):
+            assert result.priors[0] == pytest.approx(PROB_FLOOR, rel=1e-3)
+            assert result.assignment[1, 0] == pytest.approx(PROB_FLOOR,
+                                                            rel=1e-3)
+        assert np.abs(accelerated.assignment
+                      - plain.assignment).max() <= 1e-15
+
+    def test_likelihood_guard_rejects_an_overshoot(self):
+        """From a peaked random start on this crowd, one extrapolation
+        loses more than a nat and is rejected; the solve still reaches
+        the plain loop's fixed point."""
+        encoded = simulated_encoding(4, n=300, k=10, m=2, reliability=0.5)
+        initial = np.random.default_rng(4).dirichlet(np.full(2, 0.3),
+                                                     size=300)
+        hub = Telemetry()
+        result = em_kernel.run_em(encoded, initial, telemetry=hub)
+        (span,) = [r for r in hub.tracer.records if r.name == "em.run"]
+        assert span.attrs["rejections"] >= 1
+        assert span.attrs["extrapolations"] > span.attrs["rejections"]
+        assert span.attrs["n_iterations"] == result.n_iterations
+        assert result.converged
+        scattered = reference.run_em(encoded, initial)
+        assert np.array_equal(result.assignment, scattered.assignment)
+        plain = reference.run_plain_em(encoded, initial, tol=1e-10,
+                                       max_iter=20_000)
+        np.testing.assert_array_equal(result.assignment.argmax(axis=1),
+                                      plain.assignment.argmax(axis=1))

@@ -1,7 +1,6 @@
 """The scale-tier kernel contracts: width-adaptive index dtypes, the
 shared CSR views, the sparse incidence operators, geometric log growth,
-the float32 accumulation path, and bit-equality of the shard-parallel
-M-step.
+and bit-equality of the shard-parallel M-step.
 
 These are the regression tripwires behind ``benchmarks/test_scale_tiers``:
 the benchmarks assert throughput and memory, this file pins the
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
-from repro.core.confusion import PROB_FLOOR
 from repro.core.em_kernel import INT32_BOUND, AnswerStats, index_dtype
 from repro.errors import InvalidAnswerSetError
 from repro.parallel import Executor, ShardedKernel
@@ -290,51 +288,6 @@ class TestAnswerStatsGrowth:
 
 
 # ----------------------------------------------------------------------
-# float32 accumulation path
-# ----------------------------------------------------------------------
-class TestFloat32Path:
-    def test_m_step_float32_close_to_float64(self):
-        encoded, assignment = random_encoding(8)
-        f64 = em_kernel.m_step(encoded, assignment, 0.01)
-        f32 = em_kernel.m_step(encoded, assignment.astype(np.float32),
-                               0.01, dtype=np.float32)
-        assert f32.dtype == np.float32
-        np.testing.assert_allclose(f32, f64, rtol=1e-5, atol=1e-6)
-
-    def test_m_step_float32_plan_matches_reference(self):
-        encoded, assignment = random_encoding(9)
-        assignment = assignment.astype(np.float32)
-        planned = em_kernel.m_step(encoded, assignment, 0.01,
-                                   dtype=np.float32)
-        scattered = reference.m_step(encoded, assignment, 0.01,
-                                     dtype=np.float32)
-        np.testing.assert_allclose(planned, scattered, rtol=1e-6)
-
-    def test_run_em_float32_end_to_end(self):
-        encoded, assignment = random_encoding(10)
-        f64 = em_kernel.run_em(encoded, assignment,
-                               np.array([0, 1]), np.array([1, 0]))
-        f32 = em_kernel.run_em(encoded, assignment,
-                               np.array([0, 1]), np.array([1, 0]),
-                               dtype=np.float32)
-        assert f32.assignment.dtype == np.float32
-        assert f32.confusions.dtype == np.float32
-        np.testing.assert_allclose(f32.assignment, f64.assignment,
-                                   rtol=5e-3, atol=5e-3)
-        agree = np.argmax(f32.assignment, 1) == np.argmax(f64.assignment, 1)
-        assert agree.mean() >= 0.95
-
-    def test_empty_encoding_float32(self):
-        labels = ("a", "b")
-        encoded = em_kernel.encode_answers(
-            AnswerSet(np.full((3, 2), MISSING), labels))
-        counts = em_kernel.m_step(encoded, np.full((3, 2), 0.5), 0.01,
-                                  dtype=np.float32)
-        assert counts.dtype == np.float32
-        assert counts.shape == (2, 2, 2)
-
-
-# ----------------------------------------------------------------------
 # Incidence operators: bit-for-bit the np.add.at reference
 # ----------------------------------------------------------------------
 @st.composite
@@ -354,49 +307,6 @@ def answer_instances(draw):
         matrix[:, rng.integers(k)] = MISSING
     answer_set = AnswerSet(matrix, tuple(f"l{i}" for i in range(m)))
     return answer_set, rng.dirichlet(np.ones(m), size=n), rng
-
-
-def _flat_gathers(encoded):
-    """The retired plan's ``(m, A)`` confusion and assignment gathers."""
-    m = encoded.n_labels
-    rows = np.arange(m, dtype=np.int64)[:, None]
-    wi = encoded.worker_index.astype(np.int64)[None, :]
-    li = encoded.label_index.astype(np.int64)[None, :]
-    oi = encoded.object_index.astype(np.int64)[None, :]
-    return (wi * m + rows) * m + li, oi * m + rows
-
-
-def bincount_float32_m_step(encoded, assignment, smoothing):
-    """Replica of the retired float32 bincount M-step (per-row loop)."""
-    k, m = encoded.n_workers, encoded.n_labels
-    conf_gather, assign_gather = _flat_gathers(encoded)
-    flat = np.ascontiguousarray(assignment, dtype=np.float32).reshape(-1)
-    counts = np.empty((k, m, m), dtype=np.float32)
-    for row in range(m):
-        row_counts = np.bincount(conf_gather[row],
-                                 weights=flat[assign_gather[row]],
-                                 minlength=k * m * m).reshape(k, m, m)
-        counts[:, row, :] = row_counts[:, row, :]
-    smoothed = counts + np.float32(smoothing)
-    return smoothed / smoothed.sum(axis=-1, keepdims=True)
-
-
-def bincount_float32_e_step(encoded, confusions, priors):
-    """Replica of the retired float32 bincount E-step (per-label loop)."""
-    n, m = encoded.n_objects, encoded.n_labels
-    conf_gather, _ = _flat_gathers(encoded)
-    flat = np.log(np.clip(confusions, PROB_FLOOR, None)).astype(
-        np.float32).reshape(-1)
-    log_like = np.empty((n, m), dtype=np.float32)
-    for label in range(m):
-        log_like[:, label] = np.bincount(
-            encoded.object_index, weights=flat[conf_gather[label]],
-            minlength=n)
-    log_like += np.log(np.clip(priors, PROB_FLOOR, None))[None, :]
-    log_like -= log_like.max(axis=1, keepdims=True)
-    assignment = np.exp(log_like)
-    assignment /= assignment.sum(axis=1, keepdims=True)
-    return assignment
 
 
 class TestOperatorPathBitEquality:
@@ -438,22 +348,6 @@ class TestOperatorPathBitEquality:
         assert_bits_equal(planned.priors, scattered.priors)
         assert planned.n_iterations == scattered.n_iterations
         assert planned.converged == scattered.converged
-
-    @given(answer_instances())
-    @settings(max_examples=40, deadline=None)
-    def test_float32_bit_equal_bincount_replica(self, instance):
-        answer_set, assignment, _ = instance
-        encoded = em_kernel.encode_answers(answer_set)
-        if not encoded.n_answers:
-            return  # both paths short-circuit before any scatter
-        confusions = em_kernel.m_step(encoded, assignment, 0.01,
-                                      dtype=np.float32)
-        assert_bits_equal(
-            confusions, bincount_float32_m_step(encoded, assignment, 0.01))
-        priors = em_kernel.estimate_priors(assignment)
-        assert_bits_equal(
-            em_kernel.e_step(encoded, confusions, priors, dtype=np.float32),
-            bincount_float32_e_step(encoded, confusions, priors))
 
     @given(answer_instances(), st.integers(min_value=1, max_value=6))
     @settings(max_examples=30, deadline=None)
@@ -539,13 +433,6 @@ class TestShardedKernelBitEquality:
 
 
 class TestRunEmParallelValidation:
-    def test_requires_float64(self):
-        encoded, assignment = random_encoding(13)
-        with ShardedKernel(encoded, Executor("serial")) as kernel:
-            with pytest.raises(ValueError, match="float64"):
-                em_kernel.run_em(encoded, assignment, dtype=np.float32,
-                                 kernel=kernel)
-
     def test_rejects_foreign_encoding_kernel(self):
         encoded, assignment = random_encoding(14)
         other, _ = random_encoding(15)
