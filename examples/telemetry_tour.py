@@ -6,8 +6,8 @@ A guided walkthrough of ``repro.telemetry`` across the stack:
    ``session.conclude`` spans, counters, and latency histogram fill in;
 2. prove the instrumentation never touches the floats — the same
    session run with the default null hub lands bit-identical;
-3. spawn labelled scopes and see retries forward degradation events
-   into the shared timeline;
+3. spawn labelled scopes and see a retry's degradation events land on
+   the shared timeline;
 4. round-trip the raw trace through JSONL and render the aggregated
    run manifest.
 
@@ -88,8 +88,9 @@ def main() -> None:
         print(f"  [{event.scope}] {event.kind} at {event.site} "
               f"(attempt {event.attempt})")
     retries = registry.counter("tour/resilience.retry").value
-    print(f"  tour/resilience.retry = {retries}  (EventLog forwards "
-          f"into the hub)")
+    shared = log.events[0] is hub.events[0]
+    print(f"  tour/resilience.retry = {retries}  (the EventLog keeps the "
+          f"timeline's own entries: {shared})")
 
     print("\n=== 4. JSONL trace and the run manifest ===")
     with tempfile.TemporaryDirectory() as tmp:

@@ -34,7 +34,6 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -43,9 +42,6 @@ from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.confusion import PROB_FLOOR, normalize_rows
 from repro.errors import InvalidAnswerSetError
 from repro.telemetry import NULL_TELEMETRY
-
-if TYPE_CHECKING:
-    from repro.parallel.sharded_kernel import ShardedKernel
 
 #: Default Laplace-style smoothing added to confusion counts in the M-step.
 DEFAULT_SMOOTHING = 0.01
@@ -928,28 +924,18 @@ def m_step(encoded: EncodedAnswers,
     ``F_w(l', l) ∝ Σ_o U(o, l') · d_w(o, l)``, row-normalized with
     ``smoothing`` pseudo-counts; rows with no evidence become uniform.
     The counts are one sparse product, ``cell_incidence @ U``, with the
-    encoding's memoized :func:`kernel_plan`.
+    encoding's memoized :func:`kernel_plan`. The product is laid out
+    ``[w·m + l, r]``; transposing it into a C-contiguous ``(k, m, m)``
+    stack ``counts[w, r, l]`` restores the memory layout an ``np.add.at``
+    scatter would normalize, so the row sums add in the same order.
     """
     k, m = encoded.n_workers, encoded.n_labels
     if not encoded.n_answers:
         return normalize_rows(np.zeros((k, m, m)), smoothing=smoothing)
     cell_counts = kernel_plan(encoded).cell_incidence @ np.ascontiguousarray(
         assignment, dtype=np.float64)
-    return confusions_from_cell_counts(cell_counts, smoothing)
-
-
-def confusions_from_cell_counts(cell_counts: np.ndarray,
-                                smoothing: float) -> np.ndarray:
-    """Row-normalize ``cell_incidence @ U`` into confusion matrices (Eq. 5).
-
-    The product is laid out ``[w·m + l, r]``; transposing it into a
-    C-contiguous ``(k, m, m)`` stack ``counts[w, r, l]`` restores the
-    memory layout an ``np.add.at`` scatter would normalize, so the row
-    sums add in the same order.
-    """
-    m = cell_counts.shape[1]
     counts = np.ascontiguousarray(
-        cell_counts.reshape(-1, m, m).transpose(0, 2, 1))
+        cell_counts.reshape(k, m, m).transpose(0, 2, 1))
     if smoothing > 0:
         # Inline the normalize_rows smoothed branch: counts are sums of
         # non-negative probabilities and smoothing makes every row total
@@ -1250,7 +1236,6 @@ def run_em(encoded: EncodedAnswers,
            max_iter: int = DEFAULT_MAX_ITER,
            tol: float = DEFAULT_TOL,
            smoothing: float = DEFAULT_SMOOTHING,
-           kernel: ShardedKernel | None = None,
            telemetry=NULL_TELEMETRY) -> EMResult:
     """Run EM to convergence from an initial soft assignment.
 
@@ -1274,16 +1259,10 @@ def run_em(encoded: EncodedAnswers,
     max_iter, tol, smoothing:
         Cap on E/M maps, convergence tolerance on ``max |ΔU|`` across one
         map, and M-step pseudo-count.
-    kernel:
-        Opt-in shard-parallel M-step: a
-        :class:`repro.parallel.sharded_kernel.ShardedKernel` built over
-        this same encoding. The caller builds and closes it. The shard
-        reduction is deterministic and bit-for-bit equal to the serial
-        path (``tests/test_scale_kernel.py`` pins it).
     telemetry:
         A :class:`repro.telemetry.Telemetry` hub (or spawn scope). One
         ``em.run`` span wraps the whole call — never the inner E/M
-        loop — tagged with the parallelism, the map count, convergence,
+        loop — tagged with the problem size, the map count, convergence,
         the final ``max |ΔU|``, and how many extrapolations ran and how
         many the guard rejected. Disabled (the default) this costs a
         handful of no-op calls.
@@ -1299,23 +1278,14 @@ def run_em(encoded: EncodedAnswers,
         validated_labels = np.empty(0, dtype=np.int64)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if kernel is not None and kernel.encoded is not encoded:
-        raise ValueError(
-            "the ShardedKernel was built for a different encoding")
 
-    def _m_step(current: np.ndarray) -> np.ndarray:
-        if kernel is not None:
-            return kernel.m_step(current, smoothing)
-        return m_step(encoded, current, smoothing)
-
-    em_map = EMMap(_m_step,
+    em_map = EMMap(lambda assignment: m_step(encoded, assignment, smoothing),
                    lambda log_confusions: scatter_log_likelihood(
                        encoded, log_confusions),
                    validated_objects, validated_labels)
     # One span per EM call; the E/M inner loop stays instrumentation-free.
     with telemetry.span(
-            "em.run", parallel=kernel is not None,
-            n_objects=encoded.n_objects, n_workers=encoded.n_workers,
+            "em.run", n_objects=encoded.n_objects, n_workers=encoded.n_workers,
             n_labels=encoded.n_labels, n_answers=encoded.n_answers,
             n_validated=int(validated_objects.size)) as span:
         result, tallies = squarem(em_map, initial_assignment,

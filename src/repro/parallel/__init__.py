@@ -1,6 +1,5 @@
 """Serial/threaded/multiprocess map used by the guidance strategies."""
 
 from repro.parallel.executor import MODES, Executor, default_worker_count
-from repro.parallel.sharded_kernel import ShardedKernel
 
-__all__ = ["MODES", "Executor", "ShardedKernel", "default_worker_count"]
+__all__ = ["MODES", "Executor", "default_worker_count"]

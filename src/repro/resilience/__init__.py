@@ -5,16 +5,18 @@ run as a long-lived service: deterministic seed-driven chaos
 (:class:`FaultPlan` / :class:`FaultInjector`), classified retries with
 deadlines (:class:`RetryPolicy` / :func:`call_with_retry`), supervised
 parallel execution with shard quarantine (:class:`SupervisedExecutor`),
-and a typed audit trail of every degradation (:class:`EventLog`).
+and an audit trail of every degradation (:class:`EventLog`, whose
+entries are the telemetry timeline's
+:class:`~repro.telemetry.TimelineEvent` records).
 
 The conformance contract: replaying a scenario under a *transient-only*
 fault plan must produce a final posterior bit-equal to the fault-free
 replay (L∞ = 0.0), while unmaskable failures surface as recorded
-:class:`DegradationEvent`\\ s — quarantine, fallback-to-exact,
-checkpoint scan-back — never as silent divergence.
+events — quarantine, fallback-to-exact, checkpoint scan-back — never as
+silent divergence.
 """
 
-from repro.resilience.events import EVENT_KINDS, DegradationEvent, EventLog
+from repro.resilience.events import EVENT_KINDS, EventLog
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -38,7 +40,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_QUARANTINED",
-    "DegradationEvent",
     "EventLog",
     "FaultInjector",
     "FaultPlan",

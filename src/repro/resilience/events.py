@@ -1,12 +1,14 @@
-"""Typed degradation events: the audit trail of supervised execution.
+"""The degradation log: the audit trail of supervised execution.
 
 Every time the resilience layer masks, retries, or routes around a fault
-— instead of letting it surface as an exception — it records a
-:class:`DegradationEvent`. The contract of the chaos conformance suite is
-precisely this split: *transient* faults are invisible in results (final
-posteriors stay bit-equal) but visible in the event log, while failures
-that force a degradation (shard quarantine, checkpoint scan-back,
-fallback to the exact path) appear as events **instead of** exceptions.
+— instead of letting it surface as an exception — it records an event
+into an :class:`EventLog`. The record is the telemetry timeline's own
+:class:`~repro.telemetry.TimelineEvent`; there is no second event type.
+The contract of the chaos conformance suite is precisely this split:
+*transient* faults are invisible in results (final posteriors stay
+bit-equal) but visible in the event log, while failures that force a
+degradation (shard quarantine, checkpoint scan-back, fallback to the
+exact path) appear as events **instead of** exceptions.
 
 The log is deliberately simple — an append-only in-process list with a
 JSON projection — so it can be attached to any layer (executor, store,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, TimelineEvent
 
 #: Event kinds the library itself records. Callers may record others;
 #: these are the vocabulary the conformance suite asserts over.
@@ -33,50 +35,6 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class DegradationEvent:
-    """One recorded degradation.
-
-    Attributes
-    ----------
-    kind:
-        What happened (see :data:`EVENT_KINDS`).
-    site:
-        The named injection/supervision site (``"shard.refresh"``,
-        ``"filestore.checkpoint-write"``, ``"expert.validate"``, …).
-    key:
-        The affected unit within the site — a shard/block index, an
-        object index, a checkpoint id — or ``None`` for site-wide events.
-    attempt:
-        1-based attempt number at which the event fired (0 when the
-        notion does not apply).
-    detail:
-        Free-form human-readable context.
-    error:
-        ``repr``-style rendering of the underlying exception, if any.
-    queue_wait:
-        Seconds the failing task sat between dispatch and the worker
-        actually starting it (``None`` when the recording layer has no
-        worker-side timing — only the supervised executor does). Splits
-        "the pool was saturated" from "the task itself was slow".
-    run_time:
-        Worker-side wall-clock seconds of the failing attempt itself
-        (``None`` when unknown).
-    """
-
-    kind: str
-    site: str
-    key: int | str | None = None
-    attempt: int = 0
-    detail: str = ""
-    error: str | None = None
-    queue_wait: float | None = None
-    run_time: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass
 class EventLog:
     """Append-only recorder shared across the resilience layers.
@@ -85,43 +43,38 @@ class EventLog:
     (executor + store + expert), so the resulting sequence is the run's
     complete degradation history in causal order.
 
-    When a ``telemetry`` hub is attached, every recorded event is also
-    forwarded to the hub's timeline (same kind/site/key/attempt/detail/
-    error fields) and counted on a ``resilience.<kind>`` counter — so
-    chaos, retries, and quarantine share one timeline with the spans and
-    metrics, while this log stays the canonical chaos-artifact source.
+    Each entry is a :class:`~repro.telemetry.TimelineEvent`. With a
+    ``telemetry`` hub attached, :meth:`record` keeps the very object the
+    hub appended to its timeline — so chaos, retries and quarantine share
+    one timeline with the spans and metrics — and counts it on a
+    ``resilience.<kind>`` counter. Without one, the log builds the entry
+    itself. The log stays the canonical chaos-artifact source.
     """
 
-    _events: list[DegradationEvent] = field(default_factory=list)
+    _events: list[TimelineEvent] = field(default_factory=list)
     telemetry: object = NULL_TELEMETRY
 
     def record(self, kind: str, site: str, *,
-               key: int | str | None = None,
-               attempt: int = 0,
-               detail: str = "",
                error: BaseException | str | None = None,
-               queue_wait: float | None = None,
-               run_time: float | None = None) -> DegradationEvent:
-        """Append one event (exceptions are rendered to strings)."""
-        rendered = None
-        if error is not None:
-            rendered = error if isinstance(error, str) \
-                else f"{type(error).__name__}: {error}"
-        event = DegradationEvent(kind=kind, site=site, key=key,
-                                 attempt=attempt, detail=detail,
-                                 error=rendered, queue_wait=queue_wait,
-                                 run_time=run_time)
+               **fields) -> TimelineEvent:
+        """Append one event; ``fields`` are the :class:`TimelineEvent`
+        attributes ``key``, ``attempt``, ``detail``, ``queue_wait`` and
+        ``run_time``, and an exception ``error`` is rendered to
+        ``"Type: message"``."""
+        if error is not None and not isinstance(error, str):
+            error = f"{type(error).__name__}: {error}"
+        event = self.telemetry.event(kind, site, error=error, **fields)
+        if event is None:  # the null hub keeps no timeline
+            event = TimelineEvent(kind, site, error=error, **fields)
         self._events.append(event)
-        self.telemetry.event(kind, site, key=key, attempt=attempt,
-                             detail=detail, error=rendered)
         self.telemetry.counter(f"resilience.{kind}").inc()
         return event
 
     @property
-    def events(self) -> tuple[DegradationEvent, ...]:
+    def events(self) -> tuple[TimelineEvent, ...]:
         return tuple(self._events)
 
-    def of_kind(self, *kinds: str) -> tuple[DegradationEvent, ...]:
+    def of_kind(self, *kinds: str) -> tuple[TimelineEvent, ...]:
         """Events whose kind is one of ``kinds``, in record order."""
         return tuple(e for e in self._events if e.kind in kinds)
 
@@ -132,8 +85,14 @@ class EventLog:
         return len(self.of_kind(*kinds))
 
     def to_json(self) -> list[dict]:
-        """The whole log as JSON-serializable dicts (the CI artifact)."""
-        return [event.to_dict() for event in self._events]
+        """The whole log as JSON-serializable dicts (the CI artifact).
+
+        Each dict holds every field of the event except the hub's
+        ``time`` and ``scope``, so two replays of one seed compare equal.
+        """
+        return [{name: value for name, value in asdict(event).items()
+                 if name not in ("time", "scope")}
+                for event in self._events]
 
     def __len__(self) -> int:
         return len(self._events)

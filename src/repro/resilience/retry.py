@@ -130,7 +130,8 @@ def call_with_retry(fn: Callable[[], object],
     event_log:
         Optional :class:`~repro.resilience.EventLog`; absorbed failures
         are recorded as ``"retry"``/``"deadline"`` events, terminal ones
-        as ``"retry-exhausted"``/``"permanent-failure"``.
+        as ``"retry-exhausted"``/``"permanent-failure"``. They reach a
+        timeline through the log's own hub, not through ``telemetry``.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub. The whole call
         runs inside a ``retry.call`` span carrying ``site``/``key`` and,

@@ -13,8 +13,8 @@ fleet:
   that exceeds it is **quarantined** — skipped by subsequent runs until
   :meth:`SupervisedExecutor.lift_quarantine` — so one poisoned block
   cannot stall every refresh;
-* every degradation is recorded as a typed
-  :class:`~repro.resilience.DegradationEvent`, never printed or lost.
+* every degradation is recorded into an
+  :class:`~repro.resilience.EventLog`, never printed or lost.
 
 Tasks must be *pure* (the per-block i-EM solves are): a task abandoned
 by a deadline breach after it ran merely discards its result, and a
@@ -128,8 +128,9 @@ class SupervisedExecutor:
         :meth:`run` executes inside a ``supervisor.run`` span and every
         completed attempt feeds the ``supervisor.queue_wait_seconds`` /
         ``supervisor.run_seconds`` histograms. A fresh internal
-        ``event_log`` inherits the hub, so degradations land on the
-        shared timeline too.
+        ``event_log`` records onto the hub, so its entries are the
+        shared timeline's own events, worker-side ``queue_wait`` and
+        ``run_time`` included.
 
     Examples
     --------
@@ -307,18 +308,14 @@ class SupervisedExecutor:
         exhaustion. ``queue_wait``/``run_time`` carry worker-side timing
         for attempts that actually ran (``None`` for attempts abandoned
         before dispatch)."""
-        rendered = error if isinstance(error, str) \
-            else f"{type(error).__name__}: {error}"
+        failed = dict(key=key, attempt=attempt + 1, error=error,
+                      queue_wait=queue_wait, run_time=run_time)
         if transient and attempt + 1 < self.retry_policy.max_attempts:
-            self.event_log.record(kind or "retry", site, key=key,
-                                  attempt=attempt + 1, error=rendered,
-                                  queue_wait=queue_wait, run_time=run_time)
+            self.event_log.record(kind or "retry", site, **failed)
             survivors.append(position)
             return
         terminal = "retry-exhausted" if transient else "permanent-failure"
-        self.event_log.record(terminal, site, key=key, attempt=attempt + 1,
-                              error=rendered, queue_wait=queue_wait,
-                              run_time=run_time)
+        rendered = self.event_log.record(terminal, site, **failed).error
         outcomes[position] = TaskOutcome(
             key=key, status=STATUS_FAILED, attempts=attempt + 1,
             queue_wait=queue_wait or 0.0, elapsed=run_time or 0.0,

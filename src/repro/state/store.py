@@ -183,6 +183,9 @@ def replay_events(session, records) -> tuple[int, int | None]:
 class SessionStore(ABC):
     """Checkpoint + WAL persistence for one validation session."""
 
+    #: The store's own :class:`repro.resilience.EventLog`, if any.
+    event_log = None
+
     @abstractmethod
     def append(self, record: dict) -> int:
         """Append one WAL record; returns the new WAL length."""
@@ -223,12 +226,14 @@ class SessionStore(ABC):
         *valid* checkpoint, replays the (longer) WAL tail from there, and
         reports the skipped ids in
         :attr:`RestoredSession.skipped_checkpoints` — recording one
-        ``"checkpoint-scan-back"`` event per skip when an ``event_log``
-        (:class:`repro.resilience.EventLog`) is supplied. Only when *no*
+        ``"checkpoint-scan-back"`` event per skip into ``event_log``
+        (the store's own :attr:`event_log` when omitted). Only when *no*
         checkpoint is valid does restore raise. An explicit
         ``checkpoint_id`` stays strict: the caller asked for those exact
         bytes, so corruption propagates.
         """
+        if event_log is None:
+            event_log = self.event_log
         infos = self.checkpoints()
         if not infos:
             raise CheckpointNotFoundError("store holds no checkpoints")

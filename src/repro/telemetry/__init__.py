@@ -3,8 +3,8 @@
 The substrate every layer reports into: a :class:`Telemetry` hub holding
 a metrics registry (monotonic counters, gauges, explicit-bucket
 histograms), a span tracer (nested wall-clock spans with structured
-attributes), and a degradation/event timeline shared with the resilience
-layer's ``EventLog``.
+attributes), and an event timeline whose :class:`TimelineEvent` entries
+are also the resilience layer's ``EventLog`` records.
 
 Design contract:
 

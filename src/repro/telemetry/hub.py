@@ -19,7 +19,7 @@ still aggregate into one manifest.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanTracer
@@ -96,8 +96,7 @@ class NullTelemetry:
     def histogram(self, name, edges=None):
         return NULL_HISTOGRAM
 
-    def event(self, kind, site="", *, key=None, attempt=0, detail="",
-              error=None):
+    def event(self, kind, site="", **fields):
         return None
 
     def spawn(self, label):
@@ -111,10 +110,17 @@ NULL_TELEMETRY = NullTelemetry()
 class TimelineEvent:
     """One timeline entry: a degradation, retry trace, or custom marker.
 
-    Mirrors :class:`repro.resilience.events.DegradationEvent` field-for-
-    field (plus ``time`` and ``scope``) so the resilience ``EventLog``
-    can forward into the hub and the chaos artifact and the telemetry
-    timeline stay in parity.
+    It is also the resilience layer's degradation record: a
+    :class:`repro.resilience.EventLog` keeps the very objects its hub
+    appends here. ``kind`` says what happened (see
+    :data:`repro.resilience.EVENT_KINDS`) at the named ``site``; ``key``
+    is the affected shard, object or checkpoint (``None`` site-wide),
+    ``attempt`` the 1-based attempt (0 when moot) and ``error`` the
+    failure as ``"Type: message"``. ``queue_wait`` and ``run_time`` are
+    the failing task's seconds between dispatch and start, and its
+    worker-side run time; only the supervised executor measures them
+    (``None`` elsewhere). ``time`` is the hub clock's reading and
+    ``scope`` the recording scope.
     """
 
     kind: str
@@ -123,14 +129,13 @@ class TimelineEvent:
     attempt: int = 0
     detail: str = ""
     error: str | None = None
+    queue_wait: float | None = None
+    run_time: float | None = None
     time: float = 0.0
     scope: str = ""
 
     def to_dict(self) -> dict:
-        return {"type": "event", "kind": self.kind, "site": self.site,
-                "key": self.key, "attempt": self.attempt,
-                "detail": self.detail, "error": self.error,
-                "time": self.time, "scope": self.scope}
+        return {"type": "event", **asdict(self)}
 
 
 class Telemetry:
@@ -162,10 +167,10 @@ class Telemetry:
     def histogram(self, name, edges=None):
         return self.registry.histogram(name, edges)
 
-    def event(self, kind, site="", *, key=None, attempt=0, detail="",
-              error=None) -> TimelineEvent:
-        entry = TimelineEvent(kind=kind, site=site, key=key,
-                              attempt=attempt, detail=detail, error=error,
+    def event(self, kind, site="", **fields) -> TimelineEvent:
+        """Append and return one :class:`TimelineEvent` (``fields`` are
+        its ``key`` … ``run_time`` attributes)."""
+        entry = TimelineEvent(kind, site, **fields,
                               time=self.tracer.clock(), scope=self.scope)
         self.events.append(entry)
         return entry
@@ -203,12 +208,9 @@ class TelemetryScope:
     def histogram(self, name, edges=None):
         return self.hub.registry.histogram(f"{self.scope}/{name}", edges)
 
-    def event(self, kind, site="", *, key=None, attempt=0, detail="",
-              error=None) -> TimelineEvent:
-        entry = TimelineEvent(kind=kind, site=site, key=key,
-                              attempt=attempt, detail=detail, error=error,
-                              time=self.hub.tracer.clock(),
-                              scope=self.scope)
+    def event(self, kind, site="", **fields) -> TimelineEvent:
+        entry = TimelineEvent(kind, site, **fields,
+                              time=self.hub.tracer.clock(), scope=self.scope)
         self.hub.events.append(entry)
         return entry
 

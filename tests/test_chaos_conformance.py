@@ -67,7 +67,7 @@ def _deposit(test: str, scenario: str, replay, extra: dict | None = None):
              "n_faults_fired": replay.n_faults_fired,
              "n_degradations": replay.n_degradations,
              "fired": [fault.to_dict() for fault in replay.injector.fired],
-             "events": [event.to_dict() for event in replay.event_log]}
+             "events": replay.event_log.to_json()}
     entry.update(extra or {})
     _ARTIFACT.append(entry)
 

@@ -38,6 +38,7 @@ from repro.resilience import (EventLog, FaultInjector, FaultPlan, FaultSpec,
                               call_with_retry, transient_chaos_plan)
 from repro.state import FileSessionStore, MemorySessionStore
 from repro.streaming import ValidationSession
+from repro.telemetry import Telemetry, jsonl_records
 
 
 @pytest.fixture
@@ -370,6 +371,32 @@ class TestSupervisedExecutor:
         with pytest.raises(ValueError):
             SupervisedExecutor().run(lambda x: x, [1, 2], keys=[1])
 
+    def test_worker_side_timing_reaches_the_timeline(self):
+        calls = []
+
+        def flaky(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise OSError("first call fails")
+            return x
+
+        hub = Telemetry()
+        supervisor = SupervisedExecutor(
+            Executor("serial"),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+            telemetry=hub)
+        assert supervisor.run(flaky, [7])[0].value == 7
+        (event,) = supervisor.event_log.events
+        assert event.kind == "retry"
+        for seconds in (event.queue_wait, event.run_time):
+            assert isinstance(seconds, float) and seconds >= 0.0
+        # The log keeps the timeline's own entry, not a copy of it.
+        assert supervisor.event_log.events[0] is hub.events[0]
+        (record,) = [record for record in jsonl_records(hub)
+                     if record["type"] == "event"]
+        assert record["queue_wait"] == event.queue_wait
+        assert record["run_time"] == event.run_time
+
 
 # ----------------------------------------------------------------------
 # Executor shutdown-on-failure fix
@@ -474,16 +501,20 @@ class TestStoreResilience:
                             - small_session.model.assignment).max())
         assert linf == 0.0
 
+    @pytest.mark.parametrize("log_via", ["call", "init"])
     def test_restore_scans_back_over_corrupt_segment(self, tmp_path,
-                                                     small_session):
-        store = FileSessionStore(tmp_path)
+                                                     small_session, log_via):
+        """The scan-back reaches the log given to ``restore()``, or else
+        the store's own ``event_log``."""
+        log = EventLog()
+        store = FileSessionStore(
+            tmp_path, event_log=log if log_via == "init" else None)
         store.checkpoint(small_session)
         info = store.checkpoint(small_session)
         segment = tmp_path / f"ckpt-{info.checkpoint_id:06d}" \
             / "segment-000.npz"
         segment.write_bytes(b"not an npz")
-        log = EventLog()
-        restored = store.restore(event_log=log)
+        restored = store.restore(event_log=log if log_via == "call" else None)
         assert restored.checkpoint.checkpoint_id == 0
         assert restored.skipped_checkpoints == (info.checkpoint_id,)
         assert log.count("checkpoint-scan-back") == 1

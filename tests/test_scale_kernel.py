@@ -1,14 +1,12 @@
 """The scale-tier kernel contracts: width-adaptive index dtypes, the
-shared CSR views, the sparse incidence operators, geometric log growth,
-and bit-equality of the shard-parallel M-step.
+shared CSR views, the sparse incidence operators and geometric log
+growth.
 
 These are the regression tripwires behind ``benchmarks/test_scale_tiers``:
 the benchmarks assert throughput and memory, this file pins the
 *semantics* that make the memory-lean encodings safe — narrow dtypes must
-never overflow, narrowed checkpoints must round-trip, the operator path
-must be bit-for-bit the ``np.add.at`` reference, and the shard-parallel
-kernel must be indistinguishable from the serial plan path float for
-float.
+never overflow, narrowed checkpoints must round-trip, and the operator
+path must be bit-for-bit the ``np.add.at`` reference.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.em_kernel import INT32_BOUND, AnswerStats, index_dtype
 from repro.errors import InvalidAnswerSetError
-from repro.parallel import Executor, ShardedKernel
 from repro.state import FileSessionStore
 from repro.streaming import ValidationSession
 
@@ -348,104 +345,6 @@ class TestOperatorPathBitEquality:
         assert_bits_equal(planned.priors, scattered.priors)
         assert planned.n_iterations == scattered.n_iterations
         assert planned.converged == scattered.converged
-
-    @given(answer_instances(), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=30, deadline=None)
-    def test_shard_row_blocks_bit_equal_serial(self, instance, n_shards):
-        answer_set, assignment, _ = instance
-        encoded = em_kernel.encode_answers(answer_set)
-        confusions = em_kernel.m_step(encoded, assignment, 0.01)
-        priors = em_kernel.estimate_priors(assignment)
-        with ShardedKernel(encoded, Executor("serial"),
-                           n_shards=n_shards) as kernel:
-            assert_bits_equal(kernel.m_step(assignment, 0.01), confusions)
-            assert_bits_equal(kernel.e_step(confusions, priors),
-                              em_kernel.e_step(encoded, confusions, priors))
-
-
-# ----------------------------------------------------------------------
-# Shard-parallel M-step: bit-for-bit the serial plan path
-# ----------------------------------------------------------------------
-class TestShardedKernelBitEquality:
-    @given(seed=st.integers(min_value=0, max_value=2**20),
-           n_shards=st.integers(min_value=1, max_value=7))
-    @settings(max_examples=25, deadline=None)
-    def test_m_step_bit_equal_serial_executor(self, seed, n_shards):
-        encoded, assignment = random_encoding(seed)
-        serial = em_kernel.m_step(encoded, assignment, 0.01)
-        with ShardedKernel(encoded, Executor("serial"),
-                           n_shards=n_shards) as kernel:
-            sharded = kernel.m_step(assignment, 0.01)
-        np.testing.assert_array_equal(sharded, serial)
-
-    @given(seed=st.integers(min_value=0, max_value=2**20))
-    @settings(max_examples=10, deadline=None)
-    def test_e_step_bit_equal_serial_executor(self, seed):
-        encoded, assignment = random_encoding(seed)
-        confusions = em_kernel.m_step(encoded, assignment, 0.01)
-        priors = em_kernel.estimate_priors(assignment)
-        serial = em_kernel.e_step(encoded, confusions, priors)
-        with ShardedKernel(encoded, Executor("serial"),
-                           n_shards=3) as kernel:
-            sharded = kernel.e_step(confusions, priors)
-        np.testing.assert_array_equal(sharded, serial)
-
-    def test_threads_executor_bit_equal(self):
-        encoded, assignment = random_encoding(99, n=200, k=20)
-        serial = em_kernel.m_step(encoded, assignment, 0.01)
-        with ShardedKernel(encoded, Executor("threads", max_workers=3),
-                           n_shards=5) as kernel:
-            np.testing.assert_array_equal(kernel.m_step(assignment, 0.01),
-                                          serial)
-
-    def test_processes_run_em_parity(self):
-        """The acceptance contract: run_em with a process-parallel M-step
-        is bit-for-bit the serial solve — assignment, confusions, priors,
-        and the iteration trajectory itself."""
-        encoded, assignment = random_encoding(123, n=120, k=15)
-        validated = np.array([0, 5, 9])
-        labels = np.array([1, 0, 2])
-        serial = em_kernel.run_em(encoded, assignment, validated, labels)
-        with ShardedKernel(encoded, max_workers=2) as kernel:
-            parallel = em_kernel.run_em(encoded, assignment, validated,
-                                        labels, kernel=kernel)
-        np.testing.assert_array_equal(parallel.assignment, serial.assignment)
-        np.testing.assert_array_equal(parallel.confusions, serial.confusions)
-        np.testing.assert_array_equal(parallel.priors, serial.priors)
-        assert parallel.n_iterations == serial.n_iterations
-        assert parallel.converged == serial.converged
-
-    def test_empty_encoding_delegates_to_serial(self):
-        labels = ("a", "b")
-        encoded = em_kernel.encode_answers(
-            AnswerSet(np.full((4, 3), MISSING), labels))
-        with ShardedKernel(encoded, Executor("serial")) as kernel:
-            counts = kernel.m_step(np.full((4, 2), 0.5), 0.01)
-        np.testing.assert_array_equal(
-            counts, em_kernel.m_step(encoded, np.full((4, 2), 0.5), 0.01))
-
-    def test_use_after_close_raises(self):
-        encoded, assignment = random_encoding(11)
-        kernel = ShardedKernel(encoded, Executor("serial"))
-        kernel.close()
-        with pytest.raises(RuntimeError):
-            kernel.m_step(assignment, 0.01)
-
-
-class TestRunEmParallelValidation:
-    def test_rejects_foreign_encoding_kernel(self):
-        encoded, assignment = random_encoding(14)
-        other, _ = random_encoding(15)
-        with ShardedKernel(other, Executor("serial")) as kernel:
-            with pytest.raises(ValueError, match="different encoding"):
-                em_kernel.run_em(encoded, assignment, kernel=kernel)
-
-    def test_caller_supplied_kernel_stays_open(self):
-        encoded, assignment = random_encoding(16)
-        with ShardedKernel(encoded, Executor("serial")) as kernel:
-            first = em_kernel.run_em(encoded, assignment, kernel=kernel)
-            second = em_kernel.run_em(encoded, assignment, kernel=kernel)
-        np.testing.assert_array_equal(first.assignment, second.assignment)
 
 
 # ----------------------------------------------------------------------
