@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from repro.core.iem import IncrementalEM
 from repro.simulation import CrowdConfig, simulate_crowd
 from repro.state import FileSessionStore, MemorySessionStore
 from repro.state import store as state_events
@@ -43,8 +44,8 @@ def _warm_session() -> ValidationSession:
             CrowdConfig(n_objects=N_OBJECTS, n_workers=N_WORKERS,
                         n_labels=N_LABELS, reliability=RELIABILITY,
                         answers_per_object=ANSWERS_PER_OBJECT), rng=0)
-        _SESSION = ValidationSession.from_answer_set(crowd.answer_set,
-                                                     rng=0)
+        _SESSION = ValidationSession.from_answer_set(
+            crowd.answer_set, aggregator=IncrementalEM(rng=0))
         for obj in range(0, 40):
             _SESSION.add_validation(obj, 0, overwrite=True)
         _SESSION.conclude()
@@ -109,7 +110,7 @@ def test_checkpoint_size_and_roundtrip_report(tmp_path, capsys):
 
     np.testing.assert_array_equal(restored.session.model.assignment,
                                   session.model.assignment)
-    np.testing.assert_array_equal(restored.session.rng.random(4),
+    np.testing.assert_array_equal(restored.session.aggregator.rng.random(4),
                                   session.capture_state().restore()
-                                  .rng.random(4))
+                                  .aggregator.rng.random(4))
     assert checkpoint_ms < 1000.0

@@ -60,10 +60,11 @@ def _bare_conclude(session: ValidationSession) -> em_kernel.EMResult:
     labels = session._validation.validated_labels()
     initial = em_kernel.e_step(encoded, session._model.confusions,
                                session._model.priors)
+    aggregator = session.aggregator
     result = em_kernel.run_em(
         encoded, initial, validated, labels,
-        max_iter=session.max_iter, tol=session.tol,
-        smoothing=session.smoothing)
+        max_iter=aggregator.max_iter, tol=aggregator.tol,
+        smoothing=aggregator.smoothing)
     session._install(result)
     return result
 

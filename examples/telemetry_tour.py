@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.iem import IncrementalEM
 from repro.resilience import EventLog, FaultInjector, FaultPlan, FaultSpec, \
     RetryPolicy, call_with_retry
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
@@ -43,8 +44,8 @@ def build_session(telemetry=None) -> ValidationSession:
         CrowdConfig(n_objects=120, n_workers=25, n_labels=3,
                     answers_per_object=7, reliability=0.75), rng=7)
     kwargs = {} if telemetry is None else {"telemetry": telemetry}
-    session = ValidationSession.from_answer_set(crowd.answer_set, rng=0,
-                                                **kwargs)
+    session = ValidationSession.from_answer_set(
+        crowd.answer_set, aggregator=IncrementalEM(rng=0), **kwargs)
     session.conclude()
     for obj in range(0, 30, 3):            # a trickle of expert validations
         session.add_validation(obj, int(crowd.gold[obj]))

@@ -5,8 +5,10 @@ Public surface:
 * :class:`~repro.core.answer_set.AnswerSet` — the quadruple ``N``.
 * :class:`~repro.core.validation.ExpertValidation` — the function ``e``.
 * :class:`~repro.core.probabilistic.ProbabilisticAnswerSet` — ``P``.
-* :class:`~repro.core.em.DawidSkeneEM` — batch baseline aggregation.
-* :class:`~repro.core.iem.IncrementalEM` — the paper's i-EM.
+* :class:`~repro.core.em.DawidSkeneEM` — batch baseline aggregation (an
+  ``IncrementalEM`` that always cold-starts).
+* :class:`~repro.core.iem.IncrementalEM` — the paper's i-EM; every EM solve
+  over a full answer set runs through its ``refine``.
 * :func:`~repro.core.majority.majority_vote` — majority-voting baseline.
 * Uncertainty and instantiation helpers.
 """

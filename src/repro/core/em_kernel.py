@@ -1,10 +1,10 @@
 """Vectorized expectation-maximization kernel (paper §4.1, Eq. 1–5).
 
-Both the traditional batch EM baseline (:mod:`repro.core.em`) and the
-incremental i-EM (:mod:`repro.core.iem`) are thin policies over this kernel;
-they differ only in how the first estimate is produced (random/majority
-initialization vs. warm start from the previous probabilistic answer set)
-and in whether expert validations are clamped as ground truth.
+Full answer-set solves reach this kernel through one method,
+:meth:`repro.core.iem.IncrementalEM.refine`: batch EM, i-EM and the
+streaming session differ only in where it starts (a random, majority or
+uniform estimate, or a previous model). The look-ahead scorers and the
+sharded block solves call :func:`run_em` directly on their sub-problems.
 
 Implementation notes
 --------------------
@@ -417,14 +417,11 @@ class AnswerStats:
     The batch entry point :func:`encode_answers` flattens a full ``n × k``
     matrix on every call — ``O(n·k)`` even when only one answer changed.
     ``AnswerStats`` maintains the same flat encoding as an append-only log
-    plus delta-maintained aggregates, so streaming callers
+    plus delta-maintained indexes, so streaming callers
     (:class:`repro.streaming.ValidationSession`) pay ``O(1)`` amortized per
     ingested answer:
 
     * the ``(object, worker, label)`` triple log (geometrically grown);
-    * per-object label vote counts (majority initialization in ``O(n·m)``
-      without touching the answer log);
-    * per-worker answer counts;
     * per-object and per-worker position indexes into the log, so delta
       queries (:meth:`answers_of_object`, :meth:`objects_of_worker`) never
       scan the full answer stream;
@@ -444,7 +441,6 @@ class AnswerStats:
     __slots__ = ("_n_objects", "_n_workers", "_n_labels",
                  "_obj", "_wrk", "_lab", "_n_answers",
                  "_cells", "_by_object", "_by_worker", "_masked",
-                 "_vote_counts", "_worker_answer_counts",
                  "_encoded_cache", "_version")
 
     def __init__(self, n_objects: int, n_workers: int, n_labels: int) -> None:
@@ -469,21 +465,8 @@ class AnswerStats:
         #: worker -> positions into the log, for per-worker delta queries.
         self._by_worker: dict[int, list[int]] = {}
         self._masked: frozenset[int] = frozenset()
-        self._vote_counts = np.zeros((self._n_objects, self._n_labels))
-        self._worker_answer_counts = np.zeros(self._n_workers, dtype=np.int64)
         self._encoded_cache: EncodedAnswers | None = None
         self._version = 0
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_answer_set(cls, answer_set: AnswerSet) -> "AnswerStats":
-        """Seed statistics from an existing batch answer set."""
-        stats = cls(answer_set.n_objects, answer_set.n_workers,
-                    answer_set.n_labels)
-        matrix = answer_set.matrix
-        obj, wrk = np.nonzero(matrix != MISSING)
-        stats.add_answers(obj, wrk, matrix[obj, wrk])
-        return stats
 
     # ------------------------------------------------------------------
     @property
@@ -539,27 +522,19 @@ class AnswerStats:
         The raw append-only triple log — masked workers' answers included —
         which is the complete mutable input of the statistics: replaying it
         through :meth:`add_answers` into a fresh instance of the same
-        dimensions rebuilds every aggregate bit-for-bit. This is the
+        dimensions rebuilds the statistics bit-for-bit. This is the
         serialization surface used by :mod:`repro.state`.
         """
         n = self._n_answers
         return (self._obj[:n].copy(), self._wrk[:n].copy(),
                 self._lab[:n].copy())
 
-    def vote_counts(self) -> np.ndarray:
-        """Per-object label vote counts over *unmasked* answers (copy)."""
-        return self._vote_counts.copy()
-
-    def worker_answer_counts(self) -> np.ndarray:
-        """Answers ingested per worker, masked or not (copy)."""
-        return self._worker_answer_counts.copy()
-
     # ------------------------------------------------------------------
     def grow(self, n_objects: int | None = None,
              n_workers: int | None = None) -> None:
         """Extend the object/worker dimensions (streams may introduce both).
 
-        Shrinking is rejected; aggregates are padded with zeros.
+        Shrinking is rejected.
         """
         if n_objects is not None:
             n_objects = int(n_objects)
@@ -568,9 +543,6 @@ class AnswerStats:
                     f"cannot shrink n_objects from {self._n_objects} "
                     f"to {n_objects}")
             if n_objects > self._n_objects:
-                extra = np.zeros((n_objects - self._n_objects,
-                                  self._n_labels))
-                self._vote_counts = np.vstack([self._vote_counts, extra])
                 self._n_objects = n_objects
                 self._bump()
         if n_workers is not None:
@@ -580,9 +552,6 @@ class AnswerStats:
                     f"cannot shrink n_workers from {self._n_workers} "
                     f"to {n_workers}")
             if n_workers > self._n_workers:
-                self._worker_answer_counts = np.concatenate([
-                    self._worker_answer_counts,
-                    np.zeros(n_workers - self._n_workers, dtype=np.int64)])
                 self._n_workers = n_workers
                 self._bump()
         self._maybe_widen()
@@ -621,9 +590,6 @@ class AnswerStats:
         self._cells[(obj, worker)] = label
         self._by_object.setdefault(obj, []).append(position)
         self._by_worker.setdefault(worker, []).append(position)
-        self._worker_answer_counts[worker] += 1
-        if worker not in self._masked:
-            self._vote_counts[obj, label] += 1.0
         self._bump()
         return True
 
@@ -634,8 +600,8 @@ class AnswerStats:
         """Ingest a batch of answers; returns how many were new.
 
         When the log is empty and the batch holds no duplicate cells (the
-        bulk-seeding case of :meth:`from_answer_set`), the aggregates are
-        updated with vectorized scatters instead of per-answer calls.
+        bulk-seeding case of a session built from an answer set), the log
+        and its indexes are filled in one pass instead of per-answer calls.
         """
         objects = np.asarray(objects, dtype=np.int64).ravel()
         workers = np.asarray(workers, dtype=np.int64).ravel()
@@ -676,24 +642,11 @@ class AnswerStats:
             by_worker.setdefault(wrk, []).append(position)
         self._by_object = by_object
         self._by_worker = by_worker
-        np.add.at(self._worker_answer_counts, workers, 1)
-        if self._masked:
-            keep = ~np.isin(workers,
-                            np.fromiter(self._masked, dtype=np.int64))
-            np.add.at(self._vote_counts,
-                      (objects[keep], labels[keep]), 1.0)
-        else:
-            np.add.at(self._vote_counts, (objects, labels), 1.0)
         self._bump()
         return True
 
     def set_masked_workers(self, workers) -> frozenset[int]:
-        """Replace the masked-worker set; returns the workers that toggled.
-
-        Vote counts are delta-adjusted with a single ``np.isin`` pass over
-        the answer log (one vectorized scatter for all toggled workers at
-        once, instead of one ``flatnonzero`` scan per worker).
-        """
+        """Replace the masked-worker set; returns the workers that toggled."""
         new_masked = frozenset(int(w) for w in workers)
         for worker in new_masked:
             if not 0 <= worker < self._n_workers:
@@ -702,16 +655,6 @@ class AnswerStats:
         toggled = new_masked ^ self._masked
         if not toggled:
             return frozenset()
-        log_workers = self._wrk[:self._n_answers]
-        toggled_arr = np.asarray(sorted(toggled), dtype=np.int64)
-        positions = np.flatnonzero(np.isin(log_workers, toggled_arr))
-        if positions.size:
-            newly_masked = np.asarray(sorted(new_masked & toggled),
-                                      dtype=np.int64)
-            delta = np.where(
-                np.isin(log_workers[positions], newly_masked), -1.0, 1.0)
-            np.add.at(self._vote_counts,
-                      (self._obj[positions], self._lab[positions]), delta)
         self._masked = new_masked
         self._bump()
         return toggled
@@ -741,15 +684,6 @@ class AnswerStats:
             label_index=np.ascontiguousarray(lab[order]),
         )
         return self._encoded_cache
-
-    def majority_assignment(self) -> np.ndarray:
-        """Majority initialization from the maintained vote counts.
-
-        Counts are whole numbers, so any ingestion order sums to the exact
-        same floats as :func:`initial_assignment_majority` over
-        :meth:`encoded` — the cold-start path stays bit-for-bit stable.
-        """
-        return normalize_rows(self._vote_counts.copy())
 
     def to_matrix(self, include_masked: bool = True) -> np.ndarray:
         """Materialize the ``n × k`` answer matrix (⊥ = :data:`MISSING`)."""
@@ -805,27 +739,6 @@ class AnswerStats:
                 f"n_workers={self._n_workers}, n_labels={self._n_labels}, "
                 f"n_answers={self._n_answers}, "
                 f"masked={sorted(self._masked)})")
-
-
-def update_stats(stats: AnswerStats,
-                 delta_answers) -> AnswerStats:
-    """Apply a batch of new ``(object, worker, label)`` answers to ``stats``.
-
-    The incremental sibling of :func:`encode_answers`: instead of
-    re-flattening a full matrix, only the delta is ingested and the
-    maintained sufficient statistics (triple log, vote counts, per-worker
-    counts) are updated in place. ``delta_answers`` is any iterable of
-    integer triples (an ``EncodedAnswers`` is accepted too). Returns
-    ``stats`` for chaining.
-    """
-    if isinstance(delta_answers, EncodedAnswers):
-        stats.add_answers(delta_answers.object_index,
-                          delta_answers.worker_index,
-                          delta_answers.label_index)
-        return stats
-    for obj, wrk, lab in delta_answers:
-        stats.add_answer(int(obj), int(wrk), int(lab))
-    return stats
 
 
 @dataclass(frozen=True)

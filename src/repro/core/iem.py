@@ -15,6 +15,9 @@ requirements:
    marginal change introduced by one new validation must be propagated.
    This both cuts EM iterations (Figure 8) and removes the initialization
    sensitivity of EM (Figure 7).
+
+:meth:`IncrementalEM.refine` is the one entry point for EM over a full
+answer set; batch EM and the streaming session solve through it too.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from repro.core.validation import ExpertValidation
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.rng import ensure_rng
 
+#: Supported cold-start policies (see :class:`IncrementalEM`).
+INIT_POLICIES = ("majority", "random", "uniform")
+
 
 class IncrementalEM:
     """The i-EM aggregator (the ``conclude`` step of the validation process).
@@ -35,18 +41,15 @@ class IncrementalEM:
     Parameters
     ----------
     init:
-        Policy for the *first* invocation (no previous state): ``"majority"``
-        (default), ``"random"``, or ``"uniform"``; subsequent invocations
-        warm-start from the previous snapshot.
+        Policy for a solve with no previous model: ``"majority"`` (vote
+        shares — the classical Dawid–Skene start, the default),
+        ``"random"`` (Dirichlet draws — the paper's traditional-EM
+        restart), or ``"uniform"``. Solves given a previous model
+        warm-start from it instead.
     max_iter, tol, smoothing:
         Kernel knobs; see :func:`repro.core.em_kernel.run_em`.
     rng:
-        Randomness for the ``"random"`` first initialization.
-    telemetry:
-        Optional :class:`repro.telemetry.Telemetry` hub (or spawn
-        scope); each conclude emits an ``iem.conclude`` span wrapping
-        the kernel's ``em.run`` span. Defaults to the free
-        :data:`repro.telemetry.NULL_TELEMETRY`.
+        Randomness for the ``"random"`` cold start.
 
     Examples
     --------
@@ -67,15 +70,48 @@ class IncrementalEM:
                  max_iter: int = em_kernel.DEFAULT_MAX_ITER,
                  tol: float = em_kernel.DEFAULT_TOL,
                  smoothing: float = em_kernel.DEFAULT_SMOOTHING,
-                 rng: np.random.Generator | int | None = None,
-                 telemetry=NULL_TELEMETRY) -> None:
+                 rng: np.random.Generator | int | None = None) -> None:
+        if init not in INIT_POLICIES:
+            raise ValueError(
+                f"init must be one of {INIT_POLICIES}, got {init!r}")
         self.init = init
         self.max_iter = int(max_iter)
         self.tol = float(tol)
         self.smoothing = float(smoothing)
         self.rng = ensure_rng(rng)
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
+
+    def refine(self,
+               encoded: em_kernel.EncodedAnswers,
+               validation: ExpertValidation,
+               model: em_kernel.EMResult | ProbabilisticAnswerSet
+               | None = None,
+               telemetry=NULL_TELEMETRY) -> em_kernel.EMResult:
+        """Solve EM over ``encoded`` with ``validation`` clamped (Eq. 4).
+
+        EM starts from one E-step under ``model`` (anything with
+        ``confusions`` and ``priors`` of matching dimensions) when one is
+        given, and from the ``init`` policy otherwise. ``telemetry``
+        receives the kernel's ``em.run`` span.
+        """
+        if model is not None:
+            initial = em_kernel.e_step(encoded, model.confusions,
+                                       model.priors)
+        elif self.init == "majority":
+            initial = em_kernel.initial_assignment_majority(encoded)
+        elif self.init == "random":
+            initial = em_kernel.initial_assignment_random(encoded, self.rng)
+        else:
+            initial = em_kernel.initial_assignment_uniform(encoded)
+        return em_kernel.run_em(
+            encoded,
+            initial,
+            validation.validated_indices(),
+            validation.validated_labels(),
+            max_iter=self.max_iter,
+            tol=self.tol,
+            smoothing=self.smoothing,
+            telemetry=telemetry,
+        )
 
     def conclude(self,
                  answer_set: AnswerSet,
@@ -103,37 +139,10 @@ class IncrementalEM:
             The new snapshot ``P_s`` (its ``n_em_iterations`` counts this
             invocation only).
         """
-        encoded = em_kernel.encode_answers(answer_set)
-        validated_objects = validation.validated_indices()
-        validated_labels = validation.validated_labels()
-
-        with self.telemetry.span("iem.conclude",
-                                 warm=previous is not None,
-                                 n_validated=int(validated_objects.size)):
-            if previous is not None:
-                self._check_compatible(answer_set, previous)
-                initial = em_kernel.e_step(encoded, previous.confusions,
-                                           previous.priors)
-            elif self.init == "majority":
-                initial = em_kernel.initial_assignment_majority(encoded)
-            elif self.init == "random":
-                initial = em_kernel.initial_assignment_random(
-                    encoded, self.rng)
-            elif self.init == "uniform":
-                initial = em_kernel.initial_assignment_uniform(encoded)
-            else:
-                raise ValueError(f"unknown init policy {self.init!r}")
-
-            result = em_kernel.run_em(
-                encoded,
-                initial,
-                validated_objects,
-                validated_labels,
-                max_iter=self.max_iter,
-                tol=self.tol,
-                smoothing=self.smoothing,
-                telemetry=self.telemetry,
-            )
+        if previous is not None:
+            self._check_compatible(answer_set, previous)
+        result = self.refine(em_kernel.encode_answers(answer_set),
+                             validation, previous)
         return ProbabilisticAnswerSet(
             answer_set=answer_set,
             validation=validation.copy(),

@@ -2,8 +2,9 @@
 
 Bundles the raw answer set, the expert-validation function, the ``n × m``
 assignment matrix ``U`` (per-object label distributions), and the set of
-worker confusion matrices ``C``. Instances are produced by the aggregators
-(:mod:`repro.core.em`, :mod:`repro.core.iem`) and consumed everywhere:
+worker confusion matrices ``C``. Instances are produced by
+:meth:`repro.core.iem.IncrementalEM.conclude` (which batch EM's ``fit``
+calls too) and by a streaming session's snapshot, and consumed everywhere:
 uncertainty measurement, instantiation, and expert guidance.
 """
 

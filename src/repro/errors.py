@@ -77,15 +77,6 @@ class InvalidProbabilityError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """Expectation-maximization failed to make progress.
-
-    Only raised when the caller explicitly requests strict convergence
-    (``require_convergence=True``); by default EM returns the best estimate
-    after ``max_iter`` iterations, as the paper's algorithms do.
-    """
-
-
 class BudgetExhaustedError(ReproError):
     """A validation process was asked to continue past its effort budget."""
 

@@ -63,13 +63,12 @@ class ValidationProcess:
     strategy:
         Guidance strategy; defaults to the paper's hybrid approach.
     aggregator:
-        i-EM instance whose knobs (init policy, ``max_iter``, ``tol``,
-        ``smoothing``, rng) configure the streaming session that runs
-        every ``conclude``, and which guidance strategies read for their
-        look-ahead solves; defaults to a fresh
-        :class:`~repro.core.iem.IncrementalEM`. The session *is* the
-        conclude, so a subclass that overrides ``conclude`` is rejected
-        with :class:`TypeError` rather than silently bypassed.
+        The :class:`~repro.core.iem.IncrementalEM` handed to the streaming
+        session that runs every ``conclude``, to the default confirmation
+        check, and to guidance for its look-ahead knobs; defaults to a
+        fresh ``IncrementalEM()``. A subclass that overrides ``conclude``
+        or ``refine`` is rejected with :class:`TypeError` rather than
+        silently bypassed (a restored session rebuilds a plain one).
     goal:
         Stopping predicate Δ; defaults to "never" (budget-bound only).
     budget:
@@ -153,11 +152,13 @@ class ValidationProcess:
         self.expert = expert
         self.strategy = strategy or HybridStrategy()
         self.aggregator = aggregator or IncrementalEM()
-        if type(self.aggregator).conclude is not IncrementalEM.conclude:
-            raise TypeError(
-                f"{type(self.aggregator).__name__} overrides conclude, but "
-                f"the process concludes through its streaming session; "
-                f"pass a plain IncrementalEM to configure it")
+        for method in ("conclude", "refine"):
+            if getattr(type(self.aggregator), method) \
+                    is not getattr(IncrementalEM, method):
+                raise TypeError(
+                    f"{type(self.aggregator).__name__} overrides {method}, "
+                    f"but the process concludes through its streaming "
+                    f"session; pass a plain IncrementalEM to configure it")
         self.goal = goal or NeverSatisfied()
         self.budget = int(budget) if budget is not None else answer_set.n_objects
         if self.budget < 0:
@@ -168,7 +169,8 @@ class ValidationProcess:
             raise ValueError("confirmation_interval must be >= 1 or None, "
                              f"got {confirmation_interval}")
         self.confirmation_interval = confirmation_interval
-        self.confirmation_check = confirmation_check or ConfirmationCheck()
+        self.confirmation_check = confirmation_check \
+            or ConfirmationCheck(self.aggregator)
         self.gold = None if gold is None else np.asarray(gold, dtype=np.int64)
         if self.gold is not None and self.gold.shape != (answer_set.n_objects,):
             raise ValueError(
@@ -202,13 +204,7 @@ class ValidationProcess:
         # session: validations and worker maskings are ingested as deltas
         # and every conclude is a warm-started refinement.
         self.session = ValidationSession.from_answer_set(
-            answer_set,
-            init=self.aggregator.init,
-            max_iter=self.aggregator.max_iter,
-            tol=self.aggregator.tol,
-            smoothing=self.aggregator.smoothing,
-            rng=self.aggregator.rng,
-            telemetry=self.telemetry)
+            answer_set, aggregator=self.aggregator, telemetry=self.telemetry)
         self.validation = self.session.validation
         self.faulty_filter = FaultyWorkerFilter()
         self.hybrid_weight = 0.0

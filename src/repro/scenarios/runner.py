@@ -626,15 +626,10 @@ class ScenarioRunner:
     def _fresh_session(scenario: CompiledScenario,
                        template: ValidationSession,
                        telemetry=NULL_TELEMETRY) -> ValidationSession:
-        """A new session over the scenario with the batch path's knobs."""
+        """A new session over the scenario with the batch path's aggregator."""
         return ValidationSession.from_answer_set(
-            scenario.answer_set,
-            init=template.init,
-            max_iter=template.max_iter,
-            tol=template.tol,
-            smoothing=template.smoothing,
-            telemetry=telemetry,
-        )
+            scenario.answer_set, aggregator=template.aggregator,
+            telemetry=telemetry)
 
     # ------------------------------------------------------------------
     def run(self, scenario: CompiledScenario, lookahead: str = "exact",

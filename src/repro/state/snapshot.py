@@ -3,11 +3,11 @@
 A :class:`SessionState` is the *complete* mutable state of a session,
 captured as plain arrays and scalars: the append-only answer log in exact
 insertion order, the masked-worker set, the expert-validation function, the
-warm-start model, the dirty-object set, the conclude counters, and the RNG
-bit-generator state. Restoring it rebuilds a session that is bit-for-bit
-indistinguishable from the captured one — every aggregate the session
-maintains (vote counts, validated-confusion counts, cached encodings) is a
-pure function of these inputs, re-derived deterministically on restore.
+warm-start model, the dirty-object set, the conclude counters, and the
+aggregator's knobs and RNG state. Restoring it rebuilds a session that is
+bit-for-bit indistinguishable from the captured one — every aggregate the
+session maintains (log indexes, validated-confusion counts, cached
+encodings) is a pure function of these inputs, re-derived on restore.
 
 The stores in :mod:`repro.state` serialize exactly this object; the schema
 version below stamps its on-disk form.
@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.answer_set import MISSING
 from repro.core.em_kernel import EMResult
+from repro.core.iem import IncrementalEM
 from repro.utils.rng import rng_from_state, rng_state
 
 #: Version stamp of the serialized checkpoint layout. Bump on any change
@@ -40,7 +41,7 @@ class SessionState:
     :meth:`equals` instead of ``==``.
     """
 
-    # Dimensions and kernel configuration.
+    # Dimensions, the aggregator's kernel knobs and the conflict policy.
     n_objects: int
     n_workers: int
     n_labels: int
@@ -55,7 +56,7 @@ class SessionState:
     objects: tuple[str, ...] | None
     workers: tuple[str, ...] | None
 
-    # The RNG bit-generator state (JSON-serializable nested dict).
+    # The aggregator's RNG bit-generator state (JSON-serializable dict).
     rng_state: dict
 
     # The append-only answer log, exact insertion order, masked included.
@@ -137,19 +138,20 @@ def capture_session(session) -> SessionState:
     session._heal_vconf()
     obj, wrk, lab = session.stats.answer_log()
     model = session.model
+    aggregator = session.aggregator
     return SessionState(
         n_objects=session.n_objects,
         n_workers=session.n_workers,
         n_labels=session.n_labels,
-        init=session.init,
-        max_iter=session.max_iter,
-        tol=session.tol,
-        smoothing=session.smoothing,
+        init=aggregator.init,
+        max_iter=aggregator.max_iter,
+        tol=aggregator.tol,
+        smoothing=aggregator.smoothing,
         on_conflict=session.on_conflict,
         labels=session._labels,
         objects=session._objects,
         workers=session._workers,
-        rng_state=rng_state(session.rng),
+        rng_state=rng_state(aggregator.rng),
         log_objects=obj,
         log_workers=wrk,
         log_labels=lab,
@@ -183,11 +185,12 @@ def restore_session(state: SessionState,
     session never replays ingestion counters into the hub.
 
     Aggregates are re-derived rather than deserialized: the answer log is
-    bulk-replayed (vote counts and per-worker counts are exact integer
-    sums, so any rebuild order yields the same floats), validations are
-    re-asserted per object (validated-confusion counts are integer deltas,
+    bulk-replayed in its insertion order, validations are re-asserted per
+    object (validated-confusion counts are integer deltas,
     order-independent), and the warm-start model, dirty set, and counters
-    are installed directly. The cached flat encoding is rebuilt lazily and
+    are installed directly. The aggregator is a plain
+    :class:`~repro.core.iem.IncrementalEM` rebuilt from the captured knobs
+    and RNG state. The cached flat encoding is rebuilt lazily and
     lexsorted by ``(object, worker)``, which depends only on the set of
     cells — identical to the captured session's.
     """
@@ -196,9 +199,10 @@ def restore_session(state: SessionState,
     session = ValidationSession(
         state.n_objects, state.n_workers, state.n_labels,
         labels=state.labels, objects=state.objects, workers=state.workers,
-        init=state.init, max_iter=state.max_iter, tol=state.tol,
-        smoothing=state.smoothing, on_conflict=state.on_conflict,
-        rng=rng_from_state(state.rng_state))
+        aggregator=IncrementalEM(
+            init=state.init, max_iter=state.max_iter, tol=state.tol,
+            smoothing=state.smoothing, rng=rng_from_state(state.rng_state)),
+        on_conflict=state.on_conflict)
     session.stats.add_answers(state.log_objects, state.log_workers,
                               state.log_labels)
     session.set_masked_workers(state.masked_workers)

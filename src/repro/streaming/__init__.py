@@ -12,11 +12,12 @@ Three pieces:
 
 * :class:`ValidationSession` — the online engine. Ingests answers and
   expert validations incrementally, maintains mutable sufficient statistics
-  (flat answer log, vote counts, validated-confusion counts, per-object
-  log-likelihood rows) as deltas, and refines by warm-starting the i-EM
-  kernel from the previous model. The exact refinement path is bit-for-bit
-  consistent with the batch kernel on identical inputs, so streaming and
-  batch answers never disagree.
+  (flat answer log and its indexes, validated-confusion counts, per-object
+  log-likelihood rows) as deltas, and refines through its
+  ``aggregator=IncrementalEM(...)``, warm-starting from the previous
+  model. Batch and streaming solves run through the same
+  ``IncrementalEM.refine``, so on identical inputs streaming and batch
+  answers never disagree.
 * :class:`ShardedRefresher` — partition-aware refresh. Reuses
   :mod:`repro.partitioning` to cut the answer matrix into dense blocks and
   :mod:`repro.parallel` to refine, shard-parallel, only the blocks whose

@@ -7,13 +7,14 @@ whole matrix on every event, the session
 
 * ingests answers and expert validations *incrementally*, maintaining
   mutable sufficient statistics (:class:`repro.core.em_kernel.AnswerStats`:
-  the triple log, per-object vote counts, per-worker counts; plus
+  the triple log and its per-object/per-worker indexes; plus
   delta-maintained per-worker validated-confusion counts and per-object
   log-likelihood rows) as deltas;
-* refines by *warm-starting* the i-EM kernel from the previous model
-  (confusion matrices + priors), exactly the paper's view-maintenance
-  principle (§4.1), so each :meth:`~ValidationSession.conclude` costs a
-  handful of EM iterations instead of a cold solve;
+* refines through :meth:`repro.core.iem.IncrementalEM.refine`,
+  *warm-starting* from the previous model (confusion matrices + priors),
+  exactly the paper's view-maintenance principle (§4.1), so each
+  :meth:`~ValidationSession.conclude` costs a handful of EM iterations
+  instead of a cold solve;
 * tracks which objects' statistics changed (``dirty_objects``) so a
   partition-aware refresher (:mod:`repro.streaming.sharded`) can refresh
   only the shards that actually moved.
@@ -21,8 +22,9 @@ whole matrix on every event, the session
 The exact-refinement path is **bit-for-bit consistent** with the batch
 kernel: ``session.conclude()`` produces the same floats as
 ``IncrementalEM.conclude`` on the equivalent batch ``AnswerSet`` with the
-same warm-start state, because both feed identical inputs (the sorted flat
-encoding, the same initial assignment) to :func:`repro.core.em_kernel.run_em`.
+same warm-start state, because both hand identical inputs (the sorted flat
+encoding, the same previous model) to the same
+:meth:`~repro.core.iem.IncrementalEM.refine`.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core import em_kernel
 from repro.core.confusion import PROB_FLOOR
+from repro.core.iem import IncrementalEM
 from repro.core.probabilistic import ProbabilisticAnswerSet
 from repro.core.validation import ExpertValidation
 from repro.errors import InvalidValidationError, StreamingError
 from repro.telemetry import NULL_TELEMETRY
-from repro.utils.rng import ensure_rng
 
 
 class ValidationSession:
@@ -53,14 +55,11 @@ class ValidationSession:
     labels, objects, workers:
         Optional vocabularies used when materializing snapshots; defaults
         mirror :class:`~repro.core.answer_set.AnswerSet` (``l1..lm`` etc.).
-    init:
-        Cold-start policy (``"majority"``, ``"random"``, ``"uniform"``)
-        used for the first refinement and after dimension growth;
-        subsequent refinements warm-start from the previous model.
-    max_iter, tol, smoothing:
-        Kernel knobs; see :func:`repro.core.em_kernel.run_em`. Every
-        refinement and read path drives the kernel through the memoized
-        :class:`~repro.core.em_kernel.KernelPlan` of the current encoding.
+    aggregator:
+        The :class:`~repro.core.iem.IncrementalEM` every refinement runs
+        through (default ``IncrementalEM()``): its ``init`` policy
+        cold-starts the first refinement and the first after dimension
+        growth; later refinements warm-start from the previous model.
     on_conflict:
         Policy for a *conflicting* re-answer to an already-answered cell
         (exact duplicates are always dropped silently): ``"error"`` raises
@@ -71,8 +70,6 @@ class ValidationSession:
         last-write-wins): the sufficient statistics are an append-only
         log, so the first answer is the one every batch replay of the
         same stream sees.
-    rng:
-        Randomness for the ``"random"`` cold start.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` hub (or spawn
         scope). Each ``conclude`` emits a ``session.conclude`` span and
@@ -84,7 +81,8 @@ class ValidationSession:
 
     Examples
     --------
-    >>> session = ValidationSession(n_objects=2, n_workers=2, n_labels=2)
+    >>> session = ValidationSession(n_objects=2, n_workers=2, n_labels=2,
+    ...                             aggregator=IncrementalEM(max_iter=50))
     >>> session.add_answer(0, 0, 0); session.add_answer(0, 1, 0)
     True
     True
@@ -105,23 +103,13 @@ class ValidationSession:
                  labels: tuple[str, ...] | None = None,
                  objects: tuple[str, ...] | None = None,
                  workers: tuple[str, ...] | None = None,
-                 init: str = "majority",
-                 max_iter: int = em_kernel.DEFAULT_MAX_ITER,
-                 tol: float = em_kernel.DEFAULT_TOL,
-                 smoothing: float = em_kernel.DEFAULT_SMOOTHING,
+                 aggregator: IncrementalEM | None = None,
                  on_conflict: str = "error",
-                 rng: np.random.Generator | int | None = None,
                  telemetry=NULL_TELEMETRY) -> None:
-        if init not in ("majority", "random", "uniform"):
-            raise ValueError(f"unknown init policy {init!r}")
         if on_conflict not in ("error", "ignore"):
             raise ValueError(f"unknown conflict policy {on_conflict!r}")
-        self.init = init
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
-        self.smoothing = float(smoothing)
+        self.aggregator = aggregator or IncrementalEM()
         self.on_conflict = on_conflict
-        self.rng = ensure_rng(rng)
 
         self._stats = em_kernel.AnswerStats(n_objects, n_workers, n_labels)
         self._labels = None if labels is None else tuple(labels)
@@ -326,7 +314,7 @@ class ValidationSession:
         """Extend dimensions mid-stream (new objects/workers appeared).
 
         Growth invalidates the warm start: the next :meth:`conclude` cold
-        starts with the configured ``init`` policy, matching what a batch
+        starts with the aggregator's ``init`` policy, matching what a batch
         replay without a shape-compatible previous snapshot would do.
         """
         # Direct-view validation writes must be folded into the confusion
@@ -490,7 +478,7 @@ class ValidationSession:
         """Refine the model over the maintained statistics (exact path).
 
         Warm-starts from the previous refinement when dimensions are
-        unchanged; cold-starts (``init`` policy) otherwise. Bit-for-bit
+        unchanged; cold-starts (``aggregator.init``) otherwise. Bit-for-bit
         equal to ``IncrementalEM.conclude`` on the equivalent batch answer
         set with the same warm-start state.
         """
@@ -500,23 +488,9 @@ class ValidationSession:
             "session.conclude", warm=warm, n_objects=self.n_objects,
             n_answers=self.n_answers, n_dirty=len(self._dirty))
         with span:
-            encoded = self._stats.encoded()
-            validated = self._validation.validated_indices()
-            labels = self._validation.validated_labels()
-            if warm:
-                initial = em_kernel.e_step(encoded, self._model.confusions,
-                                           self._model.priors)
-            elif self.init == "majority":
-                initial = self._stats.majority_assignment()
-            elif self.init == "random":
-                initial = em_kernel.initial_assignment_random(
-                    encoded, self.rng)
-            else:
-                initial = em_kernel.initial_assignment_uniform(encoded)
-            result = em_kernel.run_em(
-                encoded, initial, validated, labels,
-                max_iter=self.max_iter, tol=self.tol,
-                smoothing=self.smoothing, telemetry=self.telemetry)
+            result = self.aggregator.refine(
+                self._stats.encoded(), self._validation,
+                self._model if warm else None, telemetry=self.telemetry)
             self._install(result)
             span.set("em_iterations", result.n_iterations)
         self._tel_conclude_s.observe(span.duration)
@@ -577,7 +551,8 @@ class ValidationSession:
         labels = self._validation.validated_labels()
         if self._model is None \
                 or self._model_dims != (self.n_objects, self.n_workers):
-            assignment = self._stats.majority_assignment()
+            assignment = em_kernel.initial_assignment_majority(
+                self._stats.encoded())
             return em_kernel.clamp_validated(assignment, validated, labels)
         self._ensure_log_like()
         assignment = em_kernel.normalize_log_likelihood(
@@ -638,8 +613,8 @@ class ValidationSession:
         The returned :class:`repro.state.SessionState` is self-contained:
         :meth:`restore_state` (or ``SessionState.restore()``) rebuilds a
         session whose every observable — sufficient statistics, validated
-        confusion counts, warm-start model, dirty set, RNG stream, conclude
-        counters — is bit-for-bit identical to this one's.
+        confusion counts, warm-start model, dirty set, aggregator and RNG
+        stream, conclude counters — is bit-for-bit identical to this one's.
         """
         from repro.state.snapshot import capture_session
 

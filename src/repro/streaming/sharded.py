@@ -189,7 +189,7 @@ class ShardedRefresher:
             if warm:
                 assignment = np.array(session.model.assignment, copy=True)
             else:
-                assignment = session.stats.majority_assignment()
+                assignment = em_kernel.initial_assignment_majority(encoded)
                 em_kernel.clamp_validated(
                     assignment, np.flatnonzero(validated != MISSING),
                     validated[validated != MISSING])
@@ -227,7 +227,7 @@ class ShardedRefresher:
                         .counter("em.iterations").inc(int(n_iter))
 
             confusions = em_kernel.m_step(encoded, assignment,
-                                          session.smoothing)
+                                          session.aggregator.smoothing)
             priors = em_kernel.estimate_priors(assignment)
             session.install_model(assignment, confusions, priors,
                                   n_iterations=max(iterations, default=0),
@@ -293,10 +293,11 @@ class ShardedRefresher:
         block_validated = validated[objects]
         local_validated = np.flatnonzero(block_validated != MISSING)
         local_labels = block_validated[local_validated]
+        aggregator = session.aggregator
         return (objects.size, workers.size, session.n_labels,
                 sub.object_index, sub.worker_index, sub.label_index,
                 initial, local_validated, local_labels,
-                session.max_iter, session.tol, session.smoothing)
+                aggregator.max_iter, aggregator.tol, aggregator.smoothing)
 
     def __repr__(self) -> str:
         return (f"ShardedRefresher(max_objects_per_block="

@@ -22,6 +22,7 @@ import shutil
 
 import numpy as np
 
+from repro.core.iem import IncrementalEM
 from repro.state import STATE_SCHEMA_VERSION, FileSessionStore
 from repro.state import store as state_events
 from repro.streaming import ValidationSession
@@ -30,7 +31,8 @@ ROOT = pathlib.Path(__file__).parent / "golden_checkpoint"
 
 
 def build_session() -> ValidationSession:
-    session = ValidationSession(8, 5, 3, rng=20260807)
+    session = ValidationSession(
+        8, 5, 3, aggregator=IncrementalEM(rng=20260807))
     session.add_answers([
         (0, 0, 1), (0, 1, 1), (0, 2, 0),
         (1, 0, 2), (1, 3, 2),
@@ -44,7 +46,8 @@ def build_session() -> ValidationSession:
     session.add_validation(0, 1)
     session.add_validation(4, 0)
     session.set_masked_workers({4})
-    session.rng.random(5)  # a mid-stream RNG position, not a fresh seed
+    # A mid-stream RNG position, not a fresh seed.
+    session.aggregator.rng.random(5)
     session.conclude()
     return session
 
@@ -76,7 +79,7 @@ def main() -> None:
         "wal_tail_replayed": int(restored.n_replayed),
         "map_labels": np.argmax(restored.session.model.assignment,
                                 axis=1).tolist(),
-        "next_uniform": float(restored.session.rng.random()),
+        "next_uniform": float(restored.session.aggregator.rng.random()),
     }
     (ROOT / "expected.json").write_text(json.dumps(expected, indent=2)
                                         + "\n")

@@ -9,8 +9,8 @@ from repro.core.answer_set import AnswerSet
 from repro.core.em import DawidSkeneEM
 from repro.core.iem import IncrementalEM
 from repro.core.validation import ExpertValidation
-from repro.errors import ConvergenceError
 from repro.metrics.evaluation import precision
+from repro.streaming import ValidationSession
 
 
 class TestDawidSkeneEM:
@@ -40,11 +40,6 @@ class TestDawidSkeneEM:
         a = DawidSkeneEM(init="random", rng=5).fit(table1_answer_set)
         b = DawidSkeneEM(init="random", rng=5).fit(table1_answer_set)
         assert np.allclose(a.assignment, b.assignment)
-
-    def test_require_convergence(self, table1_answer_set):
-        with pytest.raises(ConvergenceError):
-            DawidSkeneEM(max_iter=1, tol=0.0,
-                         require_convergence=True).fit(table1_answer_set)
 
     def test_validation_copy_independent(self, table1_answer_set):
         validation = ExpertValidation.empty_for(table1_answer_set)
@@ -117,16 +112,54 @@ class TestIncrementalEM:
         result = iem.conclude(masked, validation, previous=state)
         assert result.n_objects == 4
 
-    def test_unknown_init_policy(self, table1_answer_set):
-        iem = IncrementalEM(init="bogus")
-        with pytest.raises(ValueError, match="init"):
-            iem.conclude(table1_answer_set,
-                         ExpertValidation.empty_for(table1_answer_set))
+    def test_unknown_init_policy(self):
+        """Both aggregators reject an unknown policy at construction."""
+        for aggregator in (IncrementalEM, DawidSkeneEM):
+            with pytest.raises(ValueError, match="init"):
+                aggregator(init="bogus")
 
     def test_em_iteration_count_reported(self, table1_answer_set):
         result = IncrementalEM().conclude(
             table1_answer_set, ExpertValidation.empty_for(table1_answer_set))
         assert result.n_em_iterations >= 1
+
+
+class TestOneSolvePath:
+    """Batch EM, i-EM and the streaming session solve through one method,
+    so from the same start they return the same floats."""
+
+    @pytest.mark.parametrize("init", ["majority", "random", "uniform"])
+    def test_fit_conclude_and_session_agree(self, small_crowd, init):
+        answers = small_crowd.answer_set
+        gold = small_crowd.gold
+        validation = ExpertValidation.from_mapping(
+            {obj: int(gold[obj]) for obj in range(3)},
+            answers.n_objects, answers.n_labels)
+
+        def aggregator(cls=IncrementalEM):
+            return cls(init=init, max_iter=60, smoothing=0.1, rng=11)
+
+        fitted = aggregator(DawidSkeneEM).fit(answers, validation)
+        concluded = aggregator().conclude(answers, validation)
+        session = ValidationSession.from_answer_set(
+            answers, validation, aggregator=aggregator())
+        streamed = session.conclude()
+        for result in (concluded, streamed):
+            assert np.array_equal(result.assignment, fitted.assignment)
+            assert np.array_equal(result.confusions, fitted.confusions)
+            assert np.array_equal(result.priors, fitted.priors)
+        assert concluded.n_em_iterations == fitted.n_em_iterations \
+            == streamed.n_iterations
+
+        # One warm step: both warm-start from their previous model.
+        validation.assign(3, int(gold[3]))
+        session.add_validation(3, int(gold[3]))
+        warm = aggregator().conclude(answers, validation, previous=concluded)
+        streamed = session.conclude()
+        assert np.array_equal(streamed.assignment, warm.assignment)
+        assert np.array_equal(streamed.confusions, warm.confusions)
+        assert np.array_equal(streamed.priors, warm.priors)
+        assert streamed.n_iterations == warm.n_em_iterations
 
 
 class TestSeparateVsCombined:

@@ -77,25 +77,29 @@ class TestAllObjectsPreValidated:
 class TestCustomAggregator:
     """The streaming session is the conclude; the aggregator configures it."""
 
+    @pytest.mark.parametrize("method", ["conclude", "refine"])
     def test_overridden_conclude_is_rejected(self, table1_answer_set,
-                                             table1_gold):
-        """A custom conclude would never run (and the WAL could not replay
-        it), so the process refuses it up front instead of ignoring it."""
+                                             table1_gold, method):
+        """A custom conclude or refine would never run (and neither the
+        WAL nor a restored checkpoint could replay it), so the process
+        refuses it up front instead of ignoring it."""
         from repro.core.iem import IncrementalEM
 
-        class CountingIEM(IncrementalEM):
-            calls = 0
+        calls = []
 
-            def conclude(self, *args, **kwargs):
-                type(self).calls += 1
-                return super().conclude(*args, **kwargs)
+        def counting(self, *args, **kwargs):
+            calls.append(method)
+            return getattr(IncrementalEM, method)(self, *args, **kwargs)
 
-        with pytest.raises(TypeError, match="CountingIEM overrides conclude"):
+        CountingIEM = type("CountingIEM", (IncrementalEM,),
+                           {method: counting})
+        with pytest.raises(TypeError,
+                           match=f"CountingIEM overrides {method}"):
             ValidationProcess(
                 table1_answer_set, OracleExpert(table1_gold),
                 strategy=MaxEntropyStrategy(), aggregator=CountingIEM(),
                 budget=2, gold=table1_gold, rng=0)
-        assert CountingIEM.calls == 0
+        assert calls == []
 
     def test_stock_aggregator_uses_the_session(self, table1_answer_set,
                                                table1_gold):
@@ -108,12 +112,26 @@ class TestCustomAggregator:
             strategy=MaxEntropyStrategy(), aggregator=aggregator, budget=2,
             gold=table1_gold, rng=0)
         session = process.session
-        assert (session.init, session.max_iter, session.tol,
-                session.smoothing) == ("uniform", 7, 1e-3, 0.5)
-        assert session.rng is aggregator.rng
+        knobs = session.aggregator
+        assert (knobs.init, knobs.max_iter, knobs.tol,
+                knobs.smoothing) == ("uniform", 7, 1e-3, 0.5)
+        assert knobs.rng is aggregator.rng
         before = session.n_concludes
         process.step()
         assert session.n_concludes == before + 1
+
+    def test_default_confirmation_check_uses_the_aggregator(
+            self, table1_answer_set, table1_gold):
+        """The leave-one-out concludes run at the process's knobs, not at
+        a fresh ``IncrementalEM()``'s defaults."""
+        from repro.core.iem import IncrementalEM
+
+        aggregator = IncrementalEM(smoothing=1.0)
+        process = ValidationProcess(
+            table1_answer_set, OracleExpert(table1_gold),
+            strategy=MaxEntropyStrategy(), aggregator=aggregator,
+            confirmation_interval=1, budget=2, gold=table1_gold, rng=0)
+        assert process.confirmation_check.aggregator is aggregator
 
 
 class TestSilentWorker:

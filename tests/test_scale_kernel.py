@@ -245,23 +245,19 @@ class TestAnswerStatsGrowth:
         assert stats._obj.dtype == np.int32
 
     def test_mixed_dtype_deltas_land_in_the_narrow_log(self):
-        """update_stats deltas arrive as whatever width the producer used
-        (python ints, int64 triples, an int64-encoded EncodedAnswers);
-        the maintained log stays narrow and the values stay exact."""
+        """Deltas arrive as whatever width the producer used (python
+        ints, mixed-width numpy scalars, int64 arrays); the maintained log
+        stays narrow and the values stay exact."""
         stats = AnswerStats(50, 6, 2)
-        em_kernel.update_stats(stats, [(0, 0, 1), (1, 1, 0)])
-        em_kernel.update_stats(
-            stats,
-            zip(np.array([2, 3], dtype=np.int64),
-                np.array([2, 3], dtype=np.int16),
-                np.array([1, 1], dtype=np.uint8)))
-        delta = em_kernel.EncodedAnswers(
-            n_objects=50, n_workers=6, n_labels=2,
-            object_index=np.array([4, 5], dtype=np.int64),
-            worker_index=np.array([4, 5], dtype=np.int64),
-            label_index=np.array([0, 1], dtype=np.int64),
-        )
-        em_kernel.update_stats(stats, delta)
+        stats.add_answer(0, 0, 1)
+        stats.add_answer(1, 1, 0)
+        for triple in zip(np.array([2, 3], dtype=np.int64),
+                          np.array([2, 3], dtype=np.int16),
+                          np.array([1, 1], dtype=np.uint8)):
+            stats.add_answer(*triple)
+        stats.add_answers(np.array([4, 5], dtype=np.int64),
+                          np.array([4, 5], dtype=np.int64),
+                          np.array([0, 1], dtype=np.int64))
         assert stats.n_answers == 6
         assert stats._obj.dtype == np.int32
         encoded = stats.encoded()
@@ -330,7 +326,7 @@ class TestOperatorPathBitEquality:
     @settings(max_examples=40, deadline=None)
     def test_run_em_bit_equal_reference_masked_and_clamped(self, instance):
         answer_set, assignment, rng = instance
-        stats = AnswerStats.from_answer_set(answer_set)
+        stats = ValidationSession.from_answer_set(answer_set).stats
         stats.set_masked_workers(np.flatnonzero(
             rng.random(stats.n_workers) < 0.3))
         encoded = stats.encoded()
@@ -399,5 +395,5 @@ class TestNarrowedCheckpointRoundTrip:
         assert session.stats.n_answers == expected["n_answers"]
         assert np.argmax(session.model.assignment, axis=1).tolist() \
             == expected["map_labels"]
-        assert session.rng.random() == pytest.approx(
+        assert session.aggregator.rng.random() == pytest.approx(
             expected["next_uniform"], abs=0.0)

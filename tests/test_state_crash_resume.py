@@ -23,6 +23,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.core.iem import IncrementalEM
 from repro.process import ValidationProcess
 from repro.scenarios import ScenarioRunner, compile_registered
 from repro.simulation.stream import replay
@@ -118,7 +119,8 @@ class TestStreamCheckpointCadence:
     def test_event_clock_checkpoints_and_restore(self, tmp_path):
         scenario = compile_registered("bursty-arrivals")
         store = FileSessionStore(tmp_path)
-        session = ValidationSession(1, 1, scenario.n_labels, rng=5)
+        session = ValidationSession(1, 1, scenario.n_labels,
+                                    aggregator=IncrementalEM(rng=5))
         horizon = scenario.answer_events[-1].time
         replay(scenario.events(), session, store=store,
                conclude_every=60,
@@ -127,8 +129,8 @@ class TestStreamCheckpointCadence:
         restored = store.restore().session
         np.testing.assert_array_equal(restored.model.assignment,
                                       session.model.assignment)
-        np.testing.assert_array_equal(restored.rng.random(8),
-                                      session.rng.random(8))
+        np.testing.assert_array_equal(restored.aggregator.rng.random(8),
+                                      session.aggregator.rng.random(8))
 
 
 class TestGoldenCheckpointFixture:
@@ -161,7 +163,7 @@ class TestGoldenCheckpointFixture:
         assert np.argmax(session.model.assignment, axis=1).tolist() \
             == expected["map_labels"]
         # The restored RNG continues the exact pinned stream.
-        assert session.rng.random() == pytest.approx(
+        assert session.aggregator.rng.random() == pytest.approx(
             expected["next_uniform"], abs=0.0)
 
     def test_fixture_supports_continued_work(self, golden_root):

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.iem import IncrementalEM
 from repro.errors import InvalidAnswerSetError
 from repro.scenarios import ExpertSpec, ScenarioSpec, compile_scenario
 from repro.simulation.stream import replay
@@ -62,7 +63,8 @@ def _assert_sessions_bit_equal(a: ValidationSession, b: ValidationSession):
     assert a.n_conflicts == b.n_conflicts
     assert a.dirty_objects == b.dirty_objects
     # The RNG stream continues identically: state transfer, not reseeding.
-    np.testing.assert_array_equal(a.rng.random(8), b.rng.random(8))
+    np.testing.assert_array_equal(a.aggregator.rng.random(8),
+                                  b.aggregator.rng.random(8))
 
 
 class TestRoundTripProperties:
@@ -78,13 +80,15 @@ class TestRoundTripProperties:
                          int(round(cut_fraction * len(events)))))
         cadence = max(2, len(events) // 5)
 
-        baseline = ValidationSession(1, 1, compiled.n_labels, rng=spec.seed)
+        baseline = ValidationSession(
+            1, 1, compiled.n_labels, aggregator=IncrementalEM(rng=spec.seed))
         replay(events[:cut], baseline, conclude_every=cadence)
         replay(events[cut:], baseline, conclude_every=cadence)
 
         with tempfile.TemporaryDirectory() as tmpdir:
             store = _make_store(backend, tmpdir)
-            live = ValidationSession(1, 1, compiled.n_labels, rng=spec.seed)
+            live = ValidationSession(1, 1, compiled.n_labels,
+                                     aggregator=IncrementalEM(rng=spec.seed))
             replay(events[:cut], live, conclude_every=cadence, store=store)
             del live  # the crash: only the store survives
             restored = store.restore()
@@ -121,16 +125,17 @@ class TestRngRoundTrip:
     def test_bit_generator_state_survives_file_round_trip(self, tmp_path):
         session = ValidationSession(6, 4, 2)
         session.add_answers([(0, 0, 1), (1, 1, 0), (2, 2, 1)])
-        session.rng.random(17)  # advance to an arbitrary mid-stream point
-        expected_state = session.rng.bit_generator.state
+        # Advance to an arbitrary mid-stream point.
+        session.aggregator.rng.random(17)
+        expected_state = session.aggregator.rng.bit_generator.state
 
         store = FileSessionStore(tmp_path)
         store.checkpoint(session)
         restored = store.restore().session
-        assert restored.rng.bit_generator.state == expected_state
+        assert restored.aggregator.rng.bit_generator.state == expected_state
         # Both generators now sit at the same point of the same stream.
-        np.testing.assert_array_equal(restored.rng.random(16),
-                                      session.rng.random(16))
+        np.testing.assert_array_equal(restored.aggregator.rng.random(16),
+                                      session.aggregator.rng.random(16))
 
 
 class TestConflictPolicyAcrossRestore:

@@ -31,6 +31,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.iem import IncrementalEM
 from repro.errors import (
     CheckpointCorruptionError,
     CheckpointDimensionError,
@@ -45,7 +46,7 @@ from repro.streaming import ValidationSession
 
 
 def _session() -> ValidationSession:
-    session = ValidationSession(6, 4, 2, rng=7)
+    session = ValidationSession(6, 4, 2, aggregator=IncrementalEM(rng=7))
     session.add_answers([(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 2, 0),
                          (2, 1, 1), (2, 3, 1), (3, 0, 1), (4, 2, 0),
                          (5, 3, 0)])

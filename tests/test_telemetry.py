@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.answer_set import AnswerSet
+from repro.core.iem import IncrementalEM
 from repro.scenarios import ScenarioRunner, compile_registered, scenario_names
 from repro.state import FileSessionStore
 from repro.streaming.session import ValidationSession
@@ -308,9 +309,11 @@ class TestCheckpointCompatibility:
         answer_set = AnswerSet(matrix, labels=("a", "b"))
         # rng pinned so the only difference between the sessions is the
         # hub — the captured generator state must then match too.
-        plain = ValidationSession.from_answer_set(answer_set, rng=0)
+        plain = ValidationSession.from_answer_set(
+            answer_set, aggregator=IncrementalEM(rng=0))
         instrumented = ValidationSession.from_answer_set(
-            answer_set, rng=0, telemetry=Telemetry())
+            answer_set, aggregator=IncrementalEM(rng=0),
+            telemetry=Telemetry())
         plain.conclude()
         instrumented.conclude()
 
