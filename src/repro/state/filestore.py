@@ -24,7 +24,16 @@ raise typed :mod:`repro.errors` exceptions rather than loading garbage.
 The WAL tolerates exactly one torn record: a truncated **final** line
 (the record being appended when the process died) is dropped on read; a
 malformed line anywhere earlier raises
-:class:`~repro.errors.CheckpointCorruptionError`.
+:class:`~repro.errors.CheckpointCorruptionError`. Opening the store makes
+one streaming pass over the WAL that checks every line but keeps only the
+record count, the end offset of the last whole record, and the positions
+of ``step`` markers; :meth:`FileSessionStore.wal_records` counts its way
+past the records it skips instead of decoding them. Each append is one
+unbuffered ``write`` to an ``O_APPEND`` descriptor that the store opens
+at its first append (cutting a torn tail off first, so later appends
+never land behind it) and keeps until :meth:`FileSessionStore.close`. A
+returned append is in the kernel, so it survives the process being
+killed; nothing is fsynced.
 
 Per-shard checkpoints: pass a :class:`repro.partitioning.Partition` to
 :meth:`FileSessionStore.checkpoint` (or use
@@ -37,8 +46,11 @@ shards wrote it.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +61,17 @@ from repro.errors import (CheckpointCorruptionError,
                           CheckpointNotFoundError, CheckpointSchemaError)
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.state.snapshot import STATE_SCHEMA_VERSION, SessionState
-from repro.state.store import CheckpointInfo, SessionStore
+from repro.state.store import EVENT_KINDS, CheckpointInfo, SessionStore
 from repro.telemetry import NULL_TELEMETRY
 
 _CKPT_PREFIX = "ckpt-"
 _MANIFEST = "manifest.json"
 _GLOBAL = "global.npz"
 _WAL = "wal.jsonl"
+#: Same bytes as ``json.dumps(record, separators=(",", ":"))``, built once.
+_WAL_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: ``json.loads`` of a str, without its per-call argument handling.
+_WAL_DECODER = json.JSONDecoder()
 
 
 class FileSessionStore(SessionStore):
@@ -66,6 +82,12 @@ class FileSessionStore(SessionStore):
     >>> store = FileSessionStore(tmp_path)          # doctest: +SKIP
     >>> store.checkpoint(session)                   # doctest: +SKIP
     >>> restored = store.restore()                  # doctest: +SKIP
+    >>> store.close()                               # doctest: +SKIP
+
+    The first :meth:`append` opens the WAL for writing and the store keeps
+    that descriptor; :meth:`close` releases it, as does garbage collection
+    of the store, and a later append opens it again. A store that only
+    reads never opens the WAL for writing.
 
     Resilience hooks
     ----------------
@@ -99,50 +121,102 @@ class FileSessionStore(SessionStore):
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self._wal_path = self.root / _WAL
-        self._wal_count = len(self._read_wal())
+        self._wal_fd = None  # opened by the first append
+        # The WAL index: record count, end offset of the last whole
+        # record, and (position, step) of every step marker.
+        self._wal_count = self._wal_end = 0
+        self._steps: list[tuple[int, int]] = []
+        self._index_wal()
 
     # ------------------------------------------------------------------
     # WAL
     # ------------------------------------------------------------------
     def append(self, record: dict) -> int:
-        line = json.dumps(record, separators=(",", ":"))
-        with open(self._wal_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        kind = record.get("kind")
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown WAL record kind {kind!r}")
+        step = int(record["step"]) if kind == "step" else None
+        data = (_WAL_ENCODER.encode(record) + "\n").encode()
+        if self._wal_fd is None:
+            # Count what another writer appended since the index was built,
+            # then cut the torn bytes after the last whole record so new
+            # records never land behind them.
+            self._index_wal()
+            fd = os.open(self._wal_path,
+                         os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            # Closes the descriptor once: at close(), or when the store is
+            # collected (appends are unbuffered, so there is nothing to flush).
+            self._close_wal = weakref.finalize(self, os.close, fd)
+            os.ftruncate(fd, self._wal_end)
+            self._wal_fd = fd
+        written = os.write(self._wal_fd, data)
+        while written < len(data):  # a full disk or a signal cut it short
+            written += os.write(self._wal_fd, data[written:])
+        self._wal_end += written
+        if step is not None:
+            self._steps.append((self._wal_count, step))
         self._wal_count += 1
         return self._wal_count
+
+    def close(self) -> None:
+        """Release the WAL append descriptor, if an append opened one."""
+        if self._wal_fd is not None:
+            self._close_wal()
+            self._wal_fd = None
 
     @property
     def wal_position(self) -> int:
         return self._wal_count
 
     def wal_records(self, start: int = 0) -> list[dict]:
-        return self._read_wal()[start:]
+        return [record for _end, record in self._read_wal(skip=start)]
 
-    def _read_wal(self) -> list[dict]:
-        if not self._wal_path.exists():
-            return []
-        content = self._wal_path.read_text(encoding="utf-8")
-        chunks = content.split("\n")
-        # A file ending in a newline splits into [..., ""]; anything after
-        # the final newline is a record torn mid-append — drop it.
-        if chunks and chunks[-1] == "":
-            chunks = chunks[:-1]
-            torn_tail = None
-        elif chunks:
-            torn_tail = chunks.pop()
-        else:
-            torn_tail = None
-        records = []
-        for index, chunk in enumerate(chunks):
-            try:
-                records.append(json.loads(chunk))
-            except json.JSONDecodeError as exc:
-                if index == len(chunks) - 1 and torn_tail is None:
-                    break  # torn final record that did get its newline out
-                raise CheckpointCorruptionError(
-                    f"WAL record {index} in {self._wal_path} is not valid "
-                    f"JSON: {exc}") from exc
-        return records
+    def step_before(self, position: int) -> int | None:
+        index = bisect.bisect_left(self._steps, (position,))
+        return self._steps[index - 1][1] if index else None
+
+    def _index_wal(self) -> None:
+        """Extend the WAL index over the whole records past its end."""
+        count, end, steps = self._wal_count, self._wal_end, self._steps
+        for end, record in self._read_wal(end, count):
+            if isinstance(record, dict) and record.get("kind") == "step":
+                steps.append((count, int(record["step"])))
+            count += 1
+        self._wal_count, self._wal_end = count, end
+
+    def _read_wal(self, offset: int = 0, position: int = 0, skip: int = 0):
+        """Yield ``(end offset, record)`` per whole WAL record.
+
+        Reads from byte ``offset``, which starts record ``position``; the
+        first ``skip`` lines are counted past, not decoded. The torn-tail
+        rules live here: bytes after the last newline are a record torn
+        mid-append and are dropped, as is a final line that does not
+        decode; a malformed line anywhere earlier raises
+        :class:`~repro.errors.CheckpointCorruptionError`.
+        """
+        try:
+            handle = open(self._wal_path, "rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            handle.seek(offset)
+            lines = iter(handle)
+            position += sum(1 for _ in itertools.islice(lines, skip))
+            offset = handle.tell()
+            for line in lines:
+                if not line.endswith(b"\n"):
+                    return  # after the last newline: torn mid-append
+                offset += len(line)
+                try:
+                    record = _WAL_DECODER.decode(line.decode())
+                except ValueError as exc:
+                    if next(lines, None) is None:
+                        return  # torn final record that got its newline out
+                    raise CheckpointCorruptionError(
+                        f"WAL record {position} in {self._wal_path} is not "
+                        f"valid JSON: {exc}") from exc
+                position += 1
+                yield offset, record
 
     # ------------------------------------------------------------------
     # Checkpoints

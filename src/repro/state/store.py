@@ -188,7 +188,11 @@ class SessionStore(ABC):
 
     @abstractmethod
     def append(self, record: dict) -> int:
-        """Append one WAL record; returns the new WAL length."""
+        """Append one WAL record; returns the new WAL length.
+
+        A record whose ``kind`` is not in :data:`EVENT_KINDS` raises
+        ``ValueError`` before anything is logged.
+        """
 
     @property
     @abstractmethod
@@ -217,6 +221,20 @@ class SessionStore(ABC):
     def wal_records(self, start: int = 0) -> list[dict]:
         """WAL records from position ``start`` (inclusive) to the head."""
 
+    @abstractmethod
+    def step_before(self, position: int) -> int | None:
+        """Value of the last ``step`` marker among the first ``position``
+        WAL records (``None`` if there is none)."""
+
+    def _load_checked(self, info: CheckpointInfo) -> SessionState:
+        """``load_state`` for a checkpoint whose WAL position is in range."""
+        if not 0 <= info.wal_position <= self.wal_position:
+            raise CheckpointCorruptionError(
+                f"checkpoint {info.checkpoint_id} starts at WAL record "
+                f"{info.wal_position}, outside the {self.wal_position} "
+                f"records logged")
+        return self.load_state(info.checkpoint_id)
+
     def restore(self, checkpoint_id: int | None = None, *,
                 event_log=None) -> RestoredSession:
         """Rebuild the live session: newest checkpoint + WAL tail replay.
@@ -230,7 +248,8 @@ class SessionStore(ABC):
         (the store's own :attr:`event_log` when omitted). Only when *no*
         checkpoint is valid does restore raise. An explicit
         ``checkpoint_id`` stays strict: the caller asked for those exact
-        bytes, so corruption propagates.
+        bytes, so corruption propagates. A checkpoint whose WAL position
+        lies outside ``[0, wal_position]`` is corrupt.
         """
         if event_log is None:
             event_log = self.event_log
@@ -243,7 +262,7 @@ class SessionStore(ABC):
             last_error: Exception | None = None
             for candidate in reversed(infos):
                 try:
-                    state = self.load_state(candidate.checkpoint_id)
+                    state = self._load_checked(candidate)
                 except (CheckpointCorruptionError, CheckpointSchemaError,
                         CheckpointDimensionError) as exc:
                     last_error = exc
@@ -267,17 +286,14 @@ class SessionStore(ABC):
                 raise CheckpointNotFoundError(
                     f"no checkpoint with id {checkpoint_id}")
             info = by_id[checkpoint_id]
-            state = self.load_state(info.checkpoint_id)
+            state = self._load_checked(info)
         session = state.restore()
         tail = self.wal_records(info.wal_position)
         applied, last_step = replay_events(session, tail)
         # A step marker logged before the checkpoint still tells the
-        # driver where it was; scan the prefix only if the tail had none.
+        # driver where it was; look it up only if the tail had none.
         if last_step is None:
-            for record in reversed(self.wal_records(0)[:info.wal_position]):
-                if record.get("kind") == "step":
-                    last_step = int(record["step"])
-                    break
+            last_step = self.step_before(info.wal_position)
         return RestoredSession(session=session, checkpoint=info,
                                n_replayed=applied, step=last_step,
                                skipped_checkpoints=tuple(skipped))
@@ -334,3 +350,9 @@ class MemorySessionStore(SessionStore):
 
     def wal_records(self, start: int = 0) -> list[dict]:
         return [copy.deepcopy(r) for r in self._wal[start:]]
+
+    def step_before(self, position: int) -> int | None:
+        for record in reversed(self._wal[:max(position, 0)]):
+            if record["kind"] == "step":
+                return int(record["step"])
+        return None

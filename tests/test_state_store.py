@@ -27,6 +27,7 @@ when no valid checkpoint exists.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.errors import (
     CheckpointSchemaError,
     StateStoreError,
 )
+from repro.resilience import EventLog
 from repro.state import (STATE_SCHEMA_VERSION, FileSessionStore,
                          MemorySessionStore)
 from repro.state import store as state_events
@@ -66,6 +68,16 @@ def _edit_manifest(store: FileSessionStore, mutate) -> None:
     manifest = json.loads(path.read_text())
     mutate(manifest)
     path.write_text(json.dumps(manifest))
+
+
+@pytest.fixture(params=["memory", "file"])
+def any_store(request, tmp_path):
+    if request.param == "memory":
+        yield MemorySessionStore()
+        return
+    store = FileSessionStore(tmp_path)
+    yield store
+    store.close()
 
 
 class TestTypedCorruptionErrors:
@@ -203,6 +215,80 @@ class TestWalSemantics:
         with pytest.raises(CheckpointCorruptionError):
             state_events.replay_events(session, [{"kind": "mystery"}])
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        """A reopened store appends after the last whole record, not behind
+        the torn fragment, so the next open still reads every record."""
+        store = FileSessionStore(tmp_path)
+        store.append(state_events.answer_event(0, 0, 1))
+        store.append(state_events.answer_event(1, 1, 0))
+        with open(store.root / "wal.jsonl", "a", encoding="utf-8") as f:
+            f.write('{"kind": "answer", "obj": 2')  # no newline: torn
+        reopened = FileSessionStore(tmp_path)
+        assert reopened.append(state_events.answer_event(2, 2, 1)) == 3
+        assert reopened.append(state_events.conclude_event()) == 4
+        records = FileSessionStore(tmp_path).wal_records()
+        assert len(records) == 4
+        assert [r["kind"] for r in records] == ["answer"] * 3 + ["conclude"]
+
+    def test_first_append_never_cuts_a_whole_record(self, tmp_path):
+        """Records another store appended after this one opened are
+        counted, not cut, when this store opens its descriptor."""
+        early = FileSessionStore(tmp_path)
+        other = FileSessionStore(tmp_path)
+        other.append(state_events.step_event(0))
+        other.append(state_events.step_event(1))
+        assert early.append(state_events.conclude_event()) == 3
+        assert early.step_before(3) == 1
+        assert [r["kind"] for r in FileSessionStore(tmp_path).wal_records()] \
+            == ["step", "step", "conclude"]
+
+    def test_reading_never_writes_the_wal(self, tmp_path):
+        """Opening and reading leave the bytes alone, torn tail and all;
+        on an empty root the WAL is not even created."""
+        empty = FileSessionStore(tmp_path / "empty")
+        assert empty.wal_records() == []
+        assert not (tmp_path / "empty" / "wal.jsonl").exists()
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(b'{"kind":"step","step":3}\n{"kind": "ans')
+        store = FileSessionStore(tmp_path)
+        assert store.wal_position == 1
+        assert store.wal_records() == [state_events.step_event(3)]
+        assert store.step_before(1) == 3
+        store.close()
+        assert path.read_bytes() == b'{"kind":"step","step":3}\n{"kind": "ans'
+
+    def test_wal_bytes_are_compact_json_lines(self, tmp_path):
+        records = [
+            state_events.answer_event(0, 1, 2, grow=True,
+                                      on_conflict="ignore"),
+            state_events.validation_event(3, 1, overwrite=True),
+            state_events.retract_event(3),
+            state_events.mask_event({2, 0}),
+            state_events.grow_event(n_objects=9, n_workers=5),
+            state_events.conclude_event(),
+            state_events.conclude_object_event(4, revoke=True),
+            state_events.step_event(7)]
+        assert {r["kind"] for r in records} == set(state_events.EVENT_KINDS)
+        store = FileSessionStore(tmp_path)
+        for record in records:
+            store.append(record)
+        assert (tmp_path / "wal.jsonl").read_bytes() == "".join(
+            json.dumps(r, separators=(",", ":")) + "\n"
+            for r in records).encode()
+        assert FileSessionStore(tmp_path).wal_records() == records
+
+    def test_close_releases_the_descriptor(self, tmp_path):
+        """``close`` is idempotent, and a later append opens it again."""
+        store = FileSessionStore(tmp_path)
+        store.append(state_events.step_event(0))
+        store.close()
+        store.close()
+        assert store.append(state_events.step_event(1)) == 2
+        store.close()
+        reopened = FileSessionStore(tmp_path)
+        assert [r["step"] for r in reopened.wal_records()] == [0, 1]
+        assert reopened.wal_records(1) == [state_events.step_event(1)]
+
     def test_restore_replays_wal_tail_after_checkpoint(self, tmp_path):
         """Events logged after the last checkpoint are reapplied — the
         restore point is the WAL head, not the checkpoint."""
@@ -219,6 +305,104 @@ class TestWalSemantics:
         assert restored.session.stats.n_answers == session.stats.n_answers
         np.testing.assert_array_equal(restored.session.model.assignment,
                                       session.model.assignment)
+
+
+class TestStoreParity:
+    """Both stores log, index and refuse records alike."""
+
+    def test_unknown_kind_is_refused_before_any_byte(self, any_store,
+                                                    tmp_path):
+        any_store.append(state_events.step_event(0))
+        with pytest.raises(ValueError, match="unknown WAL record kind"):
+            any_store.append({"kind": "answr", "object": 0, "worker": 0,
+                              "label": 1})
+        assert any_store.wal_position == 1
+        assert any_store.wal_records() == [state_events.step_event(0)]
+        if isinstance(any_store, FileSessionStore):
+            assert (tmp_path / "wal.jsonl").read_bytes() \
+                == b'{"kind":"step","step":0}\n'
+
+    def test_step_before_finds_the_last_earlier_marker(self, any_store,
+                                                       tmp_path):
+        for record in (state_events.conclude_event(),
+                       state_events.step_event(3),
+                       state_events.conclude_event(),
+                       state_events.step_event(4)):
+            any_store.append(record)
+        expected = [None, None, 3, 3, 4]
+        assert [any_store.step_before(p) for p in range(5)] == expected
+        if isinstance(any_store, FileSessionStore):
+            reopened = FileSessionStore(tmp_path)
+            assert [reopened.step_before(p) for p in range(5)] == expected
+
+    def test_step_from_before_a_long_history_checkpoint(self, any_store):
+        """With no marker in the tail, ``restore().step`` is the last
+        marker logged before the checkpoint."""
+        restored = _restore_after_steps(any_store, 20_000)
+        assert restored.n_replayed == 2
+        assert restored.step == 20_000 - 1
+
+
+def _restore_after_steps(store, n_steps: int):
+    """``n_steps`` step markers, a checkpoint, a 2-record tail, restore."""
+    for step in range(n_steps):
+        store.append(state_events.step_event(step))
+    store.checkpoint(_session())
+    store.append(state_events.answer_event(5, 1, 1))
+    store.append(state_events.validation_event(2, 0))
+    return store.restore()
+
+
+class TestRecoveryReadsTheTail:
+    def test_restore_memory_does_not_grow_with_history(self, tmp_path):
+        """The restore decodes only the tail: quadrupling the history
+        before the checkpoint leaves its allocation peak flat."""
+        peaks = []
+        for n_steps in (10_000, 40_000):
+            root = tmp_path / str(n_steps)
+            writer = FileSessionStore(root)
+            _restore_after_steps(writer, n_steps)
+            writer.close()
+            store = FileSessionStore(root)
+            store.restore()  # warm the one-time caches
+            tracemalloc.start()
+            try:
+                restored = store.restore()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert restored.step == n_steps - 1
+        assert peaks[1] < peaks[0] + 256 * 1024, peaks
+
+
+class TestCheckpointWalPosition:
+    """A manifest ``wal_position`` outside ``[0, records in the WAL]``
+    makes its checkpoint corrupt."""
+
+    @pytest.mark.parametrize("position", [-2, 10**6])
+    def test_out_of_range_position_is_scanned_back(self, tmp_path,
+                                                   position):
+        store = FileSessionStore(tmp_path)
+        live = _session()
+        store.checkpoint(live)
+        store.append(state_events.answer_event(5, 1, 1))
+        store.append(state_events.conclude_event())
+        live.add_answer(5, 1, 1)
+        live.conclude()
+        store.checkpoint(live)
+        store.append(state_events.answer_event(4, 3, 1))
+        live.add_answer(4, 3, 1)
+        _edit_manifest(store, lambda m: m.update(wal_position=position))
+
+        log = EventLog()
+        restored = store.restore(event_log=log)
+        assert restored.checkpoint.checkpoint_id == 0
+        assert restored.skipped_checkpoints == (1,)
+        assert log.count("checkpoint-scan-back") == 1
+        assert restored.n_replayed == 3
+        assert restored.session.capture_state().equals(live.capture_state())
+        with pytest.raises(CheckpointCorruptionError, match="WAL record"):
+            store.restore(1)
 
 
 class TestOldManifests:
