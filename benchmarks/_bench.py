@@ -45,9 +45,20 @@ def record(section: str, payload: dict) -> None:
 
 def median_seconds(fn, rounds: int) -> float:
     """Median wall time of ``rounds`` calls of ``fn``."""
-    times = []
+    return interleaved_median_seconds([fn], rounds)[0]
+
+
+def interleaved_median_seconds(fns, rounds: int) -> list[float]:
+    """Median wall time of each of ``fns`` over ``rounds`` rounds.
+
+    Every round calls each function once, in order, so a drift in host
+    speed lands on all of them alike; timing them one after another
+    would put it on whichever ran during the slow spell.
+    """
+    times: list[list[float]] = [[] for _ in fns]
     for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
+        for fn, samples in zip(fns, times):
+            started = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - started)
+    return [statistics.median(samples) for samples in times]

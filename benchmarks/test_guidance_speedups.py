@@ -35,7 +35,7 @@ from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.workers.spammer_detection import SpammerDetector
 
 import reference
-from _bench import median_seconds, record
+from _bench import interleaved_median_seconds, median_seconds, record
 
 
 #: Conservative acceptance floors (the measured ratios run well above).
@@ -129,19 +129,21 @@ def test_information_gain_select_speedup():
     exact_selection = exact.select(context())  # warm (and reused below)
     local.select(context())
 
-    exact_time = median_seconds(lambda: exact.select(context()), rounds=3)
-    local_time = median_seconds(lambda: local.select(context()), rounds=3)
-
     candidates = exact_selection.candidate_indices
     reference_scores = _pr1_scores(
         prob_set, candidates, exact.label_floor, exact.lookahead_max_iter,
         aggregator.tol, aggregator.smoothing)
     assert np.array_equal(exact_selection.scores, reference_scores), \
         "shared-encoding look-ahead drifted from the PR-1 scores"
-    pr1_time = median_seconds(
+    # Interleaved rounds: the three timings share the host's drift, so
+    # their ratios do not depend on which ran during a slow spell.
+    pr1_time, exact_time, local_time = interleaved_median_seconds([
         lambda: _pr1_scores(prob_set, candidates, exact.label_floor,
                             exact.lookahead_max_iter, aggregator.tol,
-                            aggregator.smoothing), rounds=2)
+                            aggregator.smoothing),
+        lambda: exact.select(context()),
+        lambda: local.select(context()),
+    ], rounds=5)
 
     exact_speedup = pr1_time / exact_time
     local_speedup = pr1_time / local_time

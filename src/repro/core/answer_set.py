@@ -21,6 +21,17 @@ from repro.utils.checks import check_unique
 MISSING: int = -1
 
 
+def code_dtype(n_labels: int) -> np.dtype:
+    """Narrowest signed integer type holding every code in ``[-1, n_labels)``.
+
+    ``int8`` up to 128 labels, then ``int16``, ``int32`` and ``int64``.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if n_labels - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _names(prefix: str, count: int) -> tuple[str, ...]:
     """Generate default names like ``o1 .. o<count>``."""
     return tuple(f"{prefix}{i + 1}" for i in range(count))
@@ -46,6 +57,13 @@ class AnswerSet:
     :meth:`subset_objects`, :meth:`with_answers`) return new instances.
     That is what lets :func:`repro.core.em_kernel.encode_answers` memoize
     its flat encoding on the instance.
+
+    The copy is stored in :func:`code_dtype`, the narrowest signed integer
+    type that holds ``[-1, m)``: ``int8`` for up to 128 labels, one byte
+    per cell. An integer ``matrix`` is range-checked in its own type and
+    cast once, so building an answer set from an ``int64`` matrix
+    allocates only that copy. Cast :attr:`matrix` before arithmetic that
+    could leave the code range.
     """
 
     __slots__ = ("_matrix", "_labels", "_objects", "_workers", "_encoded")
@@ -55,7 +73,9 @@ class AnswerSet:
                  labels: Sequence[str],
                  objects: Sequence[str] | None = None,
                  workers: Sequence[str] | None = None) -> None:
-        arr = np.array(matrix, dtype=np.int64, copy=True)
+        arr = np.asarray(matrix)
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(np.int64)
         if arr.ndim != 2:
             raise InvalidAnswerSetError(
                 f"answer matrix must be 2-D, got shape {arr.shape}")
@@ -82,6 +102,7 @@ class AnswerSet:
         check_unique(object_tuple, "objects")
         check_unique(worker_tuple, "workers")
 
+        arr = arr.astype(code_dtype(len(label_tuple)))  # always a copy
         arr.setflags(write=False)
         self._matrix = arr
         self._labels = label_tuple
@@ -149,7 +170,7 @@ class AnswerSet:
     # ------------------------------------------------------------------
     @property
     def matrix(self) -> np.ndarray:
-        """The read-only ``n × k`` integer answer matrix."""
+        """The read-only ``n × k`` answer matrix, in :func:`code_dtype`."""
         return self._matrix
 
     @property
@@ -300,7 +321,8 @@ class AnswerSet:
         """
         if name in self._workers:
             raise InvalidAnswerSetError(f"worker {name!r} already exists")
-        column = np.full((self.n_objects, 1), MISSING, dtype=np.int64)
+        column = np.full((self.n_objects, 1), MISSING,
+                         dtype=self._matrix.dtype)
         for obj, lab in answers.items():
             column[self.object_index(obj), 0] = self.label_index(lab)
         matrix = np.hstack([self._matrix, column])

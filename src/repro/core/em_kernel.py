@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.answer_set import MISSING, AnswerSet
+from repro.core.answer_set import MISSING, AnswerSet, code_dtype
 from repro.core.confusion import PROB_FLOOR, normalize_rows
 from repro.errors import InvalidAnswerSetError
 from repro.telemetry import NULL_TELEMETRY
@@ -184,17 +184,21 @@ class KernelPlan:
         return int(self.object_incidence.nnz)
 
 
-def kernel_plan(encoded: EncodedAnswers) -> KernelPlan:
+def kernel_plan(encoded: EncodedAnswers,
+                telemetry=NULL_TELEMETRY) -> KernelPlan:
     """The (memoized) :class:`KernelPlan` for an encoding.
 
     The plan is cached on the ``EncodedAnswers`` instance, so repeated
     ``run_em`` calls over the same encoding — warm-started look-aheads,
     streaming refinements, block solves — pay the operator construction
     once. The encoding must be object-sorted, as both construction paths
-    emit it: the operators' answer order is the encoding's.
+    emit it: the operators' answer order is the encoding's. A build runs
+    in a ``plan.build`` span on ``telemetry``; a memo hit emits nothing.
     """
     plan = encoded.__dict__.get("_kernel_plan")
-    if plan is None:
+    if plan is not None:
+        return plan
+    with telemetry.span("plan.build", n_answers=encoded.n_answers):
         n, k, m = encoded.n_objects, encoded.n_workers, encoded.n_labels
         objects = encoded.object_index
         if objects.size and (objects[1:] < objects[:-1]).any():
@@ -213,7 +217,7 @@ def kernel_plan(encoded: EncodedAnswers) -> KernelPlan:
         plan = KernelPlan(n_objects=n, n_workers=k, n_labels=m,
                           object_incidence=by_object,
                           cell_incidence=by_cell)
-        object.__setattr__(encoded, "_kernel_plan", plan)
+    object.__setattr__(encoded, "_kernel_plan", plan)
     return plan
 
 
@@ -441,7 +445,7 @@ class AnswerStats:
     __slots__ = ("_n_objects", "_n_workers", "_n_labels",
                  "_obj", "_wrk", "_lab", "_n_answers",
                  "_cells", "_by_object", "_by_worker", "_masked",
-                 "_encoded_cache", "_version")
+                 "_encoded_cache", "_version", "telemetry")
 
     def __init__(self, n_objects: int, n_workers: int, n_labels: int) -> None:
         if n_objects < 0 or n_workers < 0:
@@ -467,6 +471,9 @@ class AnswerStats:
         self._masked: frozenset[int] = frozenset()
         self._encoded_cache: EncodedAnswers | None = None
         self._version = 0
+        #: Hub that receives an ``encode`` span per rebuild of
+        #: :meth:`encoded`; the owning session attaches its own.
+        self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
     @property
@@ -623,7 +630,10 @@ class AnswerStats:
                 or labels.min() < 0 or labels.max() >= self._n_labels:
             return False  # let add_answer raise the precise error
         keys = objects * self._n_workers + workers
-        if np.unique(keys).size != keys.size:
+        # Strictly increasing keys (an encoding's order) hold no duplicate;
+        # only another order pays for the hash-based check.
+        if not (keys[1:] > keys[:-1]).all() \
+                and np.unique(keys).size != keys.size:
             return False  # in-batch duplicates need per-answer semantics
         count = int(objects.size)
         if count > self._obj.size:
@@ -645,6 +655,27 @@ class AnswerStats:
         self._bump()
         return True
 
+    def seed(self, encoded: EncodedAnswers) -> None:
+        """Fill an empty log from ``encoded`` and adopt it as :meth:`encoded`.
+
+        ``encoded`` must have these dimensions and the ``(object, worker)``
+        order :func:`encode_answers` emits, which is the order
+        :meth:`encoded` would sort a rebuild into. Adopting it instead of
+        rebuilding lets this statistics version share the caller's
+        encoding, and with it the memoized :func:`kernel_plan` and
+        :func:`csr_view`.
+        """
+        if self._n_answers or self._masked or (
+                encoded.n_objects, encoded.n_workers, encoded.n_labels) != (
+                self._n_objects, self._n_workers, self._n_labels):
+            raise ValueError(
+                f"cannot seed {self!r} from an encoding of "
+                f"{encoded.n_objects}×{encoded.n_workers} "
+                f"({encoded.n_labels} labels)")
+        self.add_answers(encoded.object_index, encoded.worker_index,
+                         encoded.label_index)
+        self._encoded_cache = encoded
+
     def set_masked_workers(self, workers) -> frozenset[int]:
         """Replace the masked-worker set; returns the workers that toggled."""
         new_masked = frozenset(int(w) for w in workers)
@@ -664,31 +695,54 @@ class AnswerStats:
         """The current (masked-filtered) flat encoding, cached per version.
 
         Sorted by ``(object, worker)`` so it is bit-for-bit identical to
-        :func:`encode_answers` on the equivalent answer matrix.
+        :func:`encode_answers` on the equivalent answer matrix. A rebuild
+        runs in an ``encode`` span on :attr:`telemetry`.
         """
         if self._encoded_cache is not None:
             return self._encoded_cache
-        obj = self._obj[:self._n_answers]
-        wrk = self._wrk[:self._n_answers]
-        lab = self._lab[:self._n_answers]
-        if self._masked:
-            keep = ~np.isin(wrk, np.fromiter(self._masked, dtype=np.int64))
-            obj, wrk, lab = obj[keep], wrk[keep], lab[keep]
-        order = np.lexsort((wrk, obj))
-        self._encoded_cache = EncodedAnswers(
-            n_objects=self._n_objects,
-            n_workers=self._n_workers,
-            n_labels=self._n_labels,
-            object_index=np.ascontiguousarray(obj[order]),
-            worker_index=np.ascontiguousarray(wrk[order]),
-            label_index=np.ascontiguousarray(lab[order]),
-        )
+        with self.telemetry.span("encode", n_answers=self._n_answers,
+                                 n_masked=len(self._masked)):
+            obj = self._obj[:self._n_answers]
+            wrk = self._wrk[:self._n_answers]
+            lab = self._lab[:self._n_answers]
+            if self._masked:
+                keep = ~np.isin(wrk, np.fromiter(self._masked,
+                                                 dtype=np.int64))
+                obj, wrk, lab = obj[keep], wrk[keep], lab[keep]
+            order = np.lexsort((wrk, obj))
+            self._encoded_cache = EncodedAnswers(
+                n_objects=self._n_objects,
+                n_workers=self._n_workers,
+                n_labels=self._n_labels,
+                object_index=np.ascontiguousarray(obj[order]),
+                worker_index=np.ascontiguousarray(wrk[order]),
+                label_index=np.ascontiguousarray(lab[order]),
+            )
         return self._encoded_cache
 
+    def to_answer_set(self, labels: tuple[str, ...],
+                      objects: tuple[str, ...] | None = None,
+                      workers: tuple[str, ...] | None = None) -> AnswerSet:
+        """The masked answers as an :class:`AnswerSet` sharing :meth:`encoded`.
+
+        :func:`encode_answers` on the result returns this version's
+        encoding itself, so everything that reads the answer set — the
+        look-aheads, worker-driven pruning, the confirmation check — shares
+        one encoding, kernel plan and CSR view with the statistics.
+        """
+        answer_set = AnswerSet(self.to_matrix(include_masked=False),
+                               labels, objects, workers)
+        answer_set._encoded = self.encoded()
+        return answer_set
+
     def to_matrix(self, include_masked: bool = True) -> np.ndarray:
-        """Materialize the ``n × k`` answer matrix (⊥ = :data:`MISSING`)."""
+        """Materialize the ``n × k`` answer matrix (⊥ = :data:`MISSING`).
+
+        The matrix has the answer-set storage type,
+        :func:`~repro.core.answer_set.code_dtype`.
+        """
         matrix = np.full((self._n_objects, self._n_workers), MISSING,
-                         dtype=np.int64)
+                         dtype=code_dtype(self._n_labels))
         obj = self._obj[:self._n_answers]
         wrk = self._wrk[:self._n_answers]
         lab = self._lab[:self._n_answers]
@@ -1177,8 +1231,9 @@ def run_em(encoded: EncodedAnswers,
         ``em.run`` span wraps the whole call — never the inner E/M
         loop — tagged with the problem size, the map count, convergence,
         the final ``max |ΔU|``, and how many extrapolations ran and how
-        many the guard rejected. Disabled (the default) this costs a
-        handful of no-op calls.
+        many the guard rejected. A ``plan.build`` span precedes it when
+        the encoding has no :func:`kernel_plan` yet. Disabled (the
+        default) this costs a handful of no-op calls.
 
     Returns
     -------
@@ -1192,6 +1247,7 @@ def run_em(encoded: EncodedAnswers,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
+    kernel_plan(encoded, telemetry)
     em_map = EMMap(lambda assignment: m_step(encoded, assignment, smoothing),
                    lambda log_confusions: scatter_log_likelihood(
                        encoded, log_confusions),

@@ -91,8 +91,12 @@ class IncrementalEM:
         EM starts from one E-step under ``model`` (anything with
         ``confusions`` and ``priors`` of matching dimensions) when one is
         given, and from the ``init`` policy otherwise. ``telemetry``
-        receives the kernel's ``em.run`` span.
+        receives the kernel's ``em.run`` span, and a ``plan.build`` span
+        when ``encoded`` has no kernel plan yet.
         """
+        # Build the plan before a warm start's E-step would, so a new
+        # encoding's build shows as this refinement's plan.build span.
+        em_kernel.kernel_plan(encoded, telemetry)
         if model is not None:
             initial = em_kernel.e_step(encoded, model.confusions,
                                        model.priors)

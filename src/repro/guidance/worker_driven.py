@@ -11,13 +11,18 @@ Only workers who answered ``o`` can change detection status under the
 hypothesis, so the implementation splits the count into an invariant part
 (non-answerers, computed once per selection) and a per-hypothesis part
 (answerers re-scored against their incremented confusion counts).
+
+Candidates' answers are read from the answer set's flat encoding
+(:func:`repro.core.em_kernel.encode_answers`), never from rows of the
+dense matrix. Inside a validation process that is the session's shared
+encoding, so a select allocates nothing proportional to ``n·k``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.answer_set import MISSING
+from repro.core import em_kernel
 from repro.core.confusion import (
     validated_answer_counts,
     validated_confusion_counts,
@@ -39,6 +44,9 @@ class WorkerDrivenStrategy(GuidanceStrategy):
         Score only the ``K`` candidates with the most answers from
         currently-unflagged workers (``None`` = all). More answers on an
         object means more workers whose status the validation could flip.
+        The counts are the encoding's per-object segment lengths
+        (:attr:`~repro.core.em_kernel.EncodingCSR.object_starts`); ties
+        keep the lower object index.
     """
 
     name = "worker"
@@ -60,6 +68,8 @@ class WorkerDrivenStrategy(GuidanceStrategy):
             "guidance.select", strategy=self.name,
             frontier_size=int(candidates.size))
         with span:
+            encoded = em_kernel.encode_answers(answer_set)
+            csr = em_kernel.csr_view(encoded)
             base_counts = validated_confusion_counts(answer_set,
                                                      prob_set.validation)
             base_evidence = validated_answer_counts(answer_set,
@@ -70,8 +80,8 @@ class WorkerDrivenStrategy(GuidanceStrategy):
 
             if (self.candidate_limit is not None
                     and candidates.size > self.candidate_limit):
-                answered = answer_set.matrix[candidates, :] != MISSING
-                coverage = answered.sum(axis=1)
+                starts = csr.object_starts
+                coverage = starts[candidates + 1] - starts[candidates]
                 # Stable argsort on the negated key so boundary ties keep
                 # the lowest candidate index (see
                 # InformationGainStrategy.select).
@@ -81,7 +91,7 @@ class WorkerDrivenStrategy(GuidanceStrategy):
 
             scores = np.array([
                 self._expected_detections(
-                    int(obj), answer_set, detector, prob_set.assignment,
+                    int(obj), encoded, csr, detector, prob_set.assignment,
                     base_counts, base_evidence, base_faulty, priors)
                 for obj in candidates
             ])
@@ -94,7 +104,8 @@ class WorkerDrivenStrategy(GuidanceStrategy):
     # ------------------------------------------------------------------
     @staticmethod
     def _expected_detections(obj: int,
-                             answer_set,
+                             encoded: em_kernel.EncodedAnswers,
+                             csr: em_kernel.EncodingCSR,
                              detector,
                              assignment: np.ndarray,
                              base_counts: np.ndarray,
@@ -102,22 +113,23 @@ class WorkerDrivenStrategy(GuidanceStrategy):
                              base_faulty: np.ndarray,
                              priors: np.ndarray) -> float:
         """``R(W | o)`` for one candidate object (Eq. 13)."""
-        row = answer_set.matrix[obj]
-        answerers = np.flatnonzero(row != MISSING)
+        answers = csr.object_slice(obj)
+        answerers = encoded.worker_index[answers]
+        answered = encoded.label_index[answers]
         invariant = int(np.count_nonzero(base_faulty)) \
             - int(np.count_nonzero(base_faulty[answerers]))
         if answerers.size == 0:
             # No worker answered: a validation cannot change any status.
             return float(np.count_nonzero(base_faulty))
 
-        m = answer_set.n_labels
+        m = encoded.n_labels
         expected = 0.0
         for label in range(m):
             weight = float(assignment[obj, label])
             if weight == 0.0:
                 continue
             counts = np.array(base_counts[answerers], copy=True)
-            counts[np.arange(answerers.size), label, row[answerers]] += 1
+            counts[np.arange(answerers.size), label, answered] += 1
             evidence = base_evidence[answerers] + 1
             detection = detector.detect_from_counts(counts, evidence, priors)
             expected += weight * (invariant + detection.n_faulty)

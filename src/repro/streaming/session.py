@@ -166,6 +166,7 @@ class ValidationSession:
         """
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
+        self._stats.telemetry = self.telemetry
         self._tel_conclude_s = self.telemetry.histogram(
             "session.conclude_seconds")
         self._tel_answers = self.telemetry.counter("session.answers")
@@ -185,14 +186,18 @@ class ValidationSession:
         The canonical embedding path: a
         :class:`~repro.process.validation_process.ValidationProcess` starts
         from a fixed crowd matrix and streams only expert validations.
+
+        The statistics are seeded from ``encode_answers(answer_set)``, one
+        scan of the matrix, and adopt that encoding as their first epoch
+        (:meth:`~repro.core.em_kernel.AnswerStats.seed`): the first
+        refinement, :attr:`answer_set` and every look-ahead over it share
+        one encoding, kernel plan and CSR view.
         """
         session = cls(answer_set.n_objects, answer_set.n_workers,
                       answer_set.n_labels, labels=answer_set.labels,
                       objects=answer_set.objects, workers=answer_set.workers,
                       **kwargs)
-        matrix = answer_set.matrix
-        obj, wrk = np.nonzero(matrix != MISSING)
-        session._stats.add_answers(obj, wrk, matrix[obj, wrk])
+        session._stats.seed(em_kernel.encode_answers(answer_set))
         if validation is not None:
             for index, label in validation.as_dict().items():
                 session.add_validation(index, label)
@@ -278,7 +283,14 @@ class ValidationSession:
 
     @property
     def answer_set(self) -> AnswerSet:
-        """Materialized (masked) answer set; cached per statistics version."""
+        """Materialized (masked) answer set; cached per statistics version.
+
+        Each materialization carries the statistics' current encoding
+        (:meth:`~repro.core.em_kernel.AnswerStats.to_answer_set`), so
+        ``encode_answers(session.answer_set)`` is ``session.stats.encoded()``
+        and never rescans the matrix. Until the statistics change, this is
+        the answer set the session was seeded from.
+        """
         version = self._stats.version
         if self._answer_set_cache is not None \
                 and self._answer_set_cache[0] == version:
@@ -291,8 +303,7 @@ class ValidationSession:
         workers = self._workers \
             if self._workers is not None \
             and len(self._workers) == self.n_workers else None
-        answer_set = AnswerSet(self._stats.to_matrix(include_masked=False),
-                               labels, objects, workers)
+        answer_set = self._stats.to_answer_set(labels, objects, workers)
         self._answer_set_cache = (version, answer_set)
         return answer_set
 
@@ -581,7 +592,8 @@ class ValidationSession:
 
         The returned :class:`~repro.core.probabilistic.ProbabilisticAnswerSet`
         is what every downstream consumer (guidance, uncertainty,
-        instantiation) already understands.
+        instantiation) already understands. It runs in a
+        ``session.snapshot`` span.
         """
         if self._model is None:
             raise StreamingError(
@@ -590,14 +602,15 @@ class ValidationSession:
             raise StreamingError(
                 "session dimensions grew since the last refinement — "
                 "call conclude() before snapshot()")
-        return ProbabilisticAnswerSet(
-            answer_set=self.answer_set,
-            validation=self._validation.copy(),
-            assignment=self._model.assignment,
-            confusions=self._model.confusions,
-            priors=self._model.priors,
-            n_em_iterations=self._model.n_iterations,
-        )
+        with self.telemetry.span("session.snapshot"):
+            return ProbabilisticAnswerSet(
+                answer_set=self.answer_set,
+                validation=self._validation.copy(),
+                assignment=self._model.assignment,
+                confusions=self._model.confusions,
+                priors=self._model.priors,
+                n_em_iterations=self._model.n_iterations,
+            )
 
     def conclude_snapshot(self) -> ProbabilisticAnswerSet:
         """Refine, then snapshot — one call for embedding hosts."""

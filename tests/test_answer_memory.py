@@ -1,0 +1,64 @@
+"""Allocation bounds for the guided path: no dense ``int64`` n×k array.
+
+At 4000×400 an ``int64`` copy of the answer matrix is 8·n·k = 12.8 MB,
+against n·k = 1.6 MB for the ``int8`` storage of a binary answer set.
+``tracemalloc`` sees numpy's buffers, so each bound below fails as soon as
+a full-width copy (or a gather of candidate rows) comes back.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core.answer_set import AnswerSet
+from repro.guidance import GuidanceContext, WorkerDrivenStrategy
+from repro.simulation.crowd import CrowdConfig, simulate_crowd
+from repro.streaming import ValidationSession
+from repro.workers.spammer_detection import SpammerDetector
+
+N_OBJECTS, N_WORKERS = 4000, 400
+CELLS = N_OBJECTS * N_WORKERS
+
+
+@pytest.fixture(scope="module")
+def crowd():
+    return simulate_crowd(CrowdConfig(n_objects=N_OBJECTS,
+                                      n_workers=N_WORKERS,
+                                      answers_per_object=6), rng=0)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation of ``fn()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_answer_set_from_int64_allocates_one_narrow_copy(crowd):
+    wide = crowd.answer_set.matrix.astype(np.int64)
+    peak = _peak_bytes(lambda: AnswerSet(wide, crowd.answer_set.labels))
+    # The int8 copy is n·k bytes; the default object and worker names
+    # take the rest.
+    assert peak <= 1.25 * CELLS, f"{peak / CELLS:.2f}·n·k bytes"
+
+
+def test_worker_branch_select_allocates_less_than_the_matrix(crowd):
+    session = ValidationSession.from_answer_set(crowd.answer_set)
+    # After a mask toggle the answer set is materialized from the
+    # statistics: it must carry their encoding, not be rescanned.
+    session.set_masked_workers(range(0, N_WORKERS, 7))
+    context = GuidanceContext(prob_set=session.conclude_snapshot(),
+                              aggregator=session.aggregator,
+                              detector=SpammerDetector(),
+                              rng=np.random.default_rng(0))
+    strategy = WorkerDrivenStrategy(candidate_limit=50)
+    peak = _peak_bytes(lambda: strategy.select(context))
+    assert peak < CELLS, f"{peak / CELLS:.2f}·n·k bytes"

@@ -171,6 +171,38 @@ class TestTransformations:
             table1_answer_set.with_worker("w1", {})
 
 
+class TestNarrowStorage:
+    """The matrix copy is stored in the narrowest type holding [-1, m)."""
+
+    @pytest.mark.parametrize("m, dtype", [(2, np.int8), (128, np.int8),
+                                          (129, np.int16)])
+    def test_dtype_follows_label_count(self, m, dtype):
+        rng = np.random.default_rng(m)
+        source = rng.integers(-1, m, size=(6, 5))
+        source[0, 0], source[0, 1] = MISSING, m - 1
+        answers = AnswerSet(source, labels=[f"l{c}" for c in range(m)])
+        assert answers.matrix.dtype == dtype
+        assert np.array_equal(answers.matrix, source)
+        assert not answers.matrix.flags.writeable
+        assert not np.shares_memory(answers.matrix, source)
+        with pytest.raises(InvalidAnswerSetError, match="codes outside"):
+            AnswerSet(np.full((1, 1), m), labels=[f"l{c}" for c in range(m)])
+
+    def test_narrow_input_is_still_copied(self):
+        source = np.array([[0, 1], [1, MISSING]], dtype=np.int8)
+        answers = AnswerSet(source, labels=("a", "b"))
+        assert not np.shares_memory(answers.matrix, source)
+        source[0, 0] = 1
+        assert answers.answer(0, 0) == 0
+
+    def test_clone_from_int64_is_equal(self, table1_answer_set):
+        clone = AnswerSet(table1_answer_set.matrix.astype(np.int64),
+                          table1_answer_set.labels)
+        assert clone.matrix.dtype == table1_answer_set.matrix.dtype
+        assert clone == table1_answer_set
+        assert hash(clone) == hash(table1_answer_set)
+
+
 class TestDunders:
     def test_equality(self, table1_answer_set):
         clone = AnswerSet(table1_answer_set.matrix,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.answer_set import MISSING
 from repro.core.em import DawidSkeneEM
 from repro.core.iem import IncrementalEM
 from repro.core.uncertainty import object_entropies
@@ -20,6 +21,8 @@ from repro.guidance import (
     WorkerDrivenStrategy,
     argmax_with_ties,
 )
+from repro.simulation.crowd import CrowdConfig, simulate_crowd
+from repro.streaming import ValidationSession
 from repro.workers.spammer_detection import SpammerDetector
 
 
@@ -148,6 +151,29 @@ class TestWorkerDriven:
     def test_invalid_candidate_limit(self):
         with pytest.raises(ValueError):
             WorkerDrivenStrategy(candidate_limit=0)
+
+    @pytest.mark.parametrize("limit", [1, 7, 39])
+    def test_pruning_matches_dense_answer_counts(self, limit):
+        """Counts read from the encoding rank candidates exactly as the
+        dense ``(matrix[candidates] != MISSING).sum(axis=1)`` did, masked
+        workers' answers excluded."""
+        crowd = simulate_crowd(CrowdConfig(n_objects=60, n_workers=20,
+                                           answers_per_object=5), rng=4)
+        session = ValidationSession.from_answer_set(crowd.answer_set)
+        session.set_masked_workers([0, 2, 5, 11])
+        session.add_validation(3, int(crowd.gold[3]))
+        context = GuidanceContext(
+            prob_set=session.conclude_snapshot(),
+            aggregator=session.aggregator, detector=SpammerDetector(),
+            rng=np.random.default_rng(0))
+        candidates = context.candidates()
+        matrix = context.prob_set.answer_set.matrix
+        coverage = (matrix[candidates] != MISSING).sum(axis=1)
+        top = np.argsort(-coverage, kind="stable")[:limit]
+        selection = WorkerDrivenStrategy(candidate_limit=limit).select(
+            context)
+        assert selection.candidate_indices.tolist() \
+            == candidates[np.sort(top)].tolist()
 
     def test_expected_detections_weighting(self, table2_answer_sets,
                                            table2_gold):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.answer_set import MISSING, AnswerSet
+from repro.core.em_kernel import encode_answers
 from repro.core.iem import IncrementalEM
 from repro.core.validation import ExpertValidation
 from repro.errors import StreamingError
@@ -174,6 +175,26 @@ class TestStreamingMatchesBatch:
         assert session.add_answer(0, 0, 1)
         assert not session.add_answer(0, 0, 1)
         assert session.n_answers == 1
+
+
+class TestSharedEncoding:
+    """One encoding per statistics version, shared with the answer set."""
+
+    def test_answer_set_carries_the_statistics_encoding(self, small_crowd):
+        session = ValidationSession.from_answer_set(small_crowd.answer_set)
+        for toggle in (None, [0, 3], []):
+            if toggle is not None:
+                session.set_masked_workers(toggle)
+            session.conclude()
+            encoded = session.stats.encoded()
+            assert encoded is encode_answers(session.answer_set)
+            fresh = encode_answers(AnswerSet(
+                session.stats.to_matrix(include_masked=False),
+                small_crowd.answer_set.labels))
+            for name in ("object_index", "worker_index", "label_index"):
+                ours, theirs = getattr(encoded, name), getattr(fresh, name)
+                assert ours.dtype == theirs.dtype
+                assert ours.tobytes() == theirs.tobytes()
 
 
 class TestShardedRefresh:

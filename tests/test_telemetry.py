@@ -26,6 +26,9 @@ from hypothesis import strategies as st
 
 from repro.core.answer_set import AnswerSet
 from repro.core.iem import IncrementalEM
+from repro.experts.simulated import OracleExpert
+from repro.guidance import InformationGainStrategy
+from repro.process.validation_process import ValidationProcess
 from repro.scenarios import ScenarioRunner, compile_registered, scenario_names
 from repro.state import FileSessionStore
 from repro.streaming.session import ValidationSession
@@ -293,6 +296,36 @@ def test_all_paths_bit_identical_on_vs_off(name):
     # And the instrumentation actually observed the run.
     assert len(hub.tracer.records) > 0
     assert hub.registry.counter("streaming/session.validations").value > 0
+
+
+class TestLayerSpans:
+    """``encode`` and ``plan.build`` fire once per new statistics epoch."""
+
+    def test_spans_fire_only_for_a_new_encoding(self):
+        answer_set = AnswerSet(_answer_matrix(12, 6, 3), labels=("a", "b"))
+        gold = np.zeros(answer_set.n_objects, dtype=np.int64)
+        hub = Telemetry()
+        process = ValidationProcess(
+            answer_set, OracleExpert(gold), strategy=InformationGainStrategy(),
+            handle_faulty=False, rng=0, telemetry=hub)
+
+        def step_spans() -> dict[str, list]:
+            start = len(hub.tracer.records)
+            process.step()
+            records = hub.tracer.records[start:]
+            by_id = {r.span_id: r.name for r in records}
+            return {name: [by_id.get(r.parent_id) for r in records
+                           if r.name == name]
+                    for name in ("encode", "plan.build", "session.snapshot")}
+
+        # A warm step reuses the epoch's encoding and plan.
+        assert step_spans() == {"encode": [], "plan.build": [],
+                                "session.snapshot": ["process.step"]}
+        process.session.set_masked_workers([1])
+        assert step_spans() == {"encode": ["session.conclude"],
+                                "plan.build": ["session.conclude"],
+                                "session.snapshot": ["process.step"]}
+        assert step_spans()["encode"] == []
 
 
 # ----------------------------------------------------------------------
