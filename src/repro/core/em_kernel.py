@@ -563,6 +563,31 @@ class AnswerStats:
                 self._bump()
         self._maybe_widen()
 
+    def check_answer(self, obj: int, worker: int, label: int, *,
+                     grow: bool = False, conflicts: bool = True) -> int:
+        """Raise what :meth:`add_answer` would, without adding; return the
+        cell's current label (:data:`MISSING` when unanswered).
+
+        ``grow=True`` admits indices past the dimensions (the caller grows
+        first); ``conflicts=False`` admits a label conflicting with the
+        cell's.
+        """
+        if obj < 0 or (obj >= self._n_objects and not grow):
+            raise InvalidAnswerSetError(
+                f"object index {obj} outside [0, {self._n_objects})")
+        if worker < 0 or (worker >= self._n_workers and not grow):
+            raise InvalidAnswerSetError(
+                f"worker index {worker} outside [0, {self._n_workers})")
+        if not 0 <= label < self._n_labels:
+            raise InvalidAnswerSetError(
+                f"label code {label} outside [0, {self._n_labels})")
+        current = self._cells.get((obj, worker), MISSING)
+        if conflicts and current != MISSING and current != label:
+            raise InvalidAnswerSetError(
+                f"cell ({obj}, {worker}) already holds label {current}; "
+                f"conflicting re-answer {label} rejected")
+        return current
+
     def add_answer(self, obj: int, worker: int, label: int) -> bool:
         """Ingest one answer; returns ``False`` for an exact duplicate.
 
@@ -571,22 +596,8 @@ class AnswerStats:
         :meth:`~repro.core.answer_set.AnswerSet.from_triples` contract.
         """
         obj, worker, label = int(obj), int(worker), int(label)
-        if not 0 <= obj < self._n_objects:
-            raise InvalidAnswerSetError(
-                f"object index {obj} outside [0, {self._n_objects})")
-        if not 0 <= worker < self._n_workers:
-            raise InvalidAnswerSetError(
-                f"worker index {worker} outside [0, {self._n_workers})")
-        if not 0 <= label < self._n_labels:
-            raise InvalidAnswerSetError(
-                f"label code {label} outside [0, {self._n_labels})")
-        current = self._cells.get((obj, worker), MISSING)
-        if current != MISSING:
-            if current == label:
-                return False
-            raise InvalidAnswerSetError(
-                f"cell ({obj}, {worker}) already holds label {current}; "
-                f"conflicting re-answer {label} rejected")
+        if self.check_answer(obj, worker, label) == label:
+            return False  # an exact duplicate
         position = self._n_answers
         if position == self._obj.size:
             self._reserve(position + 1)

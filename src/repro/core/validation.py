@@ -110,18 +110,25 @@ class ExpertValidation:
         """
         obj = int(obj)
         label = int(label)
-        if not 0 <= obj < self._assigned.size:
+        self.check(obj, label, overwrite=overwrite)
+        self._assigned[obj] = label
+
+    def check(self, obj: int, label: int, *, overwrite: bool = False,
+              grow: bool = False) -> None:
+        """Raise what :meth:`assign` would, without assigning. ``grow=True``
+        admits an object past the end (the caller grows first)."""
+        size = self._assigned.size
+        if obj < 0 or (obj >= size and not grow):
             raise InvalidValidationError(
-                f"object index {obj} outside [0, {self._assigned.size})")
+                f"object index {obj} outside [0, {size})")
         if not 0 <= label < self._n_labels:
             raise InvalidValidationError(
                 f"label code {label} outside [0, {self._n_labels})")
-        current = self._assigned[obj]
+        current = self._assigned[obj] if obj < size else MISSING
         if current != MISSING and current != label and not overwrite:
             raise InvalidValidationError(
                 f"object {obj} already validated with label {int(current)}; "
                 "pass overwrite=True to change it")
-        self._assigned[obj] = label
 
     def retract(self, obj: int) -> None:
         """Remove the expert input for ``obj`` (used by the leave-one-out

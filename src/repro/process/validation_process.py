@@ -44,7 +44,6 @@ from repro.process.goals import (NeverSatisfied, QualityTarget,
                                  ValidationGoal, iter_goals)
 from repro.process.report import StepRecord, ValidationReport
 from repro.process.weighting import dynamic_weight
-from repro.state import store as state_events
 from repro.streaming.session import ValidationSession
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.rng import ensure_rng
@@ -88,21 +87,16 @@ class ValidationProcess:
         precision-based goals.
     store:
         Optional :class:`repro.state.SessionStore` giving the run crash
-        durability: every step's mutations are appended to the store's
-        write-ahead log and full checkpoints are taken on the
-        ``checkpoint_every`` cadence (plus once when :meth:`run`
-        finishes), the process-loop analogue of the streaming replay's
-        ``conclude_every_seconds`` timer.
+        durability. It becomes the session's journal right after the
+        construction-time solve, so every later mutation (the
+        construction-time quality-target conclusions included) and a
+        step marker per iteration land in its write-ahead log. Full
+        checkpoints are taken on the ``checkpoint_every`` cadence (plus
+        once when :meth:`run` finishes), the process-loop analogue of the
+        streaming replay's ``conclude_every_seconds`` timer.
     checkpoint_every:
         Checkpoint after every this-many iterations (requires ``store``;
         ``None`` checkpoints only at the end of :meth:`run`).
-    checkpoint_retry_policy:
-        Optional :class:`repro.resilience.RetryPolicy`. When set, the
-        cadence and final checkpoints run under
-        :func:`~repro.resilience.call_with_retry` (site
-        ``"store.checkpoint"``) so a transient write failure costs a
-        retry, not the run; ``checkpoint_event_log`` (a
-        :class:`repro.resilience.EventLog`) records the degradations.
     rng:
         Randomness for the roulette wheel and strategy tie-breaks.
     telemetry:
@@ -144,8 +138,6 @@ class ValidationProcess:
                  gold: Sequence[int] | np.ndarray | None = None,
                  store=None,
                  checkpoint_every: int | None = None,
-                 checkpoint_retry_policy=None,
-                 checkpoint_event_log=None,
                  rng: np.random.Generator | int | None = None,
                  telemetry=NULL_TELEMETRY) -> None:
         self.answer_set = answer_set
@@ -194,8 +186,6 @@ class ValidationProcess:
                 raise ValueError("checkpoint_every requires a store")
         self.store = store
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_retry_policy = checkpoint_retry_policy
-        self.checkpoint_event_log = checkpoint_event_log
         self.rng = ensure_rng(rng)
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -213,52 +203,32 @@ class ValidationProcess:
         self.records: list[StepRecord] = []
         self.prob_set: ProbabilisticAnswerSet = \
             self.session.conclude_snapshot()
+        self.session.attach_journal(store)
         self._sync_quality_targets()
         self._initial_precision = self.current_precision()
         self._initial_uncertainty = answer_set_uncertainty(self.prob_set)
 
-    def _log(self, record: dict) -> None:
-        """Append a WAL record when a state store is attached.
-
-        Replaying the ``conclude`` markers re-runs the same warm-started
-        refinement chain, which is what makes a restored session bit-equal
-        to the dead one.
-        """
-        if self.store is not None:
-            self.store.append(record)
-
     def _sync_quality_targets(self) -> None:
         """Conclude every object whose posterior clears a quality target.
 
-        Conclusions are logged to the WAL (``conclude-object``) before the
-        session mask is updated, mirroring the log-then-apply ordering of
-        every other mutation so crash/resume replays the mask bit-exactly.
-        The mask is sticky — objects dipping back below the threshold stay
-        concluded (see :class:`~repro.process.goals.QualityTarget`).
+        Each conclusion is a journaled ``conclude_object``, so crash/resume
+        replays the mask bit-exactly. The mask is sticky — objects dipping
+        back below the threshold stay concluded (see
+        :class:`~repro.process.goals.QualityTarget`).
         """
         if not self._quality_targets:
             return
         mask = self.session.concluded_mask
         for target in self._quality_targets:
             for obj in target.newly_concluded(self.prob_set.assignment, mask):
-                self._log(state_events.conclude_object_event(int(obj)))
                 self.session.conclude_object(int(obj))
                 mask[obj] = True
 
     def _checkpoint(self, meta: dict) -> None:
-        """One (optionally retried) checkpoint of the live session."""
+        """One checkpoint of the live session."""
         with self.telemetry.span("process.checkpoint",
                                  iteration=meta.get("iteration")):
-            if self.checkpoint_retry_policy is None:
-                self.store.checkpoint(self.session, meta=meta)
-                return
-            from repro.resilience.retry import call_with_retry
-            call_with_retry(
-                lambda: self.store.checkpoint(self.session, meta=meta),
-                self.checkpoint_retry_policy, site="store.checkpoint",
-                key=meta.get("iteration"),
-                event_log=self.checkpoint_event_log,
-                telemetry=self.telemetry)
+            self.store.checkpoint(self.session, meta=meta)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -323,8 +293,6 @@ class ValidationProcess:
                 "beliefs": np.array(self.prob_set.assignment[obj]),
             }))
             error_rate = 1.0 - float(self.prob_set.assignment[obj, label])
-            self._log(state_events.validation_event(obj, label,
-                                                    overwrite=True))
             self.session.add_validation(obj, label, overwrite=True)
             self.effort += 1
             self.iteration += 1
@@ -336,8 +304,6 @@ class ValidationProcess:
             self.faulty_filter.observe(detection)
             if self.handle_faulty and worker_branch:
                 self.faulty_filter.commit()
-                self._log(state_events.mask_event(
-                    self.faulty_filter.suspected))
                 self.session.set_masked_workers(self.faulty_filter.suspected)
             spammer_ratio = detection.faulty_ratio()
             self.hybrid_weight = dynamic_weight(
@@ -346,7 +312,6 @@ class ValidationProcess:
             # (4) Integrate the validation (conclude + filter): a
             # warm-started refinement over the session's delta-maintained
             # statistics.
-            self._log(state_events.conclude_event())
             self.prob_set = self.session.conclude_snapshot()
 
             # (5) Periodic confirmation check for erroneous expert
@@ -385,7 +350,7 @@ class ValidationProcess:
             frontier_size=frontier_size,
         )
         self.records.append(record)
-        self._log(state_events.step_event(self.iteration))
+        self.session.mark_step(self.iteration)
         if self.checkpoint_every is not None \
                 and self.iteration % self.checkpoint_every == 0:
             self._checkpoint({"iteration": self.iteration,
@@ -404,14 +369,11 @@ class ValidationProcess:
                 break
             new_label = int(self.expert.reconsider(int(obj)))
             if new_label != self.validation.label_of(int(obj)):
-                self._log(state_events.validation_event(int(obj), new_label,
-                                                        overwrite=True))
                 self.session.add_validation(int(obj), new_label,
                                             overwrite=True)
             self.effort += 1
             reconsidered.append(int(obj))
         if reconsidered:
-            self._log(state_events.conclude_event())
             self.prob_set = self.session.conclude_snapshot()
         return tuple(reconsidered)
 

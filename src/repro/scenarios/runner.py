@@ -49,7 +49,7 @@ scenario run doubles as a metrics report.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,6 @@ from repro.resilience import (
 )
 from repro.scenarios.compiler import CompiledScenario
 from repro.state import MemorySessionStore
-from repro.state import store as state_events
 from repro.streaming.session import ValidationSession
 from repro.streaming.sharded import ShardedRefresher
 from repro.telemetry import NULL_TELEMETRY
@@ -172,7 +171,7 @@ class ScenarioOutcome:
     n_detected, n_truly_faulty:
         Sizes behind the precision/recall.
     elapsed_seconds:
-        Wall clock of the full three-path run.
+        Wall clock of the full five-path run.
     """
 
     scenario: str
@@ -362,17 +361,8 @@ class ScenarioRunner:
                          steps: list[RecordedStep],
                          template: ValidationSession) -> np.ndarray:
         """Path 2: exact warm-started session replay of the recorded run."""
-        session = self._fresh_session(scenario, template,
-                                      telemetry=self.telemetry.spawn(
-                                          "streaming"))
-        session.conclude()
-        for step in steps:
-            session.add_validation(step.object_index, step.expert_label,
-                                   overwrite=True)
-            session.set_masked_workers(step.masked_workers)
-            session.conclude()
-            for obj in step.concluded_objects:
-                session.conclude_object(obj)
+        session = self._replay(scenario, steps, template,
+                               telemetry=self.telemetry.spawn("streaming"))
         return np.array(session.model.assignment)
 
     def replay_sharded(self, scenario: CompiledScenario,
@@ -416,51 +406,11 @@ class ScenarioRunner:
         chain, the final posterior must equal the uninterrupted streaming
         replay's exactly (L∞ = 0.0).
         """
-        if store is None:
-            store = MemorySessionStore()
-        rng = spawn_rngs(np.random.SeedSequence((self.seed, 0xDEAD)), 1)[0]
-        n_steps = len(steps)
-        kill_before: set[int] = set()
-        if n_steps > 1 and self.n_kills > 0:
-            boundaries = np.arange(1, n_steps)
-            chosen = rng.choice(boundaries,
-                                size=min(self.n_kills, boundaries.size),
-                                replace=False)
-            kill_before = {int(b) for b in chosen}
-
-        scope = self.telemetry.spawn("resume")
-        session = self._fresh_session(scenario, template, telemetry=scope)
-        store.append(state_events.conclude_event())
-        session.conclude()
-        store.checkpoint(session, meta={"step": -1})
-        index = 0
-        while index < n_steps:
-            if index in kill_before:
-                kill_before.discard(index)  # each kill fires exactly once
-                del session  # the "crash": all live state is gone
-                restored = store.restore()
-                session = restored.session
-                # Checkpoints never carry a hub; the resumed session picks
-                # the instrumentation back up here.
-                session.attach_telemetry(scope)
-                index = 0 if restored.step is None else restored.step + 1
-                continue
-            step = steps[index]
-            store.append(state_events.validation_event(
-                step.object_index, step.expert_label, overwrite=True))
-            session.add_validation(step.object_index, step.expert_label,
-                                   overwrite=True)
-            store.append(state_events.mask_event(step.masked_workers))
-            session.set_masked_workers(step.masked_workers)
-            store.append(state_events.conclude_event())
-            session.conclude()
-            for obj in step.concluded_objects:
-                store.append(state_events.conclude_object_event(obj))
-                session.conclude_object(obj)
-            store.append(state_events.step_event(index))
-            if (index + 1) % self.checkpoint_every == 0:
-                store.checkpoint(session, meta={"step": index})
-            index += 1
+        session = self._replay(
+            scenario, steps, template,
+            telemetry=self.telemetry.spawn("resume"),
+            store=store if store is not None else MemorySessionStore(),
+            kills=self._kill_points(len(steps), self.n_kills, 0xDEAD))
         # The concluded mask must survive the kills exactly: every bit in
         # the recorded union came back through checkpoint + WAL replay.
         expected = np.zeros(scenario.n_objects, dtype=bool)
@@ -526,8 +476,6 @@ class ScenarioRunner:
             return FaultReplay(posteriors=posteriors, event_log=event_log,
                                injector=injector)
 
-        if store is None:
-            store = MemorySessionStore()
         expert = SupervisedExpert(
             ScriptedExpert({int(step.object_index): int(step.expert_label)
                             for step in steps}),
@@ -536,64 +484,93 @@ class ScenarioRunner:
         guard_rng = spawn_rngs(
             np.random.SeedSequence((self.seed, 0xFA_17)), 1)[0]
 
-        def conclude() -> None:
-            store.append(state_events.conclude_event())
-            call_with_retry(session.conclude, policy,
-                            site="session.conclude", rng=guard_rng,
+        def guard(call, site: str) -> None:
+            call_with_retry(call, policy, site=site, rng=guard_rng,
                             injector=injector, event_log=event_log,
                             telemetry=scope)
 
-        def checkpoint(meta: dict) -> None:
-            call_with_retry(lambda: store.checkpoint(session, meta=meta),
-                            policy, site="store.checkpoint", rng=guard_rng,
-                            injector=injector, event_log=event_log,
-                            telemetry=scope)
+        # Elicit through the supervised expert so flaky-endpoint faults
+        # land on the expert site; the recorded label is what gets
+        # ingested either way (the scripted expert is pure).
+        session = self._replay(
+            scenario, steps, template, telemetry=scope,
+            store=store if store is not None else MemorySessionStore(),
+            kills=self._kill_points(len(steps), n_kills, 0xFA_11),
+            guard=guard, elicit=expert.validate, event_log=event_log)
+        return FaultReplay(posteriors=np.array(session.model.assignment),
+                           event_log=event_log, injector=injector)
 
-        n_steps = len(steps)
-        kill_before: set[int] = set()
-        if n_steps > 1 and n_kills > 0:
-            kill_rng = spawn_rngs(
-                np.random.SeedSequence((self.seed, 0xFA_11)), 1)[0]
-            boundaries = np.arange(1, n_steps)
-            chosen = kill_rng.choice(boundaries,
-                                     size=min(n_kills, boundaries.size),
-                                     replace=False)
-            kill_before = {int(b) for b in chosen}
+    def _kill_points(self, n_steps: int, n_kills: int,
+                     stream: int) -> set[int]:
+        """``n_kills`` distinct step boundaries in ``[1, n_steps)``, drawn
+        from the seed stream ``(seed, stream)``."""
+        if n_steps < 2 or n_kills < 1:
+            return set()
+        rng = spawn_rngs(np.random.SeedSequence((self.seed, stream)), 1)[0]
+        boundaries = np.arange(1, n_steps)
+        chosen = rng.choice(boundaries, size=min(n_kills, boundaries.size),
+                            replace=False)
+        return {int(b) for b in chosen}
 
-        session = self._fresh_session(scenario, template, telemetry=scope)
-        conclude()
-        checkpoint({"step": -1})
+    def _replay(self, scenario: CompiledScenario,
+                steps: list[RecordedStep],
+                template: ValidationSession, *,
+                telemetry,
+                store=None,
+                kills: Collection[int] = (),
+                guard=lambda call, site: call(),
+                elicit=None,
+                event_log=None) -> ValidationSession:
+        """The recorded steps, replayed into a fresh session (paths 2, 4, 5).
+
+        With a ``store``, the session journals into it, a checkpoint is
+        taken before the first step and after every ``checkpoint_every``
+        steps, and before each step index in ``kills`` the live session is
+        discarded and rebuilt by ``store.restore()``, resuming after the
+        last logged step marker. ``guard(call, site)`` runs each
+        refinement (site ``"session.conclude"``) and checkpoint (site
+        ``"store.checkpoint"``); ``elicit(obj)`` runs before each step's
+        validation.
+        """
+        session = self._fresh_session(scenario, template,
+                                      telemetry=telemetry)
+        session.attach_journal(store)
+
+        def checkpoint(step: int) -> None:
+            if store is not None:
+                guard(lambda: store.checkpoint(session, meta={"step": step}),
+                      "store.checkpoint")
+
+        guard(session.conclude, "session.conclude")
+        checkpoint(-1)
+        pending = set(kills)
         index = 0
-        while index < n_steps:
-            if index in kill_before:
-                kill_before.discard(index)
-                del session
+        while index < len(steps):
+            if index in pending:
+                pending.discard(index)  # each kill fires exactly once
+                del session  # the "crash": all live state is gone
                 restored = store.restore(event_log=event_log)
                 session = restored.session
-                session.attach_telemetry(scope)
+                # Checkpoints carry neither the journal nor a hub; the
+                # resumed session picks both back up here.
+                session.attach_journal(store)
+                session.attach_telemetry(telemetry)
                 index = 0 if restored.step is None else restored.step + 1
                 continue
             step = steps[index]
-            # Elicit through the supervised expert so flaky-endpoint
-            # faults land on the expert site; the recorded label is what
-            # gets ingested either way (the scripted expert is pure).
-            expert.validate(step.object_index)
-            store.append(state_events.validation_event(
-                step.object_index, step.expert_label, overwrite=True))
+            if elicit is not None:
+                elicit(step.object_index)
             session.add_validation(step.object_index, step.expert_label,
                                    overwrite=True)
-            store.append(state_events.mask_event(step.masked_workers))
             session.set_masked_workers(step.masked_workers)
-            conclude()
+            guard(session.conclude, "session.conclude")
             for obj in step.concluded_objects:
-                store.append(state_events.conclude_object_event(obj))
                 session.conclude_object(obj)
-            store.append(state_events.step_event(index))
+            session.mark_step(index)
             if (index + 1) % self.checkpoint_every == 0:
-                checkpoint({"step": index})
+                checkpoint(index)
             index += 1
-        return FaultReplay(posteriors=np.array(session.model.assignment),
-                           event_log=event_log, injector=injector)
+        return session
 
     def _replay_faults_sharded(self, scenario: CompiledScenario,
                                steps: list[RecordedStep],
@@ -634,7 +611,7 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
     def run(self, scenario: CompiledScenario, lookahead: str = "exact",
             check: bool = True) -> ScenarioOutcome:
-        """All three paths + agreement checks + metrics for one scenario.
+        """All five paths + agreement checks + metrics for one scenario.
 
         With ``check=True`` (default), a violation of the documented
         tolerances raises :class:`ConformanceError`; ``check=False``

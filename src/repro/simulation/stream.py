@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.answer_set import MISSING
 from repro.simulation.crowd import SimulatedCrowd
-from repro.state import store as state_events
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 #: Supported replay orders for :func:`answer_stream`.
@@ -165,9 +164,7 @@ def replay(events: Iterable,
            on_conflict: str | None = None,
            store=None,
            checkpoint_every_seconds: float | None = None,
-           retry_policy=None,
-           fault_injector=None,
-           event_log=None) -> ReplaySummary:
+           ) -> ReplaySummary:
     """Drive a :class:`~repro.streaming.ValidationSession` with an event stream.
 
     Parameters
@@ -198,24 +195,18 @@ def replay(events: Iterable,
         ``duplicate-resubmissions`` scenario): resubmitted conflicts are
         dropped first-write-wins and counted on the session.
     store:
-        Optional :class:`repro.state.SessionStore`. Every ingested event
-        — and, on the exact (non-sharded) path, every refinement — is
-        appended to the store's write-ahead log *before* it is applied,
-        so ``store.restore()`` after a crash rebuilds the session
-        bit-for-bit at the last logged event.
+        Optional :class:`repro.state.SessionStore`, attached as the
+        session's journal (:meth:`~repro.streaming.ValidationSession
+        .attach_journal`) and left attached. Every ingested event — and,
+        on the exact (non-sharded) path, every refinement — is appended
+        to its write-ahead log after the session has checked it and
+        before it is applied, so ``store.restore()`` after a crash
+        rebuilds the session bit-for-bit at the last logged event, and
+        an event the session refuses leaves no record.
     checkpoint_every_seconds:
         Full-checkpoint cadence on the event clock (same crossing
         semantics as ``conclude_every_seconds``); requires ``store``. A
         final checkpoint is always taken after the stream drains.
-    retry_policy, fault_injector, event_log:
-        Resilience wiring (:mod:`repro.resilience`). When either of the
-        first two is given, the driver-level operations — exact
-        refinements (site ``"session.conclude"``) and checkpoint writes
-        (site ``"store.checkpoint"``) — run under
-        :func:`~repro.resilience.call_with_retry`: transient failures
-        (injected or real) are retried whole, so a supervised replay's
-        final state stays bit-equal to the unsupervised one. Degradations
-        are recorded into ``event_log``.
     """
     if conclude_every is not None and conclude_every < 1:
         raise ValueError("conclude_every must be >= 1 or None, "
@@ -237,49 +228,26 @@ def replay(events: Iterable,
         if conclude_every_seconds is not None else None
     next_checkpoint_time = checkpoint_every_seconds \
         if checkpoint_every_seconds is not None else None
-    supervised = retry_policy is not None or fault_injector is not None
-    guard_rng = ensure_rng(0) if supervised else None
-
-    def guarded(fn, site: str):
-        if not supervised:
-            return fn()
-        from repro.resilience.retry import call_with_retry
-        result, _trace = call_with_retry(
-            fn, retry_policy, site=site, rng=guard_rng,
-            injector=fault_injector, event_log=event_log)
-        return result
+    if store is not None:
+        session.attach_journal(store)
 
     def refine() -> None:
+        # Sharded refreshes install unlogged models; only the exact
+        # conclude chain is WAL-replayable.
         if refresher is not None:
             refresher.refresh(session)
         else:
-            # Sharded refreshes are approximations re-derived on restore;
-            # only the exact conclude chain is WAL-replayable.
-            if store is not None:
-                store.append(state_events.conclude_event())
-            # An injected fault fires before conclude runs, so a retried
-            # refinement is always a whole one — never a half-applied EM
-            # pass that would wreck the warm-start chain's bit-equality.
-            guarded(session.conclude, "session.conclude")
+            session.conclude()
 
     for event in events:
         if isinstance(event, AnswerEvent):
-            if store is not None:
-                store.append(state_events.answer_event(
-                    event.object_index, event.worker_index, event.label,
-                    grow=True, on_conflict=on_conflict))
             session.add_answer(event.object_index, event.worker_index,
                                event.label, grow=True,
                                on_conflict=on_conflict)
             n_answers += 1
         elif isinstance(event, ValidationEvent):
-            if store is not None:
-                store.append(state_events.validation_event(
-                    event.object_index, event.label, overwrite=True))
-            if event.object_index >= session.n_objects:
-                session.grow(n_objects=event.object_index + 1)
             session.add_validation(event.object_index, event.label,
-                                   overwrite=True)
+                                   overwrite=True, grow=True)
             n_validations += 1
         else:
             raise TypeError(f"unknown stream event {event!r}")
@@ -294,15 +262,12 @@ def replay(events: Iterable,
             next_refine_time = intervals * conclude_every_seconds
         if next_checkpoint_time is not None \
                 and event.time >= next_checkpoint_time:
-            when = float(event.time)
-            guarded(lambda: store.checkpoint(session, meta={"time": when}),
-                    "store.checkpoint")
+            store.checkpoint(session, meta={"time": float(event.time)})
             intervals = int(event.time // checkpoint_every_seconds) + 1
             next_checkpoint_time = intervals * checkpoint_every_seconds
     refine()
     if store is not None:
-        guarded(lambda: store.checkpoint(session, meta={"final": True}),
-                "store.checkpoint")
+        store.checkpoint(session, meta={"final": True})
     return ReplaySummary(
         n_answers=n_answers,
         n_validations=n_validations,

@@ -12,12 +12,15 @@ behind a small :class:`SessionStore` interface:
   per-shard segment layouts driven by a
   :class:`repro.partitioning.Partition`.
 
-``store.checkpoint(session)`` persists a full
-:class:`SessionState`; mutations logged through ``store.append`` between
-checkpoints form the WAL tail that ``store.restore()`` replays, yielding a
-session bit-for-bit equal to the one that died. See
-:func:`repro.simulation.stream.replay` (``store=``/
-``checkpoint_every_seconds=``) and
+``store.checkpoint(session)`` persists a full :class:`SessionState`. A
+session attached to the store with
+:meth:`~repro.streaming.ValidationSession.attach_journal` appends one
+record per mutating call, after checking it and before applying it; the
+records between checkpoints form the WAL tail that ``store.restore()``
+replays through the same methods (:func:`replay_events`), yielding a
+session bit-for-bit equal to the one that died. A call the session
+refuses writes nothing. See :func:`repro.simulation.stream.replay`
+(``store=``/``checkpoint_every_seconds=``) and
 :class:`repro.process.validation_process.ValidationProcess`
 (``store=``/``checkpoint_every=``) for the wired-in cadences, and
 :meth:`repro.scenarios.ScenarioRunner.replay_crash_resume` for the

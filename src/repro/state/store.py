@@ -5,8 +5,10 @@ A :class:`SessionStore` persists two complementary things:
 * **checkpoints** — full :class:`~repro.state.snapshot.SessionState`
   snapshots taken at a caller-chosen cadence;
 * a **write-ahead log (WAL)** — the stream of session mutations (answers,
-  validations, masking, refinements) appended as they are applied, so a
-  restore can replay the tail that arrived *after* the latest checkpoint.
+  validations, masking, refinements), each appended by a journaled
+  session (:meth:`~repro.streaming.ValidationSession.attach_journal`)
+  after its input checks and before it is applied, so a restore can
+  replay the tail that arrived *after* the latest checkpoint.
 
 Restore = load the newest checkpoint + replay the WAL suffix recorded
 since it. Because the WAL includes ``conclude`` markers and every replayed
@@ -139,7 +141,9 @@ def replay_events(session, records) -> tuple[int, int | None]:
 
     Replays mutations exactly as the original driver issued them —
     including ``conclude`` refinements, so the warm-start chain (and hence
-    every float of the model) is reproduced bit-for-bit.
+    every float of the model) is reproduced bit-for-bit. This is the one
+    table from record kind to session method; the session must have no
+    journal attached, or the replay would log the records again.
     """
     applied = 0
     last_step = None
@@ -151,11 +155,11 @@ def replay_events(session, records) -> tuple[int, int | None]:
                                grow=record.get("grow", False),
                                on_conflict=record.get("on_conflict"))
         elif kind == "validation":
-            obj = record["object"]
-            if obj >= session.n_objects:
-                session.grow(n_objects=obj + 1)
-            session.add_validation(obj, record["label"],
-                                   overwrite=record.get("overwrite", False))
+            # The record does not say whether the call grew the session;
+            # a logged validation past n_objects came with grow=True.
+            session.add_validation(record["object"], record["label"],
+                                   overwrite=record.get("overwrite", False),
+                                   grow=True)
         elif kind == "retract":
             session.retract_validation(record["object"])
         elif kind == "mask":
@@ -250,6 +254,11 @@ class SessionStore(ABC):
         ``checkpoint_id`` stays strict: the caller asked for those exact
         bytes, so corruption propagates. A checkpoint whose WAL position
         lies outside ``[0, wal_position]`` is corrupt.
+
+        The tail replays through the session's own mutating methods
+        (:func:`replay_events`). The restored session has neither a
+        journal nor telemetry attached: a driver that goes on logging
+        re-attaches both (``attach_journal``, ``attach_telemetry``).
         """
         if event_log is None:
             event_log = self.event_log

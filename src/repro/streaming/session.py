@@ -39,12 +39,26 @@ from repro.core.confusion import PROB_FLOOR
 from repro.core.iem import IncrementalEM
 from repro.core.probabilistic import ProbabilisticAnswerSet
 from repro.core.validation import ExpertValidation
-from repro.errors import InvalidValidationError, StreamingError
+from repro.errors import (InvalidAnswerSetError, InvalidValidationError,
+                          StreamingError)
+from repro.state import store as state_events
 from repro.telemetry import NULL_TELEMETRY
 
 
 class ValidationSession:
     """Online answer validation over a continuously arriving crowd stream.
+
+    With a :class:`repro.state.SessionStore` attached (:meth:`attach_journal`)
+    the session writes its own write-ahead log: every call of
+    :meth:`add_answer` (exact duplicates and dropped conflicts included),
+    :meth:`add_validation`, :meth:`retract_validation`,
+    :meth:`set_masked_workers`, :meth:`grow`, :meth:`conclude`,
+    :meth:`conclude_object` and :meth:`mark_step` checks its input, appends
+    one record, then applies it. A refused call writes nothing. The growth
+    inside ``add_answer(grow=True)`` rides on the answer's record, and
+    :meth:`conclude_snapshot` logs the one conclude it runs;
+    :meth:`install_model` is not logged. A restored session starts
+    detached.
 
     Parameters
     ----------
@@ -151,7 +165,16 @@ class ValidationSession:
         #: Conflicting resubmissions dropped under ``on_conflict="ignore"``.
         self.n_conflicts = 0
 
+        self._journal = None
         self.attach_telemetry(telemetry)
+
+    def attach_journal(self, store) -> None:
+        """Log every later mutation to ``store``'s WAL (``None`` detaches).
+
+        Like telemetry, the journal is never part of :meth:`capture_state`:
+        re-attach it after a restore.
+        """
+        self._journal = store
 
     def attach_telemetry(self, telemetry) -> None:
         """Attach (or replace) the telemetry hub and resolve instruments.
@@ -327,7 +350,18 @@ class ValidationSession:
         Growth invalidates the warm start: the next :meth:`conclude` cold
         starts with the aggregator's ``init`` policy, matching what a batch
         replay without a shape-compatible previous snapshot would do.
+        Shrinking raises ``ValueError``.
         """
+        for name, size, current in (("n_objects", n_objects, self.n_objects),
+                                    ("n_workers", n_workers, self.n_workers)):
+            if size is not None and int(size) < current:
+                raise ValueError(
+                    f"cannot shrink {name} from {current} to {size}")
+        if self._journal is not None:
+            self._journal.append(state_events.grow_event(n_objects, n_workers))
+        self._grow(n_objects, n_workers)
+
+    def _grow(self, n_objects: int | None, n_workers: int | None) -> None:
         # Direct-view validation writes must be folded into the confusion
         # counts before the sync snapshot is rebuilt for the new size.
         self._heal_vconf()
@@ -363,15 +397,24 @@ class ValidationSession:
         answer, returns ``False``, and bumps :attr:`n_conflicts`.
         """
         obj, worker, label = int(obj), int(worker), int(label)
-        if grow and (obj >= self.n_objects or worker >= self.n_workers):
-            self.grow(n_objects=max(self.n_objects, obj + 1),
-                      n_workers=max(self.n_workers, worker + 1))
         policy = self.on_conflict if on_conflict is None else on_conflict
         if policy not in ("error", "ignore"):
             raise ValueError(f"unknown conflict policy {policy!r}")
-        if policy == "ignore" and 0 <= obj < self.n_objects \
-                and 0 <= worker < self.n_workers:
-            current = self._stats.label_of(obj, worker)
+        grows = grow and (obj >= self.n_objects or worker >= self.n_workers)
+        if grows or self._journal is not None:
+            # Refuse before the first write: neither growth nor a WAL
+            # record may outlive a rejected answer.
+            self._stats.check_answer(obj, worker, label, grow=grow,
+                                     conflicts=policy == "error")
+            if self._journal is not None:
+                self._journal.append(state_events.answer_event(
+                    obj, worker, label, grow=grow, on_conflict=on_conflict))
+            if grows:
+                self._grow(max(self.n_objects, obj + 1),
+                           max(self.n_workers, worker + 1))
+        if policy == "ignore":
+            current = self._stats.check_answer(obj, worker, label,
+                                               conflicts=False)
             if current != MISSING and current != label:
                 self.n_conflicts += 1
                 self._tel_conflicts.set(self.n_conflicts)
@@ -406,16 +449,21 @@ class ValidationSession:
         return added
 
     def add_validation(self, obj: int, label: int,
-                       *, overwrite: bool = False) -> None:
+                       *, overwrite: bool = False, grow: bool = False) -> None:
         """Ingest one expert validation (the stream's ground-truth events).
 
         Updates the validated-confusion counts by delta: only the answers
-        of ``obj`` are touched, never the full matrix.
+        of ``obj`` are touched, never the full matrix. With ``grow=True``,
+        an object index past ``n_objects`` extends the dimensions instead
+        of raising.
         """
         obj, label = int(obj), int(label)
-        if not 0 <= obj < self.n_objects:
-            raise InvalidValidationError(
-                f"object index {obj} outside [0, {self.n_objects})")
+        self._validation.check(obj, label, overwrite=overwrite, grow=grow)
+        if self._journal is not None:
+            self._journal.append(state_events.validation_event(
+                obj, label, overwrite=overwrite))
+        if obj >= self.n_objects:
+            self._grow(obj + 1, None)
         self._heal_vconf()
         previous = self._validation.label_of(obj)
         self._validation.assign(obj, label, overwrite=overwrite)
@@ -432,9 +480,9 @@ class ValidationSession:
     def retract_validation(self, obj: int) -> None:
         """Remove the expert input for ``obj``."""
         obj = int(obj)
-        if not 0 <= obj < self.n_objects:
-            raise InvalidValidationError(
-                f"object index {obj} outside [0, {self.n_objects})")
+        self._check_object(obj)
+        if self._journal is not None:
+            self._journal.append(state_events.retract_event(obj))
         self._heal_vconf()
         previous = self._validation.label_of(obj)
         self._validation.retract(obj)
@@ -456,9 +504,10 @@ class ValidationSession:
         selection and stopping.
         """
         obj = int(obj)
-        if not 0 <= obj < self.n_objects:
-            raise InvalidValidationError(
-                f"object index {obj} outside [0, {self.n_objects})")
+        self._check_object(obj)
+        if self._journal is not None:
+            self._journal.append(state_events.conclude_object_event(
+                obj, revoke=revoke))
         target = not revoke
         if bool(self._concluded[obj]) == target:
             return False
@@ -474,7 +523,14 @@ class ValidationSession:
         dirty. Validated-confusion counts are unaffected — masking removes
         answers from aggregation, not from detection evidence.
         """
-        toggled = self._stats.set_masked_workers(workers)
+        masked = frozenset(int(worker) for worker in workers)
+        outside = sorted(w for w in masked if not 0 <= w < self.n_workers)
+        if outside:
+            raise InvalidAnswerSetError(
+                f"worker index {outside[0]} outside [0, {self.n_workers})")
+        if self._journal is not None:
+            self._journal.append(state_events.mask_event(masked))
+        toggled = self._stats.set_masked_workers(masked)
         if toggled:
             for worker in toggled:
                 self._dirty.update(
@@ -493,6 +549,8 @@ class ValidationSession:
         equal to ``IncrementalEM.conclude`` on the equivalent batch answer
         set with the same warm-start state.
         """
+        if self._journal is not None:
+            self._journal.append(state_events.conclude_event())
         warm = self._model is not None \
             and self._model_dims == (self.n_objects, self.n_workers)
         span = self.telemetry.span(
@@ -509,6 +567,12 @@ class ValidationSession:
             self._tel_conflicts.set(self.n_conflicts)
             self._tel_concluded.set(self.n_concluded)
         return result
+
+    def mark_step(self, step: int) -> None:
+        """Log a driver's step marker (what a restore reports as
+        :attr:`repro.state.RestoredSession.step`); no-op when detached."""
+        if self._journal is not None:
+            self._journal.append(state_events.step_event(step))
 
     def install_model(self,
                       assignment: np.ndarray,
@@ -647,6 +711,11 @@ class ValidationSession:
         return restore_session(state, telemetry=telemetry)
 
     # ------------------------------------------------------------------
+    def _check_object(self, obj: int) -> None:
+        if not 0 <= obj < self.n_objects:
+            raise InvalidValidationError(
+                f"object index {obj} outside [0, {self.n_objects})")
+
     def _heal_object(self, obj: int) -> None:
         """Re-sync one object's validated-confusion contributions."""
         current = self._validation.label_of(obj)
