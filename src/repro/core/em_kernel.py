@@ -420,17 +420,20 @@ class AnswerStats:
 
     The batch entry point :func:`encode_answers` flattens a full ``n × k``
     matrix on every call — ``O(n·k)`` even when only one answer changed.
-    ``AnswerStats`` maintains the same flat encoding as an append-only log
-    plus delta-maintained indexes, so streaming callers
-    (:class:`repro.streaming.ValidationSession`) pay ``O(1)`` amortized per
-    ingested answer:
+    ``AnswerStats`` maintains the same flat encoding as an append-only log,
+    so streaming callers (:class:`repro.streaming.ValidationSession`) pay
+    ``O(1)`` amortized per ingested answer:
 
     * the ``(object, worker, label)`` triple log (geometrically grown);
-    * per-object and per-worker position indexes into the log, so delta
-      queries (:meth:`answers_of_object`, :meth:`objects_of_worker`) never
-      scan the full answer stream;
+    * an ``(object, worker) → label`` cell map for duplicate and conflict
+      checks (:meth:`label_of`);
     * a masked-worker set (the §5.3 faulty-worker exclusion) applied at
-      encoding time instead of by copying matrix columns.
+      encoding time instead of by copying matrix columns;
+    * the cached encoding of the current version (:meth:`encoded`).
+
+    There is no per-object or per-worker index: the one query that needs
+    one, :meth:`objects_of_workers`, runs at a mask toggle, which already
+    rebuilds the encoding, and scans the log once.
 
     :meth:`encoded` produces an :class:`EncodedAnswers` that is **bit-for-bit
     identical** to ``encode_answers(equivalent AnswerSet)``: answers are
@@ -444,7 +447,7 @@ class AnswerStats:
 
     __slots__ = ("_n_objects", "_n_workers", "_n_labels",
                  "_obj", "_wrk", "_lab", "_n_answers",
-                 "_cells", "_by_object", "_by_worker", "_masked",
+                 "_cells", "_masked",
                  "_encoded_cache", "_version", "telemetry")
 
     def __init__(self, n_objects: int, n_workers: int, n_labels: int) -> None:
@@ -464,10 +467,6 @@ class AnswerStats:
         self._n_answers = 0
         #: (object, worker) -> label, for duplicate/conflict detection.
         self._cells: dict[tuple[int, int], int] = {}
-        #: object -> positions into the log, for per-object delta queries.
-        self._by_object: dict[int, list[int]] = {}
-        #: worker -> positions into the log, for per-worker delta queries.
-        self._by_worker: dict[int, list[int]] = {}
         self._masked: frozenset[int] = frozenset()
         self._encoded_cache: EncodedAnswers | None = None
         self._version = 0
@@ -507,21 +506,15 @@ class AnswerStats:
         """Ingested label for a cell (:data:`MISSING` when unanswered)."""
         return self._cells.get((int(obj), int(worker)), MISSING)
 
-    def answers_of_object(self, obj: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(workers, labels)`` of every ingested answer for ``obj``."""
-        positions = self._by_object.get(int(obj), [])
-        idx = np.asarray(positions, dtype=np.int64)
-        return self._wrk[idx], self._lab[idx]
+    def objects_of_workers(self, workers) -> np.ndarray:
+        """Unique objects any of ``workers`` answered (ascending).
 
-    def objects_of_worker(self, worker: int) -> np.ndarray:
-        """Unique objects the worker answered (ascending).
-
-        Served from the per-worker position index — ``O(answers of the
-        worker)``, not a scan of the full answer log.
+        Masked answers count. One ``np.isin`` pass over the log, however
+        many workers are asked for.
         """
-        positions = self._by_worker.get(int(worker), [])
-        idx = np.asarray(positions, dtype=np.int64)
-        return np.unique(self._obj[idx])
+        n = self._n_answers
+        hit = np.isin(self._wrk[:n], np.fromiter(workers, dtype=np.int64))
+        return np.unique(self._obj[:n][hit])
 
     def answer_log(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(objects, workers, labels)`` in exact insertion order (copies).
@@ -541,27 +534,25 @@ class AnswerStats:
              n_workers: int | None = None) -> None:
         """Extend the object/worker dimensions (streams may introduce both).
 
-        Shrinking is rejected.
+        Shrinking either axis raises ``ValueError`` (:meth:`check_grow`)
+        and changes neither.
         """
-        if n_objects is not None:
-            n_objects = int(n_objects)
-            if n_objects < self._n_objects:
-                raise ValueError(
-                    f"cannot shrink n_objects from {self._n_objects} "
-                    f"to {n_objects}")
-            if n_objects > self._n_objects:
-                self._n_objects = n_objects
-                self._bump()
-        if n_workers is not None:
-            n_workers = int(n_workers)
-            if n_workers < self._n_workers:
-                raise ValueError(
-                    f"cannot shrink n_workers from {self._n_workers} "
-                    f"to {n_workers}")
-            if n_workers > self._n_workers:
-                self._n_workers = n_workers
-                self._bump()
+        self.check_grow(n_objects, n_workers)
+        grown = (self._n_objects if n_objects is None else int(n_objects),
+                 self._n_workers if n_workers is None else int(n_workers))
+        if grown != (self._n_objects, self._n_workers):
+            self._n_objects, self._n_workers = grown
+            self._bump()
         self._maybe_widen()
+
+    def check_grow(self, n_objects: int | None = None,
+                   n_workers: int | None = None) -> None:
+        """Raise what :meth:`grow` would, without growing."""
+        for name, size, current in (("n_objects", n_objects, self._n_objects),
+                                    ("n_workers", n_workers, self._n_workers)):
+            if size is not None and int(size) < current:
+                raise ValueError(
+                    f"cannot shrink {name} from {current} to {size}")
 
     def check_answer(self, obj: int, worker: int, label: int, *,
                      grow: bool = False, conflicts: bool = True) -> int:
@@ -606,8 +597,6 @@ class AnswerStats:
         self._lab[position] = label
         self._n_answers += 1
         self._cells[(obj, worker)] = label
-        self._by_object.setdefault(obj, []).append(position)
-        self._by_worker.setdefault(worker, []).append(position)
         self._bump()
         return True
 
@@ -619,7 +608,7 @@ class AnswerStats:
 
         When the log is empty and the batch holds no duplicate cells (the
         bulk-seeding case of a session built from an answer set), the log
-        and its indexes are filled in one pass instead of per-answer calls.
+        and the cell map are filled in one pass instead of per-answer calls.
         """
         objects = np.asarray(objects, dtype=np.int64).ravel()
         workers = np.asarray(workers, dtype=np.int64).ravel()
@@ -655,14 +644,6 @@ class AnswerStats:
         self._n_answers = count
         self._cells = dict(zip(zip(objects.tolist(), workers.tolist()),
                                labels.tolist()))
-        by_object: dict[int, list[int]] = {}
-        by_worker: dict[int, list[int]] = {}
-        for position, (obj, wrk) in enumerate(zip(objects.tolist(),
-                                                  workers.tolist())):
-            by_object.setdefault(obj, []).append(position)
-            by_worker.setdefault(wrk, []).append(position)
-        self._by_object = by_object
-        self._by_worker = by_worker
         self._bump()
         return True
 

@@ -140,6 +140,20 @@ class ExpertValidation:
         clone._assigned = np.array(self._assigned, copy=True)
         return clone
 
+    def read_only(self) -> "ExpertValidation":
+        """A live view that refuses writes.
+
+        The view shares this validation's array, so it sees every later
+        :meth:`assign` and :meth:`retract` made here; its own ``assign``
+        and ``retract`` raise :class:`~repro.errors.InvalidValidationError`.
+        Its copies (:meth:`copy`, :meth:`without`, :meth:`with_assignment`)
+        are ordinary, writable validations.
+        """
+        view = object.__new__(_ReadOnlyValidation)
+        view._assigned = self._assigned
+        view._n_labels = self._n_labels
+        return view
+
     def without(self, objs: int | Iterable[int]) -> "ExpertValidation":
         """Copy of this validation with input for ``objs`` removed."""
         clone = self.copy()
@@ -169,3 +183,21 @@ class ExpertValidation:
     def __repr__(self) -> str:
         return (f"ExpertValidation(validated={self.count}/"
                 f"{self.n_objects})")
+
+
+class _ReadOnlyValidation(ExpertValidation):
+    """The view :meth:`ExpertValidation.read_only` returns."""
+
+    __slots__ = ()
+
+    def assign(self, obj: int, label: int, *, overwrite: bool = False) -> None:
+        self._refuse()
+
+    def retract(self, obj: int) -> None:
+        self._refuse()
+
+    @staticmethod
+    def _refuse() -> None:
+        raise InvalidValidationError(
+            "this validation is a read-only view; change it through its "
+            "owner (ValidationSession.add_validation / retract_validation)")

@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-from repro.telemetry import NULL_TELEMETRY
 
 #: Supported execution modes.
 MODES = ("serial", "threads", "processes")
@@ -39,14 +36,11 @@ class Executor:
         ``"serial"`` (default), ``"threads"``, or ``"processes"``.
     max_workers:
         Pool size for the parallel modes; defaults to CPU count − 1.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` hub. When enabled,
-        pooled maps run inside an ``executor.map`` span and each chunk
-        reports worker-side timing: queue wait (dispatch → worker start,
-        previously swallowed inside the pool) and run time feed the
-        ``executor.queue_wait_seconds`` / ``executor.run_seconds``
-        histograms. Disabled (the default) leaves the dispatch path
-        byte-identical — chunks are not even wrapped.
+
+    The executor records no telemetry of its own: callers that need
+    per-task timings time the tasks they submit
+    (:class:`repro.resilience.SupervisedExecutor` reports each task's
+    queue wait and run time).
 
     Examples
     --------
@@ -56,13 +50,11 @@ class Executor:
     """
 
     def __init__(self, mode: str = "serial",
-                 max_workers: int | None = None,
-                 telemetry=NULL_TELEMETRY) -> None:
+                 max_workers: int | None = None) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
         self.max_workers = max_workers or default_worker_count()
-        self.telemetry = telemetry
         self._pool: ProcessPoolExecutor | ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
@@ -107,39 +99,19 @@ class Executor:
         assert self._pool is not None
         chunk = max(1, len(items) // (4 * self.max_workers)) \
             if isinstance(self._pool, ProcessPoolExecutor) else 1
-        chunks = [items[start:start + chunk]
-                  for start in range(0, len(items), chunk)]
-        timed = self.telemetry.enabled
-        worker = _timed_map_chunk if timed else _map_chunk
-        span = self.telemetry.span("executor.map", mode=self.mode,
-                                   n_items=len(items),
-                                   n_chunks=len(chunks))
+        futures = [self._pool.submit(_map_chunk, fn,
+                                     items[start:start + chunk])
+                   for start in range(0, len(items), chunk)]
         results: list = []
-        with span:
-            dispatched = time.perf_counter()
-            futures = [self._pool.submit(worker, fn, piece)
-                       for piece in chunks]
-            try:
-                if timed:
-                    queue_wait = self.telemetry.histogram(
-                        "executor.queue_wait_seconds")
-                    run_time = self.telemetry.histogram(
-                        "executor.run_seconds")
-                    for future in futures:
-                        payload, started_at, elapsed = future.result()
-                        queue_wait.observe(
-                            max(0.0, started_at - dispatched))
-                        run_time.observe(elapsed)
-                        results.extend(payload)
-                else:
-                    for future in futures:
-                        results.extend(future.result())
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                raise
+        try:
+            for future in futures:
+                results.extend(future.result())
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+            raise
         return results
 
     def starmap(self, fn: Callable, items: Iterable[Sequence]) -> list:
@@ -153,20 +125,6 @@ class Executor:
 def _map_chunk(fn: Callable, chunk: Sequence) -> list:
     """Apply ``fn`` to one chunk (module-level so process pools pickle it)."""
     return [fn(item) for item in chunk]
-
-
-def _timed_map_chunk(fn: Callable,
-                     chunk: Sequence) -> tuple[list, float, float]:
-    """:func:`_map_chunk` plus worker-side timing.
-
-    Returns ``(results, started_at, elapsed)`` where ``started_at`` is
-    the worker's ``perf_counter`` at chunk entry — on Linux that clock is
-    system-wide ``CLOCK_MONOTONIC``, comparable with the parent's
-    dispatch reading across both threads and forked processes.
-    """
-    started = time.perf_counter()
-    return ([fn(item) for item in chunk], started,
-            time.perf_counter() - started)
 
 
 class _StarCall:

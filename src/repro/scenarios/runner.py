@@ -380,8 +380,7 @@ class ScenarioRunner:
         for step in steps:
             session.add_validation(step.object_index, step.expert_label,
                                    overwrite=True)
-            if session.set_masked_workers(step.masked_workers):
-                refresher.invalidate_partition()
+            session.set_masked_workers(step.masked_workers)
             refresher.refresh(session)
             for obj in step.concluded_objects:
                 session.conclude_object(obj)
@@ -594,8 +593,7 @@ class ScenarioRunner:
         for step in steps:
             session.add_validation(step.object_index, step.expert_label,
                                    overwrite=True)
-            if session.set_masked_workers(step.masked_workers):
-                refresher.invalidate_partition()
+            session.set_masked_workers(step.masked_workers)
             refresher.refresh(session)
         return np.array(session.model.assignment)
 

@@ -187,7 +187,7 @@ def replay(events: Iterable,
     refresher:
         Optional :class:`repro.streaming.ShardedRefresher`; when given,
         refinements go through partition-scoped refresh instead of the
-        exact full conclude.
+        exact full conclude. Not combinable with ``store``.
     on_conflict:
         Conflict policy forwarded to every ingested answer (``None`` uses
         the session's own policy). Pass ``"ignore"`` when the stream may
@@ -197,12 +197,14 @@ def replay(events: Iterable,
     store:
         Optional :class:`repro.state.SessionStore`, attached as the
         session's journal (:meth:`~repro.streaming.ValidationSession
-        .attach_journal`) and left attached. Every ingested event — and,
-        on the exact (non-sharded) path, every refinement — is appended
-        to its write-ahead log after the session has checked it and
-        before it is applied, so ``store.restore()`` after a crash
-        rebuilds the session bit-for-bit at the last logged event, and
-        an event the session refuses leaves no record.
+        .attach_journal`) and left attached. Every ingested event and
+        every refinement is appended to its write-ahead log after the
+        session has checked it and before it is applied, so
+        ``store.restore()`` after a crash rebuilds the session
+        bit-for-bit at the last logged event, and an event the session
+        refuses leaves no record. The promise covers exact refinements
+        only: a sharded refresh installs its model unlogged, so passing
+        both ``store`` and ``refresher`` raises ``ValueError``.
     checkpoint_every_seconds:
         Full-checkpoint cadence on the event clock (same crossing
         semantics as ``conclude_every_seconds``); requires ``store``. A
@@ -220,6 +222,9 @@ def replay(events: Iterable,
                              f"None, got {checkpoint_every_seconds}")
         if store is None:
             raise ValueError("checkpoint_every_seconds requires a store")
+    if store is not None and refresher is not None:
+        raise ValueError("a store cannot restore sharded refreshes; "
+                         "pass store or refresher, not both")
     concludes_before = session.n_concludes
     iterations_before = session.total_em_iterations
     n_answers = n_validations = 0
@@ -232,8 +237,6 @@ def replay(events: Iterable,
         session.attach_journal(store)
 
     def refine() -> None:
-        # Sharded refreshes install unlogged models; only the exact
-        # conclude chain is WAL-replayable.
         if refresher is not None:
             refresher.refresh(session)
         else:

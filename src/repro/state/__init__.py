@@ -8,9 +8,7 @@ behind a small :class:`SessionStore` interface:
 * :class:`MemorySessionStore` — in-process value copies (the default;
   identical semantics, zero durability);
 * :class:`FileSessionStore` — npz segments + JSON manifest + JSONL
-  write-ahead log, crash-safe via atomic manifest commits, with optional
-  per-shard segment layouts driven by a
-  :class:`repro.partitioning.Partition`.
+  write-ahead log, crash-safe via atomic manifest commits.
 
 ``store.checkpoint(session)`` persists a full :class:`SessionState`. A
 session attached to the store with

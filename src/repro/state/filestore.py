@@ -7,8 +7,7 @@ On-disk layout under the store root::
       ckpt-000000/
         manifest.json           # schema version, dims, config, RNG state
         global.npz              # model arrays + conclude-epoch bookkeeping
-        segment-000.npz         # answer-log slice (+ validations, dirty)
-        segment-001.npz         # ... one per partition block when sharded
+        segment-000.npz         # answer log (+ validations, dirty)
       ckpt-000001/
         ...
 
@@ -35,13 +34,12 @@ never land behind it) and keeps until :meth:`FileSessionStore.close`. A
 returned append is in the kernel, so it survives the process being
 killed; nothing is fsynced.
 
-Per-shard checkpoints: pass a :class:`repro.partitioning.Partition` to
-:meth:`FileSessionStore.checkpoint` (or use
-:meth:`repro.streaming.ShardedRefresher.checkpoint`) and the answer log,
-validations, and dirty set are split into one segment per block, keyed by
-the original log positions. Restore concatenates the segments and sorts by
-position, recovering the exact insertion order regardless of how many
-shards wrote it.
+Segments: a checkpoint writes its answer log, validations and dirty set
+as one segment whose entries are keyed by their log positions. The reader
+accepts any number of segments (earlier builds could split a checkpoint
+into one segment per partition block): it concatenates them and sorts by
+position, recovering the exact insertion order however many segments
+hold it.
 """
 
 from __future__ import annotations
@@ -221,8 +219,8 @@ class FileSessionStore(SessionStore):
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
-    def checkpoint(self, session, *, meta: dict | None = None,
-                   partition=None) -> CheckpointInfo:
+    def checkpoint(self, session, *,
+                   meta: dict | None = None) -> CheckpointInfo:
         state = session.capture_state()
         checkpoint_id = self._next_checkpoint_id()
         directory = self.root / f"{_CKPT_PREFIX}{checkpoint_id:06d}"
@@ -238,11 +236,11 @@ class FileSessionStore(SessionStore):
             if self.retry_policy.max_attempts == 1 \
                     and self.event_log is None:
                 info = self._write_checkpoint(directory, checkpoint_id,
-                                              state, meta, partition)
+                                              state, meta)
             else:
                 info, _trace = call_with_retry(
                     lambda: self._write_checkpoint(
-                        directory, checkpoint_id, state, meta, partition),
+                        directory, checkpoint_id, state, meta),
                     self.retry_policy, site="filestore.checkpoint-write",
                     key=checkpoint_id, event_log=self.event_log,
                     telemetry=self.telemetry)
@@ -251,11 +249,11 @@ class FileSessionStore(SessionStore):
         return info
 
     def _write_checkpoint(self, directory: Path, checkpoint_id: int,
-                          state: SessionState, meta: dict | None,
-                          partition) -> CheckpointInfo:
+                          state: SessionState,
+                          meta: dict | None) -> CheckpointInfo:
         directory.mkdir(parents=True, exist_ok=True)
 
-        segments = self._write_segments(directory, state, partition)
+        segments = self._write_segment(directory, state)
         global_arrays = {}
         if state.concluded_validated is not None:
             global_arrays["concluded_validated"] = state.concluded_validated
@@ -320,46 +318,20 @@ class FileSessionStore(SessionStore):
         os.replace(tmp, directory / _MANIFEST)
         return info
 
-    def _write_segments(self, directory: Path, state: SessionState,
-                        partition) -> list[dict]:
+    def _write_segment(self, directory: Path,
+                       state: SessionState) -> list[dict]:
+        """Write the one segment; returns the manifest's segment list."""
         validated_objects = np.flatnonzero(state.validated != MISSING)
-        validated_labels = state.validated[validated_objects]
-        dirty = np.asarray(state.dirty, dtype=np.int64)
-        if partition is None:
-            groups = [np.ones(state.n_answers, dtype=bool)]
-            object_sets = [None]
-        else:
-            groups, object_sets = [], []
-            for block in partition.blocks:
-                members = np.zeros(state.n_objects, dtype=bool)
-                members[np.asarray(block.object_indices, dtype=np.int64)] \
-                    = True
-                groups.append(members[state.log_objects])
-                object_sets.append(members)
-        segments = []
-        for index, keep in enumerate(groups):
-            members = object_sets[index]
-            if members is None:
-                seg_validated = validated_objects
-                seg_labels = validated_labels
-                seg_dirty = dirty
-            else:
-                v_keep = members[validated_objects]
-                seg_validated = validated_objects[v_keep]
-                seg_labels = validated_labels[v_keep]
-                seg_dirty = dirty[members[dirty]] if dirty.size else dirty
-            name = f"segment-{index:03d}.npz"
-            np.savez(directory / name,
-                     positions=np.flatnonzero(keep),
-                     objects=state.log_objects[keep],
-                     workers=state.log_workers[keep],
-                     labels=state.log_labels[keep],
-                     validated_objects=seg_validated,
-                     validated_labels=seg_labels,
-                     dirty=seg_dirty)
-            segments.append({"file": name,
-                             "n_entries": int(np.count_nonzero(keep))})
-        return segments
+        name = "segment-000.npz"
+        np.savez(directory / name,
+                 positions=np.arange(state.n_answers, dtype=np.intp),
+                 objects=state.log_objects,
+                 workers=state.log_workers,
+                 labels=state.log_labels,
+                 validated_objects=validated_objects,
+                 validated_labels=state.validated[validated_objects],
+                 dirty=np.asarray(state.dirty, dtype=np.int64))
+        return [{"file": name, "n_entries": state.n_answers}]
 
     def checkpoints(self) -> list[CheckpointInfo]:
         infos = []

@@ -6,8 +6,10 @@ insertion order, the masked-worker set, the expert-validation function, the
 warm-start model, the dirty-object set, the conclude counters, and the
 aggregator's knobs and RNG state. Restoring it rebuilds a session that is
 bit-for-bit indistinguishable from the captured one — every aggregate the
-session maintains (log indexes, validated-confusion counts, cached
-encodings) is a pure function of these inputs, re-derived on restore.
+session maintains (the cell map, cached encodings, log-likelihood rows)
+is a pure function of these inputs, re-derived on restore. Spammer
+detection's validated-confusion counts are not session state at all:
+detectors count them from an answer set when they need them.
 
 The stores in :mod:`repro.state` serialize exactly this object; the schema
 version below stamps its on-disk form.
@@ -133,9 +135,6 @@ class SessionState:
 
 def capture_session(session) -> SessionState:
     """Snapshot a live session (the engine of ``capture_state``)."""
-    # Fold any direct-view validation writes into the maintained counts
-    # first, so the captured dirty set is complete.
-    session._heal_vconf()
     obj, wrk, lab = session.stats.answer_log()
     model = session.model
     aggregator = session.aggregator
@@ -186,9 +185,9 @@ def restore_session(state: SessionState,
 
     Aggregates are re-derived rather than deserialized: the answer log is
     bulk-replayed in its insertion order, validations are re-asserted per
-    object (validated-confusion counts are integer deltas,
-    order-independent), and the warm-start model, dirty set, and counters
-    are installed directly. The aggregator is a plain
+    object through ``add_validation``, and the warm-start model, dirty
+    set, and counters are installed directly, so the dirty set is the
+    captured one, not what the replay marked. The aggregator is a plain
     :class:`~repro.core.iem.IncrementalEM` rebuilt from the captured knobs
     and RNG state. The cached flat encoding is rebuilt lazily and
     lexsorted by ``(object, worker)``, which depends only on the set of

@@ -204,14 +204,9 @@ class SessionStore(ABC):
         """Number of WAL records appended so far."""
 
     @abstractmethod
-    def checkpoint(self, session, *, meta: dict | None = None,
-                   partition=None) -> CheckpointInfo:
-        """Persist a full snapshot of ``session`` at the current WAL head.
-
-        ``partition`` (a :class:`repro.partitioning.Partition`) lets
-        file-backed stores split the snapshot into per-shard segments;
-        stores without sharded layouts may ignore it.
-        """
+    def checkpoint(self, session, *,
+                   meta: dict | None = None) -> CheckpointInfo:
+        """Persist a full snapshot of ``session`` at the current WAL head."""
 
     @abstractmethod
     def checkpoints(self) -> list[CheckpointInfo]:
@@ -259,6 +254,11 @@ class SessionStore(ABC):
         (:func:`replay_events`). The restored session has neither a
         journal nor telemetry attached: a driver that goes on logging
         re-attaches both (``attach_journal``, ``attach_telemetry``).
+
+        The result is bit-for-bit the live session when every refinement
+        since the checkpoint was an exact ``conclude``: a model installed
+        with ``install_model`` (a sharded refresh) is not logged, so the
+        replay cannot reproduce it.
         """
         if event_log is None:
             event_log = self.event_log
@@ -331,8 +331,8 @@ class MemorySessionStore(SessionStore):
     def wal_position(self) -> int:
         return len(self._wal)
 
-    def checkpoint(self, session, *, meta: dict | None = None,
-                   partition=None) -> CheckpointInfo:
+    def checkpoint(self, session, *,
+                   meta: dict | None = None) -> CheckpointInfo:
         state = session.capture_state()
         info = CheckpointInfo(
             checkpoint_id=len(self._checkpoints),

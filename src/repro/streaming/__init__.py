@@ -12,12 +12,13 @@ Three pieces:
 
 * :class:`ValidationSession` — the online engine. Ingests answers and
   expert validations incrementally, maintains mutable sufficient statistics
-  (flat answer log and its indexes, validated-confusion counts, per-object
-  log-likelihood rows) as deltas, and refines through its
-  ``aggregator=IncrementalEM(...)``, warm-starting from the previous
-  model. Batch and streaming solves run through the same
-  ``IncrementalEM.refine``, so on identical inputs streaming and batch
-  answers never disagree.
+  (flat answer log and its cell map, per-object log-likelihood rows) as
+  deltas, and refines through its ``aggregator=IncrementalEM(...)``,
+  warm-starting from the previous model. Batch and streaming solves run
+  through the same ``IncrementalEM.refine``, so on identical inputs
+  streaming and batch answers never disagree. Its public mutating
+  methods are the only way to change it (``session.validation`` is a
+  read-only view), so a journaled session logs every change.
 * :class:`ShardedRefresher` — partition-aware refresh. Reuses
   :mod:`repro.partitioning` to cut the answer matrix into dense blocks and
   :mod:`repro.parallel` to refine, shard-parallel, only the blocks whose

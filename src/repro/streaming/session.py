@@ -7,8 +7,7 @@ whole matrix on every event, the session
 
 * ingests answers and expert validations *incrementally*, maintaining
   mutable sufficient statistics (:class:`repro.core.em_kernel.AnswerStats`:
-  the triple log and its per-object/per-worker indexes; plus
-  delta-maintained per-worker validated-confusion counts and per-object
+  the triple log and its cell map; plus delta-maintained per-object
   log-likelihood rows) as deltas;
 * refines through :meth:`repro.core.iem.IncrementalEM.refine`,
   *warm-starting* from the previous model (confusion matrices + priors),
@@ -59,6 +58,11 @@ class ValidationSession:
     :meth:`conclude_snapshot` logs the one conclude it runs;
     :meth:`install_model` is not logged. A restored session starts
     detached.
+
+    These methods are the only way to change the session. The
+    :attr:`validation` it hands out is a read-only view, so no write can
+    bypass the journal; change validations through
+    :meth:`add_validation` and :meth:`retract_validation`.
 
     Parameters
     ----------
@@ -130,14 +134,6 @@ class ValidationSession:
         self._objects = None if objects is None else tuple(objects)
         self._workers = None if workers is None else tuple(workers)
         self._validation = ExpertValidation(n_objects, n_labels)
-
-        # Delta-maintained per-worker validated-confusion counts (§5.3):
-        # entry (w, g, l) counts worker w answering l on an object the
-        # expert asserted as g. Counts run over *all* ingested answers
-        # (masking excludes answers from aggregation, not from evidence).
-        self._vconf = np.zeros((n_workers, n_labels, n_labels),
-                               dtype=np.int64)
-        self._vconf_sync = self._validation.as_array()
 
         # Last installed model and the statistics epoch it refined.
         self._model: em_kernel.EMResult | None = None
@@ -258,13 +254,16 @@ class ValidationSession:
 
     @property
     def validation(self) -> ExpertValidation:
-        """Live view of the expert-validation function.
+        """Read-only live view of the expert-validation function.
 
-        Prefer :meth:`add_validation` for writes — it additionally keeps
-        the delta-maintained validated-confusion counts in sync (direct
-        writes through this view are healed lazily, at a small cost).
+        The view shares the session's array, so it sees later validations
+        without a copy per access; its ``assign`` and ``retract`` raise
+        :class:`~repro.errors.InvalidValidationError`. Change validations
+        through :meth:`add_validation` and :meth:`retract_validation`,
+        which the journal logs. Growing the object axis replaces the
+        array: re-read this view after :meth:`grow`.
         """
-        return self._validation
+        return self._validation.read_only()
 
     @property
     def model(self) -> em_kernel.EMResult | None:
@@ -330,16 +329,6 @@ class ValidationSession:
         self._answer_set_cache = (version, answer_set)
         return answer_set
 
-    def validated_confusion_counts(self) -> np.ndarray:
-        """Delta-maintained §5.3 validated-confusion counts (``k × m × m``).
-
-        Equals :func:`repro.core.confusion.validated_confusion_counts` over
-        the unmasked answer set and current validation. Direct writes to
-        the :attr:`validation` view are detected and healed here.
-        """
-        self._heal_vconf()
-        return self._vconf.copy()
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
@@ -352,19 +341,12 @@ class ValidationSession:
         replay without a shape-compatible previous snapshot would do.
         Shrinking raises ``ValueError``.
         """
-        for name, size, current in (("n_objects", n_objects, self.n_objects),
-                                    ("n_workers", n_workers, self.n_workers)):
-            if size is not None and int(size) < current:
-                raise ValueError(
-                    f"cannot shrink {name} from {current} to {size}")
+        self._stats.check_grow(n_objects, n_workers)
         if self._journal is not None:
             self._journal.append(state_events.grow_event(n_objects, n_workers))
         self._grow(n_objects, n_workers)
 
     def _grow(self, n_objects: int | None, n_workers: int | None) -> None:
-        # Direct-view validation writes must be folded into the confusion
-        # counts before the sync snapshot is rebuilt for the new size.
-        self._heal_vconf()
         old_n, old_k = self.n_objects, self.n_workers
         self._stats.grow(n_objects=n_objects, n_workers=n_workers)
         if self.n_objects > old_n:
@@ -376,13 +358,7 @@ class ValidationSession:
             grown_concluded = np.zeros(self.n_objects, dtype=bool)
             grown_concluded[:old_n] = self._concluded
             self._concluded = grown_concluded
-        if self.n_workers > old_k:
-            grown = np.zeros((self.n_workers, self.n_labels, self.n_labels),
-                             dtype=np.int64)
-            grown[:old_k] = self._vconf
-            self._vconf = grown
         if (self.n_objects, self.n_workers) != (old_n, old_k):
-            self._vconf_sync = self._validation.as_array()
             self._log_like = None
 
     def add_answer(self, obj: int, worker: int, label: int,
@@ -419,19 +395,10 @@ class ValidationSession:
                 self.n_conflicts += 1
                 self._tel_conflicts.set(self.n_conflicts)
                 return False
-        # Heal any direct-view validation drift for this object *before*
-        # the answer log changes, so the delta below is never re-counted.
-        if 0 <= obj < self.n_objects \
-                and self._vconf_sync[obj] != self._validation.label_of(obj):
-            self._heal_object(obj)
-        added = self._stats.add_answer(obj, worker, label)
-        if not added:
+        if not self._stats.add_answer(obj, worker, label):
             return False
         self._tel_answers.inc()
         self._dirty.add(obj)
-        asserted = self._validation.label_of(obj)
-        if asserted != MISSING:
-            self._vconf[worker, asserted, label] += 1
         if self._log_like is not None \
                 and worker not in self._stats.masked_workers:
             self._log_like[obj] += self._log_conf[worker, :, label]
@@ -452,10 +419,8 @@ class ValidationSession:
                        *, overwrite: bool = False, grow: bool = False) -> None:
         """Ingest one expert validation (the stream's ground-truth events).
 
-        Updates the validated-confusion counts by delta: only the answers
-        of ``obj`` are touched, never the full matrix. With ``grow=True``,
-        an object index past ``n_objects`` extends the dimensions instead
-        of raising.
+        A changed label makes ``obj`` dirty. With ``grow=True``, an object
+        index past ``n_objects`` extends the dimensions instead of raising.
         """
         obj, label = int(obj), int(label)
         self._validation.check(obj, label, overwrite=overwrite, grow=grow)
@@ -464,18 +429,10 @@ class ValidationSession:
                 obj, label, overwrite=overwrite))
         if obj >= self.n_objects:
             self._grow(obj + 1, None)
-        self._heal_vconf()
-        previous = self._validation.label_of(obj)
+        if self._validation.label_of(obj) != label:
+            self._dirty.add(obj)
         self._validation.assign(obj, label, overwrite=overwrite)
         self._tel_validations.inc()
-        if previous == label:
-            return
-        workers, answered = self._stats.answers_of_object(obj)
-        if previous != MISSING:
-            np.add.at(self._vconf, (workers, previous, answered), -1)
-        np.add.at(self._vconf, (workers, label, answered), 1)
-        self._vconf_sync[obj] = label
-        self._dirty.add(obj)
 
     def retract_validation(self, obj: int) -> None:
         """Remove the expert input for ``obj``."""
@@ -483,13 +440,8 @@ class ValidationSession:
         self._check_object(obj)
         if self._journal is not None:
             self._journal.append(state_events.retract_event(obj))
-        self._heal_vconf()
-        previous = self._validation.label_of(obj)
-        self._validation.retract(obj)
-        if previous != MISSING:
-            workers, answered = self._stats.answers_of_object(obj)
-            np.add.at(self._vconf, (workers, previous, answered), -1)
-            self._vconf_sync[obj] = MISSING
+        if self._validation.label_of(obj) != MISSING:
+            self._validation.retract(obj)
             self._dirty.add(obj)
 
     def conclude_object(self, obj: int, *, revoke: bool = False) -> bool:
@@ -519,9 +471,8 @@ class ValidationSession:
     def set_masked_workers(self, workers: Iterable[int]) -> frozenset[int]:
         """Exclude (or re-include) workers' answers from aggregation (§5.3).
 
-        Returns the workers whose state toggled; their objects become
-        dirty. Validated-confusion counts are unaffected — masking removes
-        answers from aggregation, not from detection evidence.
+        Returns the workers whose state toggled; every object they
+        answered becomes dirty.
         """
         masked = frozenset(int(worker) for worker in workers)
         outside = sorted(w for w in masked if not 0 <= w < self.n_workers)
@@ -532,9 +483,8 @@ class ValidationSession:
             self._journal.append(state_events.mask_event(masked))
         toggled = self._stats.set_masked_workers(masked)
         if toggled:
-            for worker in toggled:
-                self._dirty.update(
-                    self._stats.objects_of_worker(worker).tolist())
+            self._dirty.update(
+                self._stats.objects_of_workers(toggled).tolist())
             self._log_like = None
         return toggled
 
@@ -689,8 +639,8 @@ class ValidationSession:
 
         The returned :class:`repro.state.SessionState` is self-contained:
         :meth:`restore_state` (or ``SessionState.restore()``) rebuilds a
-        session whose every observable — sufficient statistics, validated
-        confusion counts, warm-start model, dirty set, aggregator and RNG
+        session whose every observable — sufficient statistics, expert
+        validations, warm-start model, dirty set, aggregator and RNG
         stream, conclude counters — is bit-for-bit identical to this one's.
         """
         from repro.state.snapshot import capture_session
@@ -715,26 +665,6 @@ class ValidationSession:
         if not 0 <= obj < self.n_objects:
             raise InvalidValidationError(
                 f"object index {obj} outside [0, {self.n_objects})")
-
-    def _heal_object(self, obj: int) -> None:
-        """Re-sync one object's validated-confusion contributions."""
-        current = self._validation.label_of(obj)
-        workers, answered = self._stats.answers_of_object(obj)
-        if self._vconf_sync[obj] != MISSING:
-            np.add.at(self._vconf,
-                      (workers, self._vconf_sync[obj], answered), -1)
-        if current != MISSING:
-            np.add.at(self._vconf, (workers, current, answered), 1)
-        self._vconf_sync[obj] = current
-        self._dirty.add(obj)
-
-    def _heal_vconf(self) -> None:
-        """Re-sync validated-confusion counts after direct view writes."""
-        current = self._validation.as_array()
-        if current.size != self._vconf_sync.size:
-            self._vconf_sync = np.full(current.size, MISSING, dtype=np.int64)
-        for obj in np.flatnonzero(current != self._vconf_sync):
-            self._heal_object(int(obj))
 
     def __repr__(self) -> str:
         return (f"ValidationSession(n_objects={self.n_objects}, "

@@ -149,11 +149,6 @@ class ShardedRefresher:
             self._partition_version = version
         return self._partition
 
-    def invalidate_partition(self) -> None:
-        """Drop the cached partition (recut on the next refresh)."""
-        self._partition = None
-        self._partition_version = None
-
     # ------------------------------------------------------------------
     def refresh(self, session: ValidationSession,
                 force_all: bool = False) -> RefreshReport:
@@ -257,22 +252,6 @@ class ShardedRefresher:
         return RefreshReport(n_blocks=partition.n_blocks,
                              refreshed_blocks=(), em_iterations=(),
                              fallback="exact")
-
-    # ------------------------------------------------------------------
-    def checkpoint(self, session: ValidationSession, store,
-                   meta: dict | None = None):
-        """Checkpoint ``session`` into ``store`` with per-shard segments.
-
-        Convenience over ``store.checkpoint(session, partition=...)``:
-        passes this refresher's (cached) partition so a file-backed store
-        writes one answer-log segment per block — the layout that lets a
-        future host hand each shard's segment to the process that owns
-        that block. Restore reassembles the segments into the exact
-        insertion-order log regardless of the split (see
-        :mod:`repro.state.filestore`).
-        """
-        return store.checkpoint(session, meta=meta,
-                                partition=self.partition_for(session))
 
     # ------------------------------------------------------------------
     def _block_payload(self, session: ValidationSession,

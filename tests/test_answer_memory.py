@@ -4,6 +4,12 @@ At 4000×400 an ``int64`` copy of the answer matrix is 8·n·k = 12.8 MB,
 against n·k = 1.6 MB for the ``int8`` storage of a binary answer set.
 ``tracemalloc`` sees numpy's buffers, so each bound below fails as soon as
 a full-width copy (or a gather of candidate rows) comes back.
+
+The streaming statistics are bounded per answer instead: at 15 answers
+per object (60k answers) the triple log and the cell map retain about
+153 B/answer when seeded and 116 B/answer when fed answer by answer.
+Another per-answer index (a position list per object or per worker) adds
+more than 35 B/answer and breaks the bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import em_kernel
 from repro.core.answer_set import AnswerSet
 from repro.guidance import GuidanceContext, WorkerDrivenStrategy
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
@@ -28,6 +35,13 @@ def crowd():
     return simulate_crowd(CrowdConfig(n_objects=N_OBJECTS,
                                       n_workers=N_WORKERS,
                                       answers_per_object=6), rng=0)
+
+
+@pytest.fixture(scope="module")
+def dense_crowd():
+    return simulate_crowd(CrowdConfig(n_objects=N_OBJECTS,
+                                      n_workers=N_WORKERS,
+                                      answers_per_object=15), rng=0)
 
 
 def _peak_bytes(fn) -> int:
@@ -62,3 +76,40 @@ def test_worker_branch_select_allocates_less_than_the_matrix(crowd):
     strategy = WorkerDrivenStrategy(candidate_limit=50)
     peak = _peak_bytes(lambda: strategy.select(context))
     assert peak < CELLS, f"{peak / CELLS:.2f}·n·k bytes"
+
+
+def _retained_bytes(build) -> int:
+    """Traced bytes still held once ``build()`` returns (its result kept)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()  # measured while still referenced
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_answer_statistics_retain_few_bytes_per_answer(dense_crowd):
+    answer_set = dense_crowd.answer_set
+    dims = (answer_set.n_objects, answer_set.n_workers, answer_set.n_labels)
+    encoded = em_kernel.encode_answers(answer_set)
+    n_answers = encoded.object_index.size
+    triples = list(zip(encoded.object_index.tolist(),
+                       encoded.worker_index.tolist(),
+                       encoded.label_index.tolist()))
+
+    def seeded():
+        stats = em_kernel.AnswerStats(*dims)
+        stats.seed(encoded)
+        return stats
+
+    def fed():
+        session = ValidationSession(*dims)
+        for obj, worker, label in triples:
+            session.add_answer(obj, worker, label)
+        return session
+
+    per_answer = _retained_bytes(seeded) / n_answers
+    assert per_answer <= 180, f"seeded: {per_answer:.0f} B/answer"
+    per_answer = _retained_bytes(fed) / n_answers
+    assert per_answer <= 140, f"fed: {per_answer:.0f} B/answer"

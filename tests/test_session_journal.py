@@ -18,14 +18,17 @@ it. Two contracts are pinned here:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.answer_set import AnswerSet
 from repro.errors import InvalidAnswerSetError, InvalidValidationError
 from repro.experts import ScriptedExpert
 from repro.guidance.hybrid import HybridStrategy
@@ -280,6 +283,58 @@ def test_restored_session_starts_detached(store):
     restored.add_answer(2, 0, 0)
     restored.conclude()
     assert store.wal_position == position
+
+
+def _session_view(store):
+    session = _journaled(store)
+    return session, session.validation
+
+
+def _process_view(store):
+    """A journaled process over 3 objects, one validation in."""
+    answers = AnswerSet(np.array([[0, 0, 1], [1, 1, -1], [0, 1, 1]]),
+                        ("a", "b"))
+    process = ValidationProcess(answers, ScriptedExpert({0: 0, 1: 1, 2: 1}),
+                                store=store, rng=0)
+    process.step()
+    return process.session, process.validation
+
+
+#: owner -> (a journaled session, the validation view its owner hands out).
+VIEW_OWNERS = {"session": _session_view, "process": _process_view}
+
+
+@pytest.mark.parametrize("owner", sorted(VIEW_OWNERS))
+@pytest.mark.parametrize("write", [
+    lambda view: view.assign(0, 1, overwrite=True),
+    lambda view: view.retract(2),
+], ids=["assign", "retract"])
+def test_view_writes_are_refused(owner, write, store):
+    """The journaled methods are the only way to change a validation: a
+    write through the view raises and leaves no trace."""
+    session, view = VIEW_OWNERS[owner](store)
+    before = session.capture_state()
+    position = store.wal_position
+    with pytest.raises(InvalidValidationError):
+        write(view)
+    assert store.wal_position == position
+    assert session.capture_state().equals(before)
+
+
+def test_view_write_cannot_bypass_the_journal(store):
+    """A write through ``session.validation`` once changed the live session
+    without a WAL record, so a restore after the next conclude lacked the
+    validation and its posterior was off by 0.5."""
+    session = ValidationSession(3, 2, 2)
+    session.attach_journal(store)
+    session.add_answers([(0, 0, 0), (0, 1, 1), (1, 0, 1), (2, 1, 0)])
+    store.checkpoint(session)
+    with contextlib.suppress(InvalidValidationError):
+        session.validation.assign(0, 1)
+    session.conclude()
+    restored = store.restore().session
+    assert np.array_equal(restored.posteriors(), session.posteriors())
+    assert restored.capture_state().equals(session.capture_state())
 
 
 _OBJECTS = st.integers(-1, 4)

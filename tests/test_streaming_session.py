@@ -29,6 +29,7 @@ from repro.simulation.stream import (
     replay,
     validation_stream,
 )
+from repro.state import MemorySessionStore
 from repro.streaming import ShardedRefresher, ValidationSession
 
 
@@ -362,6 +363,10 @@ class TestStreamReplay:
             replay([], session, conclude_every=0)
         with pytest.raises(TypeError):
             replay(["not-an-event"], session)
+        # A store cannot restore the models sharded refreshes install.
+        with pytest.raises(ValueError):
+            replay([], session, refresher=ShardedRefresher(),
+                   store=MemorySessionStore())
 
     def test_merge_streams_orders_by_time(self):
         a = [AnswerEvent(0.5, 0, 0, 0), AnswerEvent(2.0, 1, 0, 0)]

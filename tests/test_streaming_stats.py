@@ -2,8 +2,8 @@
 
 Satellite of the streaming engine: for arbitrary interleavings of
 add-answer / add-validation / mask / grow operations, the incrementally
-maintained statistics (flat encoding, majority init, validated-confusion
-counts, log-likelihood read path) must equal a from-scratch rebuild via
+maintained statistics (flat encoding, majority init, dirty set,
+log-likelihood read path) must equal a from-scratch rebuild via
 ``encode_answers`` over the equivalent batch answer set.
 """
 
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core import confusion, em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
+from repro.core.iem import IncrementalEM
 from repro.core.validation import ExpertValidation
-from repro.errors import InvalidAnswerSetError
+from repro.errors import InvalidAnswerSetError, InvalidValidationError
 from repro.streaming import ValidationSession
 
 
@@ -111,8 +112,9 @@ class TestEncodingEquivalence:
         for name in ("object_index", "worker_index", "label_index"):
             assert np.array_equal(getattr(bulk_encoded, name),
                                   getattr(slow_encoded, name))
-        assert bulk.answers_of_object(0)[0].tolist() \
-            == slow.answers_of_object(0)[0].tolist()
+        assert all(bulk.label_of(obj, wrk) == slow.label_of(obj, wrk)
+                   == matrix[obj, wrk]
+                   for obj in range(n) for wrk in range(k))
         # Incremental adds on top of a bulk load keep working.
         free = np.argwhere(matrix == MISSING)
         if free.size:
@@ -157,6 +159,13 @@ class TestEncodingEquivalence:
             stats.grow(n_objects=2)
         with pytest.raises(ValueError):
             stats.grow(n_workers=1)
+        # A call that shrinks one axis applies neither.
+        stats = em_kernel.AnswerStats(5, 5, 2)
+        version = stats.version
+        with pytest.raises(ValueError):
+            stats.grow(n_objects=10, n_workers=1)
+        assert (stats.n_objects, stats.n_workers) == (5, 5)
+        assert stats.version == version
 
     def test_grow_preserves_log_and_extends_dims(self):
         stats = em_kernel.AnswerStats(1, 1, 2)
@@ -198,54 +207,44 @@ class TestMaskingEquivalence:
 class TestSessionStatisticsNeverDesync:
     """Interleaved add-answer / add-validation sequences (the satellite)."""
 
-    @settings(max_examples=50, deadline=None)
-    @given(interleavings())
-    def test_validated_confusions_match_rebuild(self, case):
+    @settings(max_examples=60, deadline=None)
+    @given(interleavings(), st.data())
+    def test_dirty_objects_match_rebuild(self, case, data):
+        """The dirty set is what changed since the last conclude: objects
+        that gained an answer, objects whose validation changed (set,
+        relabelled or retracted), and every object a toggled worker
+        answered, masked answers included."""
         n, k, m, ops = case
         session = ValidationSession(n, k, m)
+        answered: list[tuple[int, int]] = []
+        masked: set[int] = set()
+        expected: set[int] = set()
         for op in ops:
             if op[0] == "answer":
-                session.add_answer(op[1], op[2], op[3])
+                if session.add_answer(op[1], op[2], op[3]):
+                    answered.append((op[1], op[2]))
+                    expected.add(op[1])
             elif op[0] == "validate":
-                session.add_validation(op[1], op[2], overwrite=True)
+                previous = session.validation.label_of(op[1])
+                if data.draw(st.booleans(), label="retract"):
+                    session.retract_validation(op[1])
+                    changed = previous != MISSING
+                else:
+                    session.add_validation(op[1], op[2], overwrite=True)
+                    changed = previous != op[2]
+                if changed:
+                    expected.add(op[1])
             else:
+                toggled = masked.symmetric_difference(op[1])
+                masked = set(op[1])
                 session.set_masked_workers(op[1])
-        rebuilt = confusion.validated_confusion_counts(
-            AnswerSet(session.stats.to_matrix(), _labels(m)),
-            session.validation)
-        assert np.array_equal(session.validated_confusion_counts(), rebuilt)
-
-    @settings(max_examples=30, deadline=None)
-    @given(interleavings())
-    def test_direct_view_writes_are_healed(self, case):
-        n, k, m, ops = case
-        session = ValidationSession(n, k, m)
-        for op in ops:
-            if op[0] == "answer":
-                session.add_answer(op[1], op[2], op[3])
-            elif op[0] == "validate":
-                # Bypass add_validation: mutate the live view directly.
-                session.validation.assign(op[1], op[2], overwrite=True)
-            else:
-                session.set_masked_workers(op[1])
-        rebuilt = confusion.validated_confusion_counts(
-            AnswerSet(session.stats.to_matrix(), _labels(m)),
-            session.validation)
-        assert np.array_equal(session.validated_confusion_counts(), rebuilt)
-
-    def test_grow_heals_pending_view_writes(self):
-        """Direct view writes must survive growth (regression)."""
-        session = ValidationSession(2, 2, 2)
-        session.add_answers([(0, 0, 1), (0, 1, 0)])
-        session.validation.assign(0, 1)  # direct write, not yet healed
-        session.grow(n_objects=4, n_workers=3)
-        rebuilt = confusion.validated_confusion_counts(
-            AnswerSet(session.stats.to_matrix(), _labels(2)),
-            session.validation)
-        assert np.array_equal(session.validated_confusion_counts(), rebuilt)
-        # A later re-validation must not drive counts negative.
-        session.add_validation(0, 0, overwrite=True)
-        assert (session.validated_confusion_counts() >= 0).all()
+                expected.update(obj for obj, wrk in answered
+                                if wrk in toggled)
+            if session.n_answers and data.draw(st.booleans(),
+                                               label="conclude"):
+                session.conclude()
+                expected.clear()
+            assert session.dirty_objects == expected
 
     def test_out_of_range_validation_raises_library_error(self):
         from repro.errors import InvalidValidationError
@@ -255,17 +254,46 @@ class TestSessionStatisticsNeverDesync:
         with pytest.raises(InvalidValidationError):
             session.retract_validation(-7)
 
-    def test_retraction_reverses_the_delta(self):
-        session = ValidationSession(3, 2, 2)
-        session.add_answers([(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    def test_direct_view_writes_are_refused(self):
+        """``session.validation`` is a live view that refuses writes, before
+        and after growth; its copies stay writable."""
+        session = ValidationSession(2, 2, 2)
+        session.add_answers([(0, 0, 1), (0, 1, 0)])
+        view = session.validation
         session.add_validation(0, 1)
-        before = session.validated_confusion_counts()
-        assert before.sum() == 2
+        assert view.label_of(0) == 1  # live: no copy per access
+        with pytest.raises(InvalidValidationError):
+            view.assign(1, 0)
+        with pytest.raises(InvalidValidationError):
+            view.retract(0)
+        session.grow(n_objects=4, n_workers=3)
+        grown = session.validation
+        assert grown.n_objects == 4 and grown.label_of(0) == 1
+        with pytest.raises(InvalidValidationError):
+            grown.assign(3, 1)
+        assert session.validation.as_dict() == {0: 1}
+        scratch = grown.with_assignment(3, 1).without(0)
+        assert scratch.as_dict() == {3: 1}
+
+    def test_retraction_dirties_and_unclamps(self):
+        """A retraction dirties the object and the next conclude treats it
+        as never validated; re-validating with the other label clamps
+        again."""
+        session = ValidationSession(3, 2, 2)
+        session.add_answers([(0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 1, 1)])
+        session.add_validation(0, 1)
+        model = session.conclude()
         session.retract_validation(0)
-        assert session.validated_confusion_counts().sum() == 0
-        session.add_validation(0, 0)  # re-validate with the other label
-        after = session.validated_confusion_counts()
-        assert after[0, 0, 1] == 1 and after[1, 0, 0] == 1
+        assert session.dirty_objects == {0}
+        session.retract_validation(0)  # nothing left to retract
+        assert session.dirty_objects == {0}
+        reference = IncrementalEM().refine(session.stats.encoded(),
+                                           ExpertValidation(3, 2), model)
+        assert np.array_equal(session.conclude().assignment,
+                              reference.assignment)
+        session.add_validation(0, 0)
+        assert session.dirty_objects == {0}
+        assert session.conclude().assignment[0].tolist() == [1.0, 0.0]
 
 
 class TestDeltaReadPath:
