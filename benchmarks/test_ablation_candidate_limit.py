@@ -5,8 +5,6 @@ bench quantifies the design choice: selection latency vs agreement with the
 unpruned selection across several process states.
 """
 
-import time
-
 import numpy as np
 
 from repro.core.iem import IncrementalEM
@@ -15,6 +13,8 @@ from repro.guidance.base import GuidanceContext
 from repro.guidance.information_gain import InformationGainStrategy
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.workers.spammer_detection import SpammerDetector
+
+from _bench import interleaved_median_seconds
 
 LIMITS = (5, 10, 20, None)
 
@@ -37,11 +37,9 @@ def _states(n_states=4):
 def test_ablation_candidate_limit(benchmark, report_result):
     def ablate():
         states, aggregator = _states()
-        rows = []
-        reference_picks = None
-        for limit in LIMITS:
+
+        def picks_of(limit):
             picks = []
-            started = time.perf_counter()
             for state in states:
                 context = GuidanceContext(
                     prob_set=state, aggregator=aggregator,
@@ -49,16 +47,21 @@ def test_ablation_candidate_limit(benchmark, report_result):
                     rng=np.random.default_rng(0))
                 strategy = InformationGainStrategy(candidate_limit=limit)
                 picks.append(strategy.select(context).object_index)
-            elapsed = (time.perf_counter() - started) / len(states)
-            if limit is None:
-                reference_picks = picks
-            rows.append([limit, elapsed, picks])
+            return picks
+
+        picks = {limit: picks_of(limit) for limit in LIMITS}
+        # Interleaved rounds put a drift in host speed on every limit
+        # alike; one pass per limit put it on whichever ran during it.
+        seconds = interleaved_median_seconds(
+            [lambda limit=limit: picks_of(limit) for limit in LIMITS],
+            rounds=5)
         # score agreement with the unpruned reference
+        reference_picks = picks[None]
         out = []
-        for limit, elapsed, picks in rows:
+        for limit, elapsed in zip(LIMITS, seconds):
             agreement = float(np.mean(
-                [p == r for p, r in zip(picks, reference_picks)]))
-            out.append((str(limit), elapsed, agreement))
+                [p == r for p, r in zip(picks[limit], reference_picks)]))
+            out.append((str(limit), elapsed / len(states), agreement))
         return out
 
     rows = benchmark.pedantic(ablate, rounds=1, iterations=1)

@@ -255,8 +255,8 @@ class TestSessionStatisticsNeverDesync:
             session.retract_validation(-7)
 
     def test_direct_view_writes_are_refused(self):
-        """``session.validation`` is a live view that refuses writes, before
-        and after growth; its copies stay writable."""
+        """``session.validation`` is a live view that refuses writes; its
+        copies stay writable."""
         session = ValidationSession(2, 2, 2)
         session.add_answers([(0, 0, 1), (0, 1, 0)])
         view = session.validation
@@ -266,14 +266,59 @@ class TestSessionStatisticsNeverDesync:
             view.assign(1, 0)
         with pytest.raises(InvalidValidationError):
             view.retract(0)
+        assert session.validation.as_dict() == {0: 1}
+        scratch = view.with_assignment(1, 0).without(0)
+        assert scratch.as_dict() == {1: 0}
+
+    @settings(max_examples=30, deadline=None)
+    @given(interleavings())
+    def test_direct_view_writes_are_healed(self, case):
+        """A write straight through ``session.validation`` cannot desync
+        the session: the view refuses it, so there is nothing to heal. A
+        session that meets a refused view write before every validation
+        stays equal to a twin that never saw one."""
+        n, k, m, ops = case
+        session = ValidationSession(n, k, m)
+        twin = ValidationSession(n, k, m)
+        for op in ops:
+            for target in (session, twin):
+                if op[0] == "answer":
+                    target.add_answer(op[1], op[2], op[3])
+                elif op[0] == "validate":
+                    if target is session:
+                        with pytest.raises(InvalidValidationError):
+                            session.validation.assign(op[1], op[2],
+                                                      overwrite=True)
+                    target.add_validation(op[1], op[2], overwrite=True)
+                else:
+                    target.set_masked_workers(op[1])
+            assert session.validation == twin.validation
+            assert session.dirty_objects == twin.dirty_objects
+        if session.n_answers:
+            assert np.array_equal(session.conclude().assignment,
+                                  twin.conclude().assignment)
+
+    def test_grow_heals_pending_view_writes(self):
+        """A validation survives growth, and no view write is pending
+        across a grow: the view read before it and the one read after both
+        refuse writes, so the grown session has nothing to heal."""
+        session = ValidationSession(2, 2, 2)
+        session.add_answers([(0, 0, 1), (0, 1, 0)])
+        session.add_validation(0, 1)
+        before = session.validation
         session.grow(n_objects=4, n_workers=3)
         grown = session.validation
-        assert grown.n_objects == 4 and grown.label_of(0) == 1
-        with pytest.raises(InvalidValidationError):
-            grown.assign(3, 1)
+        assert grown.n_objects == 4 and grown.as_dict() == {0: 1}
+        for view in (before, grown):
+            with pytest.raises(InvalidValidationError):
+                view.assign(1, 0, overwrite=True)
+            with pytest.raises(InvalidValidationError):
+                view.retract(0)
         assert session.validation.as_dict() == {0: 1}
-        scratch = grown.with_assignment(3, 1).without(0)
-        assert scratch.as_dict() == {3: 1}
+        assert session.dirty_objects == {0, 2, 3}
+        # A later re-validation relabels, and the conclude clamps to it.
+        session.add_validation(0, 0, overwrite=True)
+        assert session.conclude().assignment[0].tolist() == [1.0, 0.0]
 
     def test_retraction_dirties_and_unclamps(self):
         """A retraction dirties the object and the next conclude treats it
