@@ -3,8 +3,10 @@
 Full answer-set solves reach this kernel through one method,
 :meth:`repro.core.iem.IncrementalEM.refine`: batch EM, i-EM and the
 streaming session differ only in where it starts (a random, majority or
-uniform estimate, or a previous model). The look-ahead scorers and the
-sharded block solves call :func:`run_em` directly on their sub-problems.
+uniform estimate, or a previous model). The exact look-ahead and the
+sharded block solves call :func:`run_em` directly on their sub-problems;
+the local look-ahead runs :func:`squarem` over an :class:`EMMap` whose
+model adds the evidence held fixed outside its block.
 
 Implementation notes
 --------------------
@@ -353,7 +355,7 @@ def block_subencoding(encoded: EncodedAnswers,
     :class:`repro.streaming.ShardedRefresher` block refreshes and the
     localized look-ahead of
     :class:`repro.guidance.information_gain.InformationGainStrategy` both
-    re-solve an object neighborhood as its own small EM instance.
+    re-solve an object neighborhood over its own answers.
 
     Parameters
     ----------
@@ -426,7 +428,9 @@ class AnswerStats:
 
     * the ``(object, worker, label)`` triple log (geometrically grown);
     * an ``(object, worker) → label`` cell map for duplicate and conflict
-      checks (:meth:`label_of`);
+      checks (:meth:`label_of`), built from the log at the first lookup or
+      single append: a session seeded in bulk and never asked about a
+      cell (the guided path) holds the log alone;
     * a masked-worker set (the §5.3 faulty-worker exclusion) applied at
       encoding time instead of by copying matrix columns;
     * the cached encoding of the current version (:meth:`encoded`).
@@ -465,8 +469,9 @@ class AnswerStats:
         self._wrk = np.empty(capacity, dtype=dtype)
         self._lab = np.empty(capacity, dtype=dtype)
         self._n_answers = 0
-        #: (object, worker) -> label, for duplicate/conflict detection.
-        self._cells: dict[tuple[int, int], int] = {}
+        #: (object, worker) -> label, for duplicate/conflict detection;
+        #: None until :meth:`_cell_map` builds it from the log.
+        self._cells: dict[tuple[int, int], int] | None = None
         self._masked: frozenset[int] = frozenset()
         self._encoded_cache: EncodedAnswers | None = None
         self._version = 0
@@ -504,7 +509,7 @@ class AnswerStats:
 
     def label_of(self, obj: int, worker: int) -> int:
         """Ingested label for a cell (:data:`MISSING` when unanswered)."""
-        return self._cells.get((int(obj), int(worker)), MISSING)
+        return self._cell_map().get((int(obj), int(worker)), MISSING)
 
     def objects_of_workers(self, workers) -> np.ndarray:
         """Unique objects any of ``workers`` answered (ascending).
@@ -572,7 +577,7 @@ class AnswerStats:
         if not 0 <= label < self._n_labels:
             raise InvalidAnswerSetError(
                 f"label code {label} outside [0, {self._n_labels})")
-        current = self._cells.get((obj, worker), MISSING)
+        current = self._cell_map().get((obj, worker), MISSING)
         if conflicts and current != MISSING and current != label:
             raise InvalidAnswerSetError(
                 f"cell ({obj}, {worker}) already holds label {current}; "
@@ -608,12 +613,13 @@ class AnswerStats:
 
         When the log is empty and the batch holds no duplicate cells (the
         bulk-seeding case of a session built from an answer set), the log
-        and the cell map are filled in one pass instead of per-answer calls.
+        is filled in one pass instead of per-answer calls, and the cell map
+        waits for its first use.
         """
         objects = np.asarray(objects, dtype=np.int64).ravel()
         workers = np.asarray(workers, dtype=np.int64).ravel()
         labels = np.asarray(labels, dtype=np.int64).ravel()
-        if objects.size and not self._cells \
+        if objects.size and not self._n_answers \
                 and self._bulk_load(objects, workers, labels):
             return int(objects.size)
         added = 0
@@ -642,8 +648,7 @@ class AnswerStats:
         self._wrk[:count] = workers
         self._lab[:count] = labels
         self._n_answers = count
-        self._cells = dict(zip(zip(objects.tolist(), workers.tolist()),
-                               labels.tolist()))
+        self._cells = None
         self._bump()
         return True
 
@@ -667,6 +672,16 @@ class AnswerStats:
         self.add_answers(encoded.object_index, encoded.worker_index,
                          encoded.label_index)
         self._encoded_cache = encoded
+
+    def _cell_map(self) -> dict[tuple[int, int], int]:
+        """The ``(object, worker) → label`` map, built from the log on
+        first use and kept current by :meth:`add_answer` after that."""
+        if self._cells is None:
+            n = self._n_answers
+            self._cells = dict(zip(zip(self._obj[:n].tolist(),
+                                       self._wrk[:n].tolist()),
+                                   self._lab[:n].tolist()))
+        return self._cells
 
     def set_masked_workers(self, workers) -> frozenset[int]:
         """Replace the masked-worker set; returns the workers that toggled."""
@@ -858,21 +873,69 @@ def clamp_validated(assignment: np.ndarray,
     return assignment
 
 
-def estimate_priors(assignment: np.ndarray) -> np.ndarray:
-    """Label priors ``p(l) = Σ_o U(o, l) / |O|`` (Eq. 3).
+def label_mass(assignment: np.ndarray) -> np.ndarray:
+    """Per-label mass ``Σ_o U(o, l)``, the numerator of Eq. 3.
 
     Each label column is summed on its own, by numpy's pairwise sum: with
     ``m ≪ n`` an axis-0 reduction runs one ``m``-long inner loop per
     object and costs several times more.
     """
+    return np.array([assignment[:, label].sum()
+                     for label in range(assignment.shape[1])])
+
+
+def priors_from_mass(mass: np.ndarray, n_objects: int) -> np.ndarray:
+    """Label priors ``p(l) = mass(l) / |O|`` (Eq. 3), floored and
+    renormalized."""
+    # Guard against all-mass-on-one-label degeneracies feeding log(0).
+    clipped = np.clip(mass / n_objects, PROB_FLOOR, None)
+    return clipped / clipped.sum()
+
+
+def estimate_priors(assignment: np.ndarray) -> np.ndarray:
+    """Label priors ``p(l) = Σ_o U(o, l) / |O|`` (Eq. 3)."""
     n, m = assignment.shape
     if n == 0:
         return np.full(m, 1.0 / m)
-    priors = np.array([assignment[:, label].sum()
-                       for label in range(m)]) / n
-    # Guard against all-mass-on-one-label degeneracies feeding log(0).
-    clipped = np.clip(priors, PROB_FLOOR, None)
-    return clipped / clipped.sum()
+    return priors_from_mass(label_mass(assignment), n)
+
+
+def cell_counts(encoded: EncodedAnswers,
+                assignment: np.ndarray) -> np.ndarray:
+    """The M-step counts of Eq. 5, ``cell_incidence @ U``.
+
+    One sparse product with the encoding's memoized :func:`kernel_plan`,
+    laid out ``[w·m + l, r]``: row ``w·m + l`` sums ``U(o, ·)`` over the
+    answers of worker ``w`` with label ``l``.
+    """
+    k, m = encoded.n_workers, encoded.n_labels
+    if not encoded.n_answers:
+        return np.zeros((k * m, m))
+    return kernel_plan(encoded).cell_incidence @ np.ascontiguousarray(
+        assignment, dtype=np.float64)
+
+
+def confusions_from_counts(counts: np.ndarray,
+                           smoothing: float = DEFAULT_SMOOTHING,
+                           ) -> np.ndarray:
+    """Row-normalize :func:`cell_counts` into confusion matrices (Eq. 5).
+
+    ``smoothing`` pseudo-counts are added to every cell; rows with no
+    evidence become uniform. Transposing the ``[w·m + l, r]`` counts into
+    a C-contiguous ``(k, m, m)`` stack ``counts[w, r, l]`` restores the
+    memory layout an ``np.add.at`` scatter would normalize, so the row
+    sums add in the same order.
+    """
+    m = counts.shape[1]
+    stack = np.ascontiguousarray(counts.reshape(-1, m, m).transpose(0, 2, 1))
+    if smoothing > 0:
+        # Inline the normalize_rows smoothed branch: counts are sums of
+        # non-negative probabilities and smoothing makes every row total
+        # positive, so the validation scan and zero-row selects are dead
+        # weight here. Same divisions, bit-for-bit identical result.
+        smoothed = stack + smoothing
+        return smoothed / smoothed.sum(axis=-1, keepdims=True)
+    return normalize_rows(stack, smoothing=smoothing)
 
 
 def m_step(encoded: EncodedAnswers,
@@ -880,29 +943,13 @@ def m_step(encoded: EncodedAnswers,
            smoothing: float = DEFAULT_SMOOTHING) -> np.ndarray:
     """Estimate worker confusion matrices from the soft assignment (Eq. 5).
 
-    ``F_w(l', l) ∝ Σ_o U(o, l') · d_w(o, l)``, row-normalized with
-    ``smoothing`` pseudo-counts; rows with no evidence become uniform.
-    The counts are one sparse product, ``cell_incidence @ U``, with the
-    encoding's memoized :func:`kernel_plan`. The product is laid out
-    ``[w·m + l, r]``; transposing it into a C-contiguous ``(k, m, m)``
-    stack ``counts[w, r, l]`` restores the memory layout an ``np.add.at``
-    scatter would normalize, so the row sums add in the same order.
+    ``F_w(l', l) ∝ Σ_o U(o, l') · d_w(o, l)``: :func:`cell_counts`,
+    normalized by :func:`confusions_from_counts`.
     """
     k, m = encoded.n_workers, encoded.n_labels
     if not encoded.n_answers:
         return normalize_rows(np.zeros((k, m, m)), smoothing=smoothing)
-    cell_counts = kernel_plan(encoded).cell_incidence @ np.ascontiguousarray(
-        assignment, dtype=np.float64)
-    counts = np.ascontiguousarray(
-        cell_counts.reshape(k, m, m).transpose(0, 2, 1))
-    if smoothing > 0:
-        # Inline the normalize_rows smoothed branch: counts are sums of
-        # non-negative probabilities and smoothing makes every row total
-        # positive, so the validation scan and zero-row selects are dead
-        # weight here. Same divisions, bit-for-bit identical result.
-        smoothed = counts + smoothing
-        return smoothed / smoothed.sum(axis=-1, keepdims=True)
-    return normalize_rows(counts, smoothing=smoothing)
+    return confusions_from_counts(cell_counts(encoded, assignment), smoothing)
 
 
 def scatter_log_likelihood(encoded: EncodedAnswers,
@@ -1014,20 +1061,20 @@ STEP_FACTOR = 4.0
 
 
 class EMMap:
-    """One E/M map ``U ↦ clamp(E(M(U)))`` over a pair of scatters.
+    """One E/M map ``U ↦ clamp(E(M(U)))`` over a model and a scatter.
 
-    ``m_step(U)`` returns the confusion matrices of Eq. 5 and
-    ``scatter(log F)`` the per-object log-likelihood rows of Eq. 1.
-    Besides the next ``U``, a map returns the model ``M(U)`` it started
-    from (confusions and priors) and what the likelihood guard needs:
-    each row's peak and exponentiated total from the E-step
+    ``model(U)`` returns ``M(U)``: the confusion matrices of Eq. 5 and
+    the label priors of Eq. 3. ``scatter(log F)`` returns the per-object
+    log-likelihood rows of Eq. 1. Besides the next ``U``, a map returns
+    the model ``M(U)`` it started from and what the likelihood guard
+    needs: each row's peak and exponentiated total from the E-step
     normalization, and the log-likelihood of each validated row's
     clamped label.
     """
 
-    def __init__(self, m_step, scatter, validated_objects: np.ndarray,
+    def __init__(self, model, scatter, validated_objects: np.ndarray,
                  validated_labels: np.ndarray) -> None:
-        self.m_step = m_step
+        self.model = model
         self.scatter = scatter
         self.validated_objects = validated_objects
         self.validated_labels = validated_labels
@@ -1035,8 +1082,7 @@ class EMMap:
     def __call__(self, assignment: np.ndarray,
                  ) -> tuple[np.ndarray, tuple, tuple]:
         objects, labels = self.validated_objects, self.validated_labels
-        confusions = self.m_step(assignment)
-        priors = estimate_priors(assignment)
+        confusions, priors = self.model(assignment)
         log_priors = np.log(np.clip(priors, PROB_FLOOR, None))
         log_like = self.scatter(np.log(np.clip(confusions, PROB_FLOOR,
                                                None)))
@@ -1141,8 +1187,8 @@ def squarem(em_map: EMMap, initial_assignment: np.ndarray, *,
                     break
         if iterations == max_iter:
             break
-    confusions, priors = model if model is not None else (
-        em_map.m_step(assignment), estimate_priors(assignment))
+    confusions, priors = model if model is not None \
+        else em_map.model(assignment)
     result = EMResult(assignment=assignment, confusions=confusions,
                       priors=priors, n_iterations=iterations,
                       converged=delta < tol)
@@ -1240,7 +1286,8 @@ def run_em(encoded: EncodedAnswers,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     kernel_plan(encoded, telemetry)
-    em_map = EMMap(lambda assignment: m_step(encoded, assignment, smoothing),
+    em_map = EMMap(lambda assignment: (m_step(encoded, assignment, smoothing),
+                                       estimate_priors(assignment)),
                    lambda log_confusions: scatter_log_likelihood(
                        encoded, log_confusions),
                    validated_objects, validated_labels)

@@ -22,13 +22,14 @@ the cost controls mirror — and extend — the paper's implementation notes
 * ``candidate_limit`` optionally prunes candidates to the top-K by object
   entropy before the expensive look-ahead (an implementation choice, not
   part of the paper's Eq. 10; ``None`` scores every candidate);
-* an opt-in **localized look-ahead** (``lookahead="local"``) re-solves only
-  the candidate's worker-neighborhood block — the objects coupled to it
-  through shared workers, via the same
-  :func:`~repro.core.em_kernel.block_subencoding` machinery that drives
-  :class:`~repro.streaming.ShardedRefresher` block refreshes — instead of
-  running global EM, trading the exact Eq. 8 expectation for block-local
-  cost on large sparse answer sets.
+* an opt-in **localized look-ahead** (``lookahead="local"``) lets only
+  the rows of the candidate's worker-neighborhood block move — the
+  objects coupled to it through shared workers, extracted by
+  :func:`~repro.core.em_kernel.block_subencoding` — and holds every other
+  row at the current posterior, whose answers enter each block solve's
+  M-step as fixed counts. It trades the exact Eq. 8 expectation for
+  block-local cost on large sparse answer sets; where a hypothesis
+  reaches past one hop the two part (see :class:`_LocalizedLookahead`).
 
 The default exact mode reproduces the rebuild-per-conclude selection
 choices bit-for-bit: it feeds identical floats (same encoding, same warm
@@ -143,17 +144,26 @@ class _SharedLookahead:
 class _LocalizedLookahead:
     """Block-local per-candidate scorer (the opt-in ``"local"`` mode).
 
-    For candidate ``o``, the hypothetical validation is propagated only
-    through ``o``'s *worker neighborhood*: the objects sharing at least one
-    worker with ``o``, solved as an independent block
-    (:func:`~repro.core.em_kernel.block_subencoding`) warm-started from
-    the current model, exactly like one
-    :class:`~repro.streaming.ShardedRefresher` block refresh. Objects
-    outside the block keep their current entropies. Per candidate this
-    costs EM over the block's answers instead of all ``A`` answers — the
-    independent-blocks approximation the paper's partitioning already
-    embraces (§5.4); when the neighborhood spans the whole matrix it
-    degenerates to the exact solve.
+    For candidate ``o``, only the rows of ``o``'s *worker neighborhood*
+    move: the objects sharing at least one worker with ``o``
+    (:func:`~repro.core.em_kernel.block_subencoding`). Every other row
+    stays at the current posterior ``U``, so its answers add a constant
+    to the M-step: the block workers' cell counts from answers outside
+    the block, and the label mass of the rows outside it. Each block
+    solve adds both to its own counts and mass before normalizing, so
+    its confusions and priors are those of the whole answer set with the
+    outside rows held fixed. That is EM with an E-step over the block's
+    rows only, a valid partial EM step (Neal & Hinton, 1998), started
+    from the session's fixed point: it moves only with the hypothesis.
+
+    The outside evidence is the whole answer set's counts and mass under
+    ``U``, taken once per select, minus the block's own under ``U``
+    (rounding negatives clipped to 0). When the block is the whole
+    matrix the difference is exactly 0.0, and the solve is the exact
+    solve bit for bit. Per candidate this costs EM over the block's
+    answers instead of all ``A``. The block reaches one hop: a
+    hypothesis that moves workers outside it is not followed (see
+    PERFORMANCE.md for where that matters).
     """
 
     def __init__(self, prob_set: ProbabilisticAnswerSet,
@@ -174,6 +184,10 @@ class _LocalizedLookahead:
                                        None))
         self.log_priors = np.log(np.clip(prob_set.priors, PROB_FLOOR, None))
         self.base_entropies = object_entropies(prob_set.assignment)
+        # The whole answer set's M-step evidence under U; a block's
+        # outside evidence is this minus the block's own.
+        self.counts = em_kernel.cell_counts(encoded, self.assignment)
+        self.mass = em_kernel.label_mass(self.assignment)
         # Worker-neighborhood adjacency over the flat encoding: the
         # shared CSR view supplies both the per-object answer slices and
         # the per-worker (stable argsort) segments — built once per
@@ -189,6 +203,21 @@ class _LocalizedLookahead:
             self._csr.worker_positions(int(w)) for w in workers])
         return np.unique(self.encoded.object_index[positions])
 
+    def outside_evidence(self, sub: em_kernel.EncodedAnswers,
+                         objects: np.ndarray, workers: np.ndarray,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """M-step counts of ``workers`` from answers outside the block
+        ``objects`` (``sub`` is its encoding), laid out like
+        :func:`~repro.core.em_kernel.cell_counts`, and the label mass of
+        the rows outside it, both under the current posterior."""
+        m = self.encoded.n_labels
+        inside = self.assignment[objects]
+        rows = (np.asarray(workers, dtype=np.int64)[:, None] * m
+                + np.arange(m)).ravel()
+        counts = self.counts[rows] - em_kernel.cell_counts(sub, inside)
+        mass = self.mass - em_kernel.label_mass(inside)
+        return np.maximum(counts, 0.0), np.maximum(mass, 0.0)
+
     def __call__(self, obj: int) -> LookaheadScore:
         objects = self._neighborhood(obj)
         sub, workers = em_kernel.block_subencoding(self.encoded, objects)
@@ -196,6 +225,19 @@ class _LocalizedLookahead:
             sub, self.confusions[workers], self.priors,
             log_confusions=self.log_conf[workers],
             log_priors=self.log_priors)
+        outside_counts, outside_mass = self.outside_evidence(
+            sub, objects, workers)
+        n_objects, smoothing = self.assignment.shape[0], self.smoothing
+
+        def model(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            counts = em_kernel.cell_counts(sub, block) + outside_counts
+            mass = outside_mass + em_kernel.label_mass(block)
+            return (em_kernel.confusions_from_counts(counts, smoothing),
+                    em_kernel.priors_from_mass(mass, n_objects))
+
+        def scatter(log_confusions: np.ndarray) -> np.ndarray:
+            return em_kernel.scatter_log_likelihood(sub, log_confusions)
+
         entropy_of_rest = (float(self.base_entropies.sum())
                            - float(self.base_entropies[objects].sum()))
         block_validated = self.validated[objects]
@@ -210,11 +252,11 @@ class _LocalizedLookahead:
             hypothetical = block_validated.copy()
             hypothetical[local_obj] = label
             validated_objects = np.flatnonzero(hypothetical != MISSING)
-            result = em_kernel.run_em(
-                sub, initial,
-                validated_objects, hypothetical[validated_objects],
-                max_iter=self.max_iter, tol=self.tol,
-                smoothing=self.smoothing)
+            em_map = em_kernel.EMMap(model, scatter, validated_objects,
+                                     hypothetical[validated_objects])
+            result, _ = em_kernel.squarem(em_map, initial,
+                                          max_iter=self.max_iter,
+                                          tol=self.tol)
             results.append(result)
             expected += weight * (entropy_of_rest + float(
                 object_entropies(result.assignment).sum()))
@@ -241,18 +283,20 @@ class InformationGainStrategy(GuidanceStrategy):
         ``guided-2k`` solves converge under the default 25: on the
         ``perfbench`` campaigns at seed 1, 157 of 891 solves (16,984
         maps) stopped at the cap, and at a cap of 100 none of 955 did
-        (21,498 maps). All 400 ``guided-20k-local`` solves still stop
-        at 25. The ``lookahead.cap_hits`` counter reports this per run.
+        (21,498 maps). The ``guided-20k-local`` block solves converge in
+        about 8 maps, and none of them stops at 25. The
+        ``lookahead.cap_hits`` counter reports this per run.
     lookahead:
         ``"exact"`` (default) runs each hypothetical solve over the full
         answer set through one shared encoding/plan — identical selections
         to the rebuild-per-conclude path, several times faster. "Exact"
         refers to the answer set, not to convergence: a solve that hits
         ``lookahead_max_iter`` scores Eq. 8 on its truncated posterior.
-        ``"local"`` additionally restricts each solve to the candidate's
-        worker-neighborhood block (see :class:`_LocalizedLookahead`) — an
-        approximation suited to large sparse answer sets where even the
-        shared-encoding look-ahead is too slow.
+        ``"local"`` lets only the candidate's worker-neighborhood block
+        move and holds the other rows at the current posterior (see
+        :class:`_LocalizedLookahead`) — an approximation suited to large
+        sparse answer sets where even the shared-encoding look-ahead is
+        too slow.
     """
 
     name = "uncertainty"
@@ -266,6 +310,9 @@ class InformationGainStrategy(GuidanceStrategy):
         if candidate_limit is not None and candidate_limit < 1:
             raise ValueError(
                 f"candidate_limit must be >= 1 or None, got {candidate_limit}")
+        if lookahead_max_iter < 1:
+            raise ValueError(
+                f"lookahead_max_iter must be >= 1, got {lookahead_max_iter}")
         if lookahead not in LOOKAHEAD_MODES:
             raise ValueError(
                 f"lookahead must be one of {LOOKAHEAD_MODES}, "

@@ -14,6 +14,10 @@ routine that is now only ever run through a faster path:
 * ``expected_posterior_entropy`` — Eq. 8 by one fresh, rebuild-everything
   ``conclude`` per hypothetical label; the shared-encoding look-ahead of
   ``InformationGainStrategy`` must reproduce its scores exactly.
+* ``outside_block_evidence`` — the M-step counts and label mass a block
+  solve of the local look-ahead holds fixed, summed directly over the
+  answers and rows outside the block; the scorer takes them as the whole
+  answer set's minus the block's own.
 
 Test modules import this file as ``reference`` (``tests/`` is on
 ``sys.path`` under pytest; ``benchmarks/conftest.py`` adds it for the
@@ -78,7 +82,8 @@ def run_em(encoded, initial_assignment, validated_objects=None,
            tol=DEFAULT_TOL, smoothing=DEFAULT_SMOOTHING):
     """The kernel's accelerated loop (``em_kernel.squarem``) over the
     ``np.add.at`` maps."""
-    em_map = EMMap(lambda assignment: m_step(encoded, assignment, smoothing),
+    em_map = EMMap(lambda assignment: (m_step(encoded, assignment, smoothing),
+                                       estimate_priors(assignment)),
                    lambda log_confusions: scatter_log_likelihood(
                        encoded, log_confusions),
                    *_validated(validated_objects, validated_labels))
@@ -131,6 +136,25 @@ def block_subencoding(encoded, objects, workers=None, *, n_labels=None):
         object_index=local_obj.astype(sub_dtype),
         worker_index=np.searchsorted(workers, kept_workers).astype(sub_dtype),
         label_index=encoded.label_index[keep].astype(sub_dtype)), workers
+
+
+def outside_block_evidence(encoded, assignment, objects, workers):
+    """Cell counts of ``workers`` (rows ``[local w·m + l]``, as
+    ``em_kernel.cell_counts`` lays them out) over the answers of objects
+    outside the sorted block ``objects``, and the label mass of the rows
+    outside it, by ``np.add.at``."""
+    m = encoded.n_labels
+    keep = (~np.isin(encoded.object_index, objects)
+            & np.isin(encoded.worker_index, workers))
+    rows = (np.searchsorted(workers, encoded.worker_index[keep]) * m
+            + encoded.label_index[keep])
+    counts = np.zeros((len(workers) * m, m))
+    np.add.at(counts, rows, assignment[encoded.object_index[keep]])
+    outside = np.setdiff1d(np.arange(encoded.n_objects), objects)
+    mass = np.zeros(m)
+    np.add.at(mass, np.repeat(np.arange(m)[None, :], outside.size, axis=0),
+              assignment[outside])
+    return counts, mass
 
 
 def expected_posterior_entropy(prob_set, aggregator, obj,

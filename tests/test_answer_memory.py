@@ -6,8 +6,9 @@ against n·k = 1.6 MB for the ``int8`` storage of a binary answer set.
 a full-width copy (or a gather of candidate rows) comes back.
 
 The streaming statistics are bounded per answer instead: at 15 answers
-per object (60k answers) the triple log and the cell map retain about
-153 B/answer when seeded and 116 B/answer when fed answer by answer.
+per object (60k answers) the triple log retains 12 B/answer when seeded,
+and the cell map, built at the first cell lookup, takes that to about
+153 B/answer; fed answer by answer, a session retains about 116 B/answer.
 Another per-answer index (a position list per object or per worker) adds
 more than 35 B/answer and breaks the bounds.
 """
@@ -103,6 +104,11 @@ def test_answer_statistics_retain_few_bytes_per_answer(dense_crowd):
         stats.seed(encoded)
         return stats
 
+    def looked_up():
+        stats = seeded()
+        stats.label_of(0, 0)  # builds the cell map
+        return stats
+
     def fed():
         session = ValidationSession(*dims)
         for obj, worker, label in triples:
@@ -110,6 +116,8 @@ def test_answer_statistics_retain_few_bytes_per_answer(dense_crowd):
         return session
 
     per_answer = _retained_bytes(seeded) / n_answers
-    assert per_answer <= 180, f"seeded: {per_answer:.0f} B/answer"
+    assert per_answer <= 32, f"seeded: {per_answer:.0f} B/answer"
+    per_answer = _retained_bytes(looked_up) / n_answers
+    assert per_answer <= 180, f"looked up: {per_answer:.0f} B/answer"
     per_answer = _retained_bytes(fed) / n_answers
     assert per_answer <= 140, f"fed: {per_answer:.0f} B/answer"

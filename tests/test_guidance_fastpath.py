@@ -12,7 +12,9 @@ Three seams, each with a property suite:
 * **Look-ahead rework** — ``InformationGainStrategy`` with the shared
   encoding must reproduce the PR-1 rebuild-per-conclude selection choices
   and scores exactly; the localized mode must degrade gracefully to the
-  exact result when the worker neighborhood spans the whole matrix; and
+  exact result when the worker neighborhood spans the whole matrix, hold
+  the evidence outside its block at the reference sums, and track
+  converged exact Eq. 8 where each hypothesis stays inside its block; and
   the look-ahead counters must count exactly the solves it ran.
 """
 
@@ -30,6 +32,7 @@ from repro.core.uncertainty import answer_set_uncertainty
 from repro.core.validation import ExpertValidation
 from repro.guidance import InformationGainStrategy, greedy_max_entropy_subset
 from repro.guidance.base import GuidanceContext
+from repro.guidance.information_gain import _LocalizedLookahead
 from repro.parallel import Executor
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.telemetry import Telemetry
@@ -177,6 +180,27 @@ def _context(crowd, n_validated=4, rng_seed=0):
                            rng=np.random.default_rng(rng_seed))
 
 
+@pytest.fixture(scope="module")
+def fifteen_per_object():
+    """``(prob_set, aggregator)`` of a 3000×300 crowd at 15 answers per
+    object, five objects validated: blocks hold a hypothesis' reach."""
+    crowd = simulate_crowd(
+        CrowdConfig(n_objects=3000, n_workers=300, answers_per_object=15),
+        rng=0)
+    context = _context(crowd, n_validated=5)
+    return context.prob_set, context.aggregator
+
+
+def _select(state, strategy, telemetry=None):
+    prob_set, aggregator = state
+    context = GuidanceContext(prob_set=prob_set, aggregator=aggregator,
+                              detector=SpammerDetector(),
+                              rng=np.random.default_rng(0))
+    if telemetry is not None:
+        context.telemetry = telemetry
+    return strategy.select(context)
+
+
 class TestSharedLookaheadEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1_000))
@@ -220,6 +244,60 @@ class TestLocalizedLookahead:
         assert exact.object_index == localized.object_index
         assert np.array_equal(exact.scores, localized.scores)
 
+    def test_tracks_converged_exact_where_blocks_hold_the_reach(
+            self, fifteen_per_object):
+        """Holding the rows outside the block at the session's fixed point
+        leaves a block solve moving only with its hypothesis: within
+        0.05 nats of converged exact Eq. 8 and the same pick (dropping
+        the outside evidence put the scores 50.7 nats off, on another
+        object)."""
+        local = _select(fifteen_per_object, InformationGainStrategy(
+            candidate_limit=10, lookahead="local"))
+        exact = _select(fifteen_per_object, InformationGainStrategy(
+            candidate_limit=10, lookahead_max_iter=500))
+        assert np.array_equal(local.candidate_indices,
+                              exact.candidate_indices)
+        assert np.max(np.abs(local.scores - exact.scores)) <= 0.05
+        assert local.object_index == exact.object_index
+
+    def test_block_solves_converge_under_the_cap(self, fifteen_per_object):
+        hub = Telemetry()
+        _select(fifteen_per_object, InformationGainStrategy(
+            candidate_limit=10, lookahead="local"), hub)
+        solves, iterations, cap_hits = (
+            int(hub.registry.counter(f"lookahead.{name}").value)
+            for name in ("solves", "iterations", "cap_hits"))
+        assert solves > 0
+        assert cap_hits == 0
+        # About 7 maps a solve; without the outside evidence, 21.
+        assert iterations <= 10 * solves
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), k=st.integers(1, 6), m=st.integers(2, 4),
+           seed=st.integers(0, 10_000))
+    def test_outside_evidence_matches_reference_sums(self, n, k, m, seed):
+        rng = np.random.default_rng(seed)
+        answer_set = AnswerSet(rng.integers(-1, m, size=(n, k)),
+                               tuple(f"l{i}" for i in range(m)))
+        validation = ExpertValidation.empty_for(answer_set)
+        validation.assign(0, m - 1)
+        aggregator = IncrementalEM()
+        prob_set = aggregator.conclude(answer_set, validation)
+        encoded = em_kernel.encode_answers(prob_set.answer_set)
+        scorer = _LocalizedLookahead(
+            prob_set, encoded, 1e-3, answer_set_uncertainty(prob_set),
+            max_iter=25, tol=aggregator.tol, smoothing=aggregator.smoothing)
+        objects = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                     replace=False))
+        sub, workers = em_kernel.block_subencoding(encoded, objects)
+        counts, mass = scorer.outside_evidence(sub, objects, workers)
+        want_counts, want_mass = reference.outside_block_evidence(
+            encoded, prob_set.assignment, objects, workers)
+        for got, want in ((counts, want_counts), (mass, want_mass)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(
+                got, want, rtol=1e-9, atol=1e-9 * max(1.0, want.max(initial=0.0)))
+
     def test_runs_on_sparse_matrices(self):
         crowd = simulate_crowd(
             CrowdConfig(n_objects=30, n_workers=15, answers_per_object=2),
@@ -249,6 +327,12 @@ class TestLocalizedLookahead:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             InformationGainStrategy(lookahead="global")
+
+    @pytest.mark.parametrize("lookahead", ["exact", "local"])
+    def test_map_cap_below_one_rejected(self, lookahead):
+        with pytest.raises(ValueError):
+            InformationGainStrategy(lookahead=lookahead,
+                                    lookahead_max_iter=0)
 
 
 class TestBlockSubencoding:

@@ -121,6 +121,44 @@ class TestEncodingEquivalence:
             bulk.add_answer(int(free[0][0]), int(free[0][1]), 0)
             assert bulk.n_answers == slow.n_answers + 1
 
+    @pytest.mark.parametrize("first", ["conflict", "duplicate", "label_of",
+                                       "session"])
+    def test_seeded_statistics_check_cells_on_first_use(self, first):
+        """Seeding fills the log alone; whichever cell query comes first
+        builds the cell map from it, and later queries agree."""
+        rng = np.random.default_rng(4)
+        n, k, m = 12, 6, 3
+        matrix = rng.integers(-1, m, size=(n, k))
+        answer_set = AnswerSet(matrix, _labels(m))
+        if first == "session":
+            session = ValidationSession.from_answer_set(answer_set)
+            stats = session.stats
+        else:
+            stats = em_kernel.AnswerStats(n, k, m)
+            stats.seed(em_kernel.encode_answers(answer_set))
+        obj, wrk = map(int, np.argwhere(matrix != MISSING)[0])
+        label = int(matrix[obj, wrk])
+        if first == "conflict":
+            with pytest.raises(InvalidAnswerSetError):
+                stats.add_answer(obj, wrk, (label + 1) % m)
+            assert not stats.add_answer(obj, wrk, label)
+        elif first == "duplicate":
+            assert not stats.add_answer(obj, wrk, label)
+            with pytest.raises(InvalidAnswerSetError):
+                stats.add_answer(obj, wrk, (label + 1) % m)
+        elif first == "label_of":
+            assert stats.label_of(obj, wrk) == label
+        else:
+            with pytest.raises(InvalidAnswerSetError):
+                session.add_answer(obj, wrk, (label + 1) % m)
+            assert not session.add_answer(obj, wrk, label)
+        assert stats.n_answers == int((matrix != MISSING).sum())
+        assert all(stats.label_of(o, w) == matrix[o, w]
+                   for o in range(n) for w in range(k))
+        free_obj, free_wrk = map(int, np.argwhere(matrix == MISSING)[0])
+        assert stats.add_answer(free_obj, free_wrk, 0)
+        assert stats.label_of(free_obj, free_wrk) == 0
+
     def test_bulk_load_rejects_in_batch_duplicates_via_loop(self):
         stats = em_kernel.AnswerStats(2, 2, 2)
         # Duplicate cell in one batch: falls back to the per-answer path,
