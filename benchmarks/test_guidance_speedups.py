@@ -96,7 +96,7 @@ def _pr1_scores(prob_set, candidates, label_floor, max_iter, tol, smoothing):
                 continue
             hypothetical = prob_set.validation.with_assignment(
                 int(obj), int(label))
-            encoded = em_kernel.encode_answers(prob_set.answer_set)
+            encoded = prob_set.encoded
             initial = reference.e_step(encoded, prob_set.confusions,
                                        prob_set.priors)
             result = reference.run_em(

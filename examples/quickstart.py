@@ -70,8 +70,8 @@ def main() -> None:
           f"({report.total_effort / answers.n_objects:.0%} expert effort).")
 
     print("\n=== Final worker reliability (diagonal of confusion matrix) ===")
-    for worker in answers.workers:
-        diagonal = np.diag(process.prob_set.confusion_of(worker))
+    for index, worker in enumerate(answers.workers):
+        diagonal = np.diag(process.prob_set.confusions[index])
         print(f"  {worker}: {diagonal.mean():.2f}")
 
 

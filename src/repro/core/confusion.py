@@ -14,11 +14,15 @@ the paper and both live here:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.validation import ExpertValidation
 from repro.errors import InvalidProbabilityError
+
+if TYPE_CHECKING:  # em_kernel imports this module
+    from repro.core.em_kernel import EncodedAnswers
 
 #: Smallest probability kept when normalizing rows (guards ``log`` calls).
 PROB_FLOOR = 1e-12
@@ -86,7 +90,23 @@ def accuracy(confusion: np.ndarray,
     return 1.0 - error_rate(confusion, priors)
 
 
-def validated_confusion_counts(answer_set: AnswerSet,
+def _validated_answers(encoded: EncodedAnswers,
+                       validation: ExpertValidation,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Answer positions on validated objects, and each one's expert label.
+
+    The gather touches only the validated objects' answers, never all
+    ``A``.
+    """
+    # em_kernel imports this module, so import it at call time.
+    from repro.core.em_kernel import object_positions
+
+    positions, counts = object_positions(encoded,
+                                         validation.validated_indices())
+    return positions, np.repeat(validation.validated_labels(), counts)
+
+
+def validated_confusion_counts(encoded: EncodedAnswers,
                                validation: ExpertValidation) -> np.ndarray:
     """Per-worker confusion *counts* over expert-validated objects only.
 
@@ -97,21 +117,15 @@ def validated_confusion_counts(answer_set: AnswerSet,
     is unbiased ground truth about each worker (at the price of sparsity
     early in the validation process).
     """
-    k = answer_set.n_workers
-    m = answer_set.n_labels
+    k, m = encoded.n_workers, encoded.n_labels
     counts = np.zeros((k, m, m), dtype=np.int64)
-    validated = validation.validated_indices()
-    if validated.size == 0:
-        return counts
-    true_labels = validation.validated_labels()
-    sub = answer_set.matrix[validated, :]  # (v, k)
-    obj_pos, workers = np.nonzero(sub != MISSING)
-    answered = sub[obj_pos, workers]
-    np.add.at(counts, (workers, true_labels[obj_pos], answered), 1)
+    positions, true_labels = _validated_answers(encoded, validation)
+    np.add.at(counts, (encoded.worker_index[positions], true_labels,
+                       encoded.label_index[positions]), 1)
     return counts
 
 
-def validated_answer_counts(answer_set: AnswerSet,
+def validated_answer_counts(encoded: EncodedAnswers,
                             validation: ExpertValidation) -> np.ndarray:
     """Number of validated answers per worker (length ``k``).
 
@@ -119,18 +133,16 @@ def validated_answer_counts(answer_set: AnswerSet,
     on expert-validated objects. Detection thresholds should only be applied
     to workers with enough evidence (see Table 3's cautionary example).
     """
-    validated = validation.validated_indices()
-    if validated.size == 0:
-        return np.zeros(answer_set.n_workers, dtype=np.int64)
-    sub = answer_set.matrix[validated, :]
-    return np.count_nonzero(sub != MISSING, axis=0)
+    positions, _ = _validated_answers(encoded, validation)
+    return np.bincount(encoded.worker_index[positions],
+                       minlength=encoded.n_workers)
 
 
-def validated_confusions(answer_set: AnswerSet,
+def validated_confusions(encoded: EncodedAnswers,
                          validation: ExpertValidation,
                          smoothing: float = 0.0) -> np.ndarray:
     """Row-normalized validated confusion matrices (``k × m × m``)."""
-    counts = validated_confusion_counts(answer_set, validation)
+    counts = validated_confusion_counts(encoded, validation)
     return normalize_rows(counts, smoothing=smoothing)
 
 

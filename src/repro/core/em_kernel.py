@@ -58,6 +58,9 @@ DEFAULT_MAX_ITER = 100
 #: machinery narrows every index array whose *flat* bound stays under it.
 INT32_BOUND = int(np.iinfo(np.int32).max)
 
+#: Matrix cells :func:`encode_answers` masks at a time (one row block).
+ENCODE_BLOCK_CELLS = 1 << 20
+
 
 def index_dtype(n_objects: int, n_workers: int, n_labels: int,
                 n_answers: int = 0) -> np.dtype:
@@ -117,21 +120,33 @@ def encode_answers(answer_set: AnswerSet) -> EncodedAnswers:
     look-ahead select on the same answer set — return the same
     encoding, and with it the same :func:`kernel_plan` and
     :func:`csr_view`. Pickling an answer set drops the memo.
+
+    The matrix is scanned in row blocks of about
+    :data:`ENCODE_BLOCK_CELLS` cells, so the scan's temporaries are one
+    block's mask and the block's answers. A whole-matrix ``!= MISSING``
+    mask would be a second ``n·k``-byte array beside the int8 storage.
     """
     encoded = answer_set._encoded
     if encoded is None:
         matrix = answer_set.matrix
-        obj, wrk = np.nonzero(matrix != MISSING)
-        dtype = index_dtype(answer_set.n_objects, answer_set.n_workers,
-                            answer_set.n_labels, obj.size)
+        n, k, m = answer_set.n_objects, answer_set.n_workers, \
+            answer_set.n_labels
+        dims = index_dtype(n, k, m)
+        rows = max(1, ENCODE_BLOCK_CELLS // max(k, 1))
+        parts: tuple[list, list, list] = ([], [], [])
+        for start in range(0, max(n, 1), rows):
+            block = matrix[start:start + rows].ravel()
+            flat = np.flatnonzero(block != MISSING)
+            obj, wrk = np.divmod(flat, k)
+            for part, values in zip(parts, (obj + start, wrk, block[flat])):
+                part.append(values.astype(dims))
+        dtype = index_dtype(n, k, m, sum(map(len, parts[0])))
+        object_index, worker_index, label_index = (
+            np.concatenate(part, dtype=dtype) for part in parts)
         encoded = EncodedAnswers(
-            n_objects=answer_set.n_objects,
-            n_workers=answer_set.n_workers,
-            n_labels=answer_set.n_labels,
-            object_index=np.ascontiguousarray(obj, dtype=dtype),
-            worker_index=np.ascontiguousarray(wrk, dtype=dtype),
-            label_index=np.ascontiguousarray(matrix[obj, wrk], dtype=dtype),
-        )
+            n_objects=n, n_workers=k, n_labels=m,
+            object_index=object_index, worker_index=worker_index,
+            label_index=label_index)
         answer_set._encoded = encoded
     return encoded
 
@@ -369,10 +384,9 @@ def block_subencoding(encoded: EncodedAnswers,
     n_labels:
         Label vocabulary of the sub-encoding (defaults to ``encoded``'s).
 
-    The block's answer positions are gathered segment by segment from the
-    memoized :func:`csr_view` ``object_starts`` — ``O(block answers)``,
-    never an ``O(A)`` scan — so the sub-encoding is object-sorted like
-    its parent.
+    The block's answer positions are gathered by :func:`object_positions`
+    — ``O(block answers)``, never an ``O(A)`` scan — so the sub-encoding
+    is object-sorted like its parent.
 
     Returns
     -------
@@ -381,9 +395,7 @@ def block_subencoding(encoded: EncodedAnswers,
         indices, and the worker index set actually used.
     """
     objects = np.asarray(objects, dtype=np.int64)
-    object_starts = csr_view(encoded).object_starts
-    counts = object_starts[objects + 1] - object_starts[objects]
-    positions = np.repeat(object_starts[objects], counts) + _ranges(counts)
+    positions, counts = object_positions(encoded, objects)
     local_obj = np.repeat(np.arange(objects.size, dtype=np.int64), counts)
     kept_workers = encoded.worker_index[positions]
     kept_labels = encoded.label_index[positions]
@@ -403,6 +415,21 @@ def block_subencoding(encoded: EncodedAnswers,
             np.searchsorted(workers, kept_workers), dtype=sub_dtype),
         label_index=np.ascontiguousarray(kept_labels, dtype=sub_dtype))
     return sub, workers
+
+
+def object_positions(encoded: EncodedAnswers,
+                     objects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Answer positions of ``objects``, and how many each object has.
+
+    The positions run object after object, in the order given, each
+    object's answers in encoding order. They are gathered segment by
+    segment from the memoized :func:`csr_view` ``object_starts``:
+    ``O(len(objects) + their answers)``.
+    """
+    objects = np.asarray(objects, dtype=np.int64)
+    object_starts = csr_view(encoded).object_starts
+    counts = object_starts[objects + 1] - object_starts[objects]
+    return np.repeat(object_starts[objects], counts) + _ranges(counts), counts
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -727,26 +754,14 @@ class AnswerStats:
             )
         return self._encoded_cache
 
-    def to_answer_set(self, labels: tuple[str, ...],
-                      objects: tuple[str, ...] | None = None,
-                      workers: tuple[str, ...] | None = None) -> AnswerSet:
-        """The masked answers as an :class:`AnswerSet` sharing :meth:`encoded`.
-
-        :func:`encode_answers` on the result returns this version's
-        encoding itself, so everything that reads the answer set — the
-        look-aheads, worker-driven pruning, the confirmation check — shares
-        one encoding, kernel plan and CSR view with the statistics.
-        """
-        answer_set = AnswerSet(self.to_matrix(include_masked=False),
-                               labels, objects, workers)
-        answer_set._encoded = self.encoded()
-        return answer_set
-
     def to_matrix(self, include_masked: bool = True) -> np.ndarray:
         """Materialize the ``n × k`` answer matrix (⊥ = :data:`MISSING`).
 
+        The export adapter: nothing in a session's loop reads a matrix.
         The matrix has the answer-set storage type,
-        :func:`~repro.core.answer_set.code_dtype`.
+        :func:`~repro.core.answer_set.code_dtype`; wrap it in an
+        :class:`~repro.core.answer_set.AnswerSet` to hand it to the batch
+        drivers.
         """
         matrix = np.full((self._n_objects, self._n_workers), MISSING,
                          dtype=code_dtype(self._n_labels))

@@ -143,12 +143,12 @@ class IncrementalEM:
             The new snapshot ``P_s`` (its ``n_em_iterations`` counts this
             invocation only).
         """
+        encoded = em_kernel.encode_answers(answer_set)
         if previous is not None:
-            self._check_compatible(answer_set, previous)
-        result = self.refine(em_kernel.encode_answers(answer_set),
-                             validation, previous)
+            self._check_compatible(encoded, previous)
+        result = self.refine(encoded, validation, previous)
         return ProbabilisticAnswerSet(
-            answer_set=answer_set,
+            encoded=encoded,
             validation=validation.copy(),
             assignment=result.assignment,
             confusions=result.confusions,
@@ -157,7 +157,7 @@ class IncrementalEM:
         )
 
     @staticmethod
-    def _check_compatible(answer_set: AnswerSet,
+    def _check_compatible(encoded: em_kernel.EncodedAnswers,
                           previous: ProbabilisticAnswerSet) -> None:
         """A warm start needs matching worker/label dimensions.
 
@@ -165,12 +165,12 @@ class IncrementalEM:
         answer matrix as the ground truth grows (§4.1) — only worker
         masking, which preserves shape, is expected between iterations.
         """
-        prev = previous.answer_set
-        if (prev.n_workers != answer_set.n_workers
-                or prev.n_labels != answer_set.n_labels
-                or prev.n_objects != answer_set.n_objects):
+        if (previous.n_workers != encoded.n_workers
+                or previous.n_labels != encoded.n_labels
+                or previous.n_objects != encoded.n_objects):
             raise ValueError(
                 "previous probabilistic answer set has shape "
-                f"({prev.n_objects}×{prev.n_workers}, {prev.n_labels} labels) "
-                f"but the answer set has ({answer_set.n_objects}×"
-                f"{answer_set.n_workers}, {answer_set.n_labels} labels)")
+                f"({previous.n_objects}×{previous.n_workers}, "
+                f"{previous.n_labels} labels) but the answer set has "
+                f"({encoded.n_objects}×{encoded.n_workers}, "
+                f"{encoded.n_labels} labels)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.confusion import normalize_rows
 from repro.core.probabilistic import ProbabilisticAnswerSet
@@ -83,7 +84,7 @@ def majority_probabilistic(answer_set: AnswerSet,
         np.full(m, 1.0 / m)
     priors = priors / priors.sum()
     return ProbabilisticAnswerSet(
-        answer_set=answer_set,
+        encoded=em_kernel.encode_answers(answer_set),
         validation=validation.copy(),
         assignment=assignment,
         confusions=confusions,

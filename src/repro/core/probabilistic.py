@@ -1,11 +1,14 @@
 """The probabilistic answer set ``P = <N, e, U, C>`` (paper §3.1).
 
-Bundles the raw answer set, the expert-validation function, the ``n × m``
-assignment matrix ``U`` (per-object label distributions), and the set of
-worker confusion matrices ``C``. Instances are produced by
-:meth:`repro.core.iem.IncrementalEM.conclude` (which batch EM's ``fit``
-calls too) and by a streaming session's snapshot, and consumed everywhere:
-uncertainty measurement, instantiation, and expert guidance.
+Bundles the answers ``N`` as the kernel's flat encoding
+(:class:`~repro.core.em_kernel.EncodedAnswers`), the expert-validation
+function, the ``n × m`` assignment matrix ``U`` (per-object label
+distributions), and the set of worker confusion matrices ``C``. Instances
+are produced by :meth:`repro.core.iem.IncrementalEM.conclude` (which batch
+EM's ``fit`` calls too) and by a streaming session's snapshot, and
+consumed everywhere: uncertainty measurement, instantiation, and expert
+guidance. A snapshot carries no vocabulary: workers and objects are
+indices, so worker ``w``'s confusion matrix is ``confusions[w]``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.answer_set import AnswerSet
+from repro.core.em_kernel import EncodedAnswers
 from repro.core.validation import ExpertValidation
 from repro.errors import InvalidProbabilityError
 from repro.utils.checks import check_row_stochastic
@@ -26,9 +29,12 @@ class ProbabilisticAnswerSet:
 
     Attributes
     ----------
-    answer_set:
-        The underlying answer set ``N`` (possibly with faulty workers'
-        answers masked out).
+    encoded:
+        The answers ``N`` the aggregation read, as the kernel's flat
+        encoding (faulty workers' answers left out while they are
+        masked). A session's snapshot hands over its statistics'
+        encoding, so guidance and checks share its kernel plan and CSR
+        view.
     validation:
         A *copy* of the expert validation ``e`` the snapshot was built with.
     assignment:
@@ -42,7 +48,7 @@ class ProbabilisticAnswerSet:
         in Figure 8 (incremental vs. non-incremental initialization).
     """
 
-    answer_set: AnswerSet
+    encoded: EncodedAnswers
     validation: ExpertValidation
     assignment: np.ndarray
     confusions: np.ndarray
@@ -51,9 +57,9 @@ class ProbabilisticAnswerSet:
     _assignment_checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.answer_set.n_objects
-        m = self.answer_set.n_labels
-        k = self.answer_set.n_workers
+        n = self.encoded.n_objects
+        m = self.encoded.n_labels
+        k = self.encoded.n_workers
         if self.assignment.shape != (n, m):
             raise InvalidProbabilityError(
                 f"assignment matrix shape {self.assignment.shape} does not "
@@ -70,23 +76,19 @@ class ProbabilisticAnswerSet:
     # ------------------------------------------------------------------
     @property
     def n_objects(self) -> int:
-        return self.answer_set.n_objects
+        return self.encoded.n_objects
 
     @property
     def n_labels(self) -> int:
-        return self.answer_set.n_labels
+        return self.encoded.n_labels
 
     @property
     def n_workers(self) -> int:
-        return self.answer_set.n_workers
+        return self.encoded.n_workers
 
     def probability(self, obj: int, label: int) -> float:
         """``U(o, l)``: probability that ``label`` is correct for ``obj``."""
         return float(self.assignment[obj, label])
-
-    def confusion_of(self, worker: int | str) -> np.ndarray:
-        """Confusion matrix ``F_w`` of a worker (read-only view)."""
-        return self.confusions[self.answer_set.worker_index(worker)]
 
     def map_labels(self) -> np.ndarray:
         """Per-object maximum-a-posteriori label codes (ties -> lowest code).

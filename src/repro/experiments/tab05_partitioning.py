@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 
+from repro.core.em_kernel import encode_answers
 from repro.experiments.common import ExperimentResult
 from repro.partitioning.partitioner import MatrixPartitioner
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
@@ -33,7 +34,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         crowd = simulate_crowd(config, rng=seed)
         started = time.perf_counter()
         partition = MatrixPartitioner(50, seed=seed).partition(
-            crowd.answer_set)
+            encode_answers(crowd.answer_set))
         elapsed = time.perf_counter() - started
         rows.append((
             per_worker,

@@ -1,9 +1,10 @@
 """The confirmation check for erroneous answer validations (paper §5.5).
 
 Triggered every fixed number of validation iterations, the check replays
-each validated object ``o`` with its own expert input *excluded*: it runs
-``conclude`` on the answer set with ``e ∖ {o}`` and compares the resulting
-deterministic label ``d_~o(o)`` with the recorded expert input ``e(o)``.
+each validated object ``o`` with its own expert input *excluded*: it
+re-runs i-EM on the current snapshot's answers with ``e ∖ {o}`` and
+compares the resulting deterministic label ``d_~o(o)`` with the recorded
+expert input ``e(o)``.
 A disagreement flags ``e(o)`` as a suspected case-2 mistake (the expert
 wrongly confirmed an incorrect aggregated answer); the process then asks
 the expert to reconsider, counting one extra unit of effort.
@@ -15,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.answer_set import AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.core.probabilistic import ProbabilisticAnswerSet
-from repro.core.validation import ExpertValidation
 
 
 @dataclass(frozen=True)
@@ -62,20 +61,24 @@ class ConfirmationCheck:
         self.aggregator = aggregator or IncrementalEM()
         self.min_other_validations = int(min_other_validations)
 
-    def run(self,
-            answer_set: AnswerSet,
-            validation: ExpertValidation,
-            current: ProbabilisticAnswerSet | None = None,
-            ) -> ConfirmationReport:
-        """Sweep all validated objects and flag suspected mistakes."""
+    def run(self, current: ProbabilisticAnswerSet) -> ConfirmationReport:
+        """Sweep the validated objects of ``current`` and flag suspected
+        mistakes.
+
+        Each leave-one-out solve is
+        ``aggregator.refine(current.encoded, current.validation.without(o),
+        current)``: the snapshot's own answers, warm-started from its
+        model. These are the floats ``IncrementalEM.conclude`` computes
+        on the same answers with ``previous=current``.
+        """
+        validation = current.validation
         validated = validation.validated_indices()
         flagged: list[int] = []
         if validated.size - 1 < self.min_other_validations:
             return ConfirmationReport(checked=np.empty(0, np.int64))
         for obj in validated:
-            loo_validation = validation.without(int(obj))
-            posterior = self.aggregator.conclude(answer_set, loo_validation,
-                                                 previous=current)
+            posterior = self.aggregator.refine(
+                current.encoded, validation.without(int(obj)), current)
             predicted = int(np.argmax(posterior.assignment[obj]))
             if predicted != validation.label_of(int(obj)):
                 flagged.append(int(obj))

@@ -102,12 +102,11 @@ class _SharedLookahead:
     """
 
     def __init__(self, prob_set: ProbabilisticAnswerSet,
-                 encoded: em_kernel.EncodedAnswers,
                  label_floor: float, current_entropy: float,
                  max_iter: int, tol: float, smoothing: float) -> None:
         self.assignment = prob_set.assignment
         self.validated = prob_set.validation.as_array()
-        self.encoded = encoded
+        self.encoded = prob_set.encoded
         self.label_floor = label_floor
         self.current_entropy = current_entropy
         self.max_iter = max_iter
@@ -116,7 +115,7 @@ class _SharedLookahead:
         log_conf = np.log(np.clip(prob_set.confusions, PROB_FLOOR, None))
         log_priors = np.log(np.clip(prob_set.priors, PROB_FLOOR, None))
         self.initial = em_kernel.e_step(
-            encoded, prob_set.confusions, prob_set.priors,
+            self.encoded, prob_set.confusions, prob_set.priors,
             log_confusions=log_conf, log_priors=log_priors)
 
     def __call__(self, obj: int) -> LookaheadScore:
@@ -167,14 +166,13 @@ class _LocalizedLookahead:
     """
 
     def __init__(self, prob_set: ProbabilisticAnswerSet,
-                 encoded: em_kernel.EncodedAnswers,
                  label_floor: float, current_entropy: float,
                  max_iter: int, tol: float, smoothing: float) -> None:
         self.assignment = prob_set.assignment
         self.confusions = prob_set.confusions
         self.priors = prob_set.priors
         self.validated = prob_set.validation.as_array()
-        self.encoded = encoded
+        self.encoded = prob_set.encoded
         self.label_floor = label_floor
         self.current_entropy = current_entropy
         self.max_iter = max_iter
@@ -186,13 +184,13 @@ class _LocalizedLookahead:
         self.base_entropies = object_entropies(prob_set.assignment)
         # The whole answer set's M-step evidence under U; a block's
         # outside evidence is this minus the block's own.
-        self.counts = em_kernel.cell_counts(encoded, self.assignment)
+        self.counts = em_kernel.cell_counts(self.encoded, self.assignment)
         self.mass = em_kernel.label_mass(self.assignment)
         # Worker-neighborhood adjacency over the flat encoding: the
         # shared CSR view supplies both the per-object answer slices and
         # the per-worker (stable argsort) segments — built once per
         # encoding epoch, shared with the sharded refresher and session.
-        self._csr = em_kernel.csr_view(encoded)
+        self._csr = em_kernel.csr_view(self.encoded)
 
     def _neighborhood(self, obj: int) -> np.ndarray:
         """Sorted unique objects sharing a worker with ``obj`` (incl. it)."""
@@ -343,12 +341,11 @@ class InformationGainStrategy(GuidanceStrategy):
                                  kind="stable")[:self.candidate_limit]
                 candidates = candidates[np.sort(top)]
 
-            encoded = em_kernel.encode_answers(prob_set.answer_set)
             current_entropy = answer_set_uncertainty(prob_set)
             scorer_type = _LocalizedLookahead if self.lookahead == "local" \
                 else _SharedLookahead
             scorer = scorer_type(
-                prob_set, encoded, self.label_floor, current_entropy,
+                prob_set, self.label_floor, current_entropy,
                 max_iter=self.lookahead_max_iter,
                 tol=context.aggregator.tol,
                 smoothing=context.aggregator.smoothing,

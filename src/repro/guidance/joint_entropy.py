@@ -26,9 +26,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from repro.core.answer_set import MISSING, AnswerSet
 from repro.core.probabilistic import ProbabilisticAnswerSet
 from repro.core.uncertainty import object_entropies
 from repro.telemetry import NULL_TELEMETRY
@@ -54,11 +54,20 @@ def object_covariance(prob_set: ProbabilisticAnswerSet,
     similarity (shared-worker counts, normalized by its largest row sum so
     its spectral radius is ≤ 1, keeping Σ positive definite for
     ``coupling < 1``).
+
+    The shared-worker counts are the product of the sparse ``n × k``
+    object-worker incidence of ``prob_set.encoded`` with its transpose.
+    They are small integers, exact in floating point, so ``Σ`` is the
+    dense-matrix construction bit for bit.
     """
     if not 0.0 <= coupling < 1.0:
         raise ValueError(f"coupling must be in [0, 1), got {coupling}")
-    answered = (prob_set.answer_set.matrix != MISSING).astype(float)
-    shared = answered @ answered.T
+    encoded = prob_set.encoded
+    answered = sparse.csr_array(
+        (np.ones(encoded.n_answers),
+         (encoded.object_index, encoded.worker_index)),
+        shape=(encoded.n_objects, encoded.n_workers))
+    shared = (answered @ answered.T).toarray()
     np.fill_diagonal(shared, 0.0)
     max_row = shared.sum(axis=1).max()
     similarity = shared / max_row if max_row > 0 else shared

@@ -12,10 +12,11 @@ hypothesis, so the implementation splits the count into an invariant part
 (non-answerers, computed once per selection) and a per-hypothesis part
 (answerers re-scored against their incremented confusion counts).
 
-Candidates' answers are read from the answer set's flat encoding
-(:func:`repro.core.em_kernel.encode_answers`), never from rows of the
-dense matrix. Inside a validation process that is the session's shared
-encoding, so a select allocates nothing proportional to ``n·k``.
+The answers are the snapshot's own encoding (``prob_set.encoded``): the
+validated counts gather only the validated objects' answers, and each
+candidate's answers are one segment of its CSR view. Inside a validation
+process that is the session's encoding, masked workers left out, so a
+select allocates nothing proportional to ``n·k``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from repro.guidance.base import (
 
 class WorkerDrivenStrategy(GuidanceStrategy):
     """``select_w(O) = argmax_o R(W | o)`` (Eq. 14).
+
+    Reads the answers from ``prob_set.encoded`` alone, so a masked
+    worker's answers count nowhere.
 
     Parameters
     ----------
@@ -61,18 +65,17 @@ class WorkerDrivenStrategy(GuidanceStrategy):
     def select(self, context: GuidanceContext) -> Selection:
         candidates = self._require_candidates(context)
         prob_set = context.prob_set
-        answer_set = prob_set.answer_set
+        encoded = prob_set.encoded
         detector = context.detector
         priors = prob_set.priors
         span = context.telemetry.span(
             "guidance.select", strategy=self.name,
             frontier_size=int(candidates.size))
         with span:
-            encoded = em_kernel.encode_answers(answer_set)
             csr = em_kernel.csr_view(encoded)
-            base_counts = validated_confusion_counts(answer_set,
+            base_counts = validated_confusion_counts(encoded,
                                                      prob_set.validation)
-            base_evidence = validated_answer_counts(answer_set,
+            base_evidence = validated_answer_counts(encoded,
                                                     prob_set.validation)
             base_detection = detector.detect_from_counts(
                 base_counts, base_evidence, priors)

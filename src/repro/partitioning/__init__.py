@@ -1,4 +1,9 @@
-"""Sparse answer-matrix partitioning (§5.4; spectral stand-in for METIS)."""
+"""Sparse answer-matrix partitioning (§5.4; spectral stand-in for METIS).
+
+The partitioner and the bipartite-graph helpers read the kernel's flat
+answer encoding (:class:`~repro.core.em_kernel.EncodedAnswers`), not a
+dense matrix.
+"""
 
 from repro.partitioning.bipartite import (
     answer_bipartite_adjacency,

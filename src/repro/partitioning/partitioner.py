@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.answer_set import AnswerSet
+from repro.core.em_kernel import EncodedAnswers, block_subencoding
 from repro.errors import PartitioningError
 from repro.partitioning.bipartite import (
     answer_bipartite_adjacency,
@@ -79,7 +79,7 @@ class Partition:
 
 
 class MatrixPartitioner:
-    """Partition an answer set into dense object blocks.
+    """Partition an answer encoding into dense object blocks.
 
     Parameters
     ----------
@@ -90,12 +90,19 @@ class MatrixPartitioner:
         Seed for the spectral bisection start vectors (deterministic
         partitions for a fixed seed).
 
+    The partitioner reads the kernel's flat encoding
+    (:class:`~repro.core.em_kernel.EncodedAnswers`); encode a dense
+    answer set with :func:`~repro.core.em_kernel.encode_answers`, or pass
+    a session's ``stats.encoded()``.
+
     Examples
     --------
     >>> import numpy as np
     >>> from repro.core.answer_set import AnswerSet
+    >>> from repro.core.em_kernel import encode_answers
     >>> matrix = np.where(np.eye(6, 4, dtype=bool), 0, -1)
-    >>> partition = MatrixPartitioner(3).partition(AnswerSet(matrix, ("a", "b")))
+    >>> answers = encode_answers(AnswerSet(matrix, ("a", "b")))
+    >>> partition = MatrixPartitioner(3).partition(answers)
     >>> sum(block.n_objects for block in partition.blocks)
     6
     """
@@ -106,12 +113,12 @@ class MatrixPartitioner:
         self.seed = int(seed)
 
     # ------------------------------------------------------------------
-    def partition(self, answer_set: AnswerSet) -> Partition:
-        """Partition all objects of ``answer_set`` into blocks."""
-        n = answer_set.n_objects
+    def partition(self, encoded: EncodedAnswers) -> Partition:
+        """Partition all objects of ``encoded`` into blocks."""
+        n = encoded.n_objects
         if n == 0:
             raise PartitioningError("cannot partition an empty answer set")
-        adjacency = answer_bipartite_adjacency(answer_set)
+        adjacency = answer_bipartite_adjacency(encoded)
         object_groups: list[np.ndarray] = []
         # Component-wise: disconnected pieces share no workers, so they are
         # natural block boundaries (and the eigensolver needs connectivity).
@@ -119,36 +126,31 @@ class MatrixPartitioner:
             objects = component[component < n]
             if objects.size == 0:
                 continue  # isolated worker node (answered nothing)
-            object_groups.extend(
-                self._split(answer_set, objects, depth=0))
-        blocks = tuple(
-            Block(
-                object_indices=np.sort(group),
-                worker_indices=workers_of_objects(answer_set, np.sort(group)),
-                density=block_density(
-                    answer_set, np.sort(group),
-                    workers_of_objects(answer_set, np.sort(group))),
-            )
-            for group in object_groups
-        )
-        return Partition(blocks=blocks, n_objects=n)
+            object_groups.extend(self._split(encoded, objects, depth=0))
+        blocks = []
+        for group in object_groups:
+            objects = np.sort(group)
+            workers = workers_of_objects(encoded, objects)
+            blocks.append(Block(
+                object_indices=objects, worker_indices=workers,
+                density=block_density(encoded, objects, workers)))
+        return Partition(blocks=tuple(blocks), n_objects=n)
 
     # ------------------------------------------------------------------
-    def _split(self, answer_set: AnswerSet, objects: np.ndarray,
+    def _split(self, encoded: EncodedAnswers, objects: np.ndarray,
                depth: int) -> list[np.ndarray]:
-        """Recursively bisect a connected object group until small enough."""
+        """Recursively bisect a connected object group until small enough.
+
+        ``objects`` is sorted (components and halves both are), which is
+        what :func:`~repro.core.em_kernel.block_subencoding` needs.
+        """
         if objects.size <= self.max_objects_per_block:
             return [objects]
-        # Restrict to the workers active on these objects: inactive worker
-        # columns would be isolated nodes that disconnect the graph and
-        # derail the Fiedler cut.
-        workers = workers_of_objects(answer_set, objects)
-        sub_matrix = answer_set.matrix[np.ix_(objects, workers)]
-        sub_answer_set = AnswerSet(
-            sub_matrix, answer_set.labels,
-            objects=[answer_set.objects[i] for i in objects],
-            workers=[answer_set.workers[j] for j in workers])
-        adjacency = answer_bipartite_adjacency(sub_answer_set)
+        # Restrict to the workers active on these objects (the
+        # sub-encoding's own): inactive worker columns would be isolated
+        # nodes that disconnect the graph and derail the Fiedler cut.
+        sub, _ = block_subencoding(encoded, objects)
+        adjacency = answer_bipartite_adjacency(sub)
         left_nodes, right_nodes = spectral_bisect(
             adjacency, seed=self.seed + depth)
         n_sub = objects.size
@@ -158,5 +160,5 @@ class MatrixPartitioner:
             # Degenerate cut (all objects one side): fall back to halving.
             half = objects.size // 2
             left, right = objects[:half], objects[half:]
-        return (self._split(answer_set, left, depth + 1)
-                + self._split(answer_set, right, depth + 1))
+        return (self._split(encoded, left, depth + 1)
+                + self._split(encoded, right, depth + 1))

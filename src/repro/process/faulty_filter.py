@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.answer_set import AnswerSet
 from repro.workers.spammer_detection import DetectionResult
 
 
 class FaultyWorkerFilter:
-    """Tracks suspected faulty workers and masks their answers.
+    """Tracks the suspected faulty workers whose answers a session masks.
+
+    The filter decides *who* is suspected; the answers leave the
+    aggregation through ``session.set_masked_workers(filter.suspected)``.
 
     Parameters
     ----------
@@ -127,12 +129,6 @@ class FaultyWorkerFilter:
         """Forget all suspicions (all answers are used again)."""
         self._suspected = frozenset()
         self._streaks = {}
-
-    def apply(self, answer_set: AnswerSet) -> AnswerSet:
-        """Return ``answer_set`` with suspected workers' answers masked."""
-        if not self._suspected:
-            return answer_set
-        return answer_set.mask_workers(sorted(self._suspected))
 
     def suspected_mask(self, n_workers: int) -> np.ndarray:
         """Boolean mask over workers, true where suspected."""

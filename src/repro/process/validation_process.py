@@ -361,8 +361,7 @@ class ValidationProcess:
         """Leave-one-out sweep; flagged objects are re-elicited (+1 effort)."""
         with self.telemetry.span("process.confirmation",
                                  iteration=self.iteration):
-            report = self.confirmation_check.run(
-                self.session.answer_set, self.validation, self.prob_set)
+            report = self.confirmation_check.run(self.prob_set)
         reconsidered: list[int] = []
         for obj in report.flagged:
             if self.effort >= self.budget:

@@ -370,20 +370,13 @@ class ScenarioRunner:
                        template: ValidationSession) -> np.ndarray:
         """Path 3: the same replay, refined via partition-scoped refresh."""
         scope = self.telemetry.spawn("sharded")
-        session = self._fresh_session(scenario, template, telemetry=scope)
         block = self.max_objects_per_block \
             if self.max_objects_per_block is not None \
             else scenario.n_objects
         refresher = ShardedRefresher(max_objects_per_block=block,
                                      telemetry=scope)
-        refresher.refresh(session)
-        for step in steps:
-            session.add_validation(step.object_index, step.expert_label,
-                                   overwrite=True)
-            session.set_masked_workers(step.masked_workers)
-            refresher.refresh(session)
-            for obj in step.concluded_objects:
-                session.conclude_object(obj)
+        session = self._replay(scenario, steps, template, telemetry=scope,
+                               refine=refresher.refresh)
         return np.array(session.model.assignment)
 
     def replay_crash_resume(self, scenario: CompiledScenario,
@@ -467,13 +460,17 @@ class ScenarioRunner:
         event_log = EventLog(telemetry=scope)
         policy = retry_policy or RetryPolicy(max_attempts=3)
         if sharded_blocks is not None:
-            posteriors = self._replay_faults_sharded(
-                scenario, steps, template, injector=injector,
-                event_log=event_log, policy=policy,
-                sharded_blocks=sharded_blocks,
-                failure_budget=failure_budget, telemetry=scope)
-            return FaultReplay(posteriors=posteriors, event_log=event_log,
-                               injector=injector)
+            supervisor = SupervisedExecutor(
+                retry_policy=policy, failure_budget=failure_budget,
+                fault_injector=injector, event_log=event_log,
+                seed=self.seed, telemetry=scope)
+            refresher = ShardedRefresher(
+                max_objects_per_block=sharded_blocks, supervisor=supervisor,
+                telemetry=scope)
+            session = self._replay(scenario, steps, template,
+                                   telemetry=scope, refine=refresher.refresh)
+            return FaultReplay(posteriors=np.array(session.model.assignment),
+                               event_log=event_log, injector=injector)
 
         expert = SupervisedExpert(
             ScriptedExpert({int(step.object_index): int(step.expert_label)
@@ -515,19 +512,26 @@ class ScenarioRunner:
                 steps: list[RecordedStep],
                 template: ValidationSession, *,
                 telemetry,
+                refine: Callable[[ValidationSession], object]
+                = ValidationSession.conclude,
                 store=None,
                 kills: Collection[int] = (),
                 guard=lambda call, site: call(),
                 elicit=None,
                 event_log=None) -> ValidationSession:
-        """The recorded steps, replayed into a fresh session (paths 2, 4, 5).
+        """The recorded steps, replayed into a fresh session (all replay
+        paths).
 
-        With a ``store``, the session journals into it, a checkpoint is
-        taken before the first step and after every ``checkpoint_every``
-        steps, and before each step index in ``kills`` the live session is
-        discarded and rebuilt by ``store.restore()``, resuming after the
-        last logged step marker. ``guard(call, site)`` runs each
-        refinement (site ``"session.conclude"``) and checkpoint (site
+        ``refine(session)`` runs each refinement: the exact
+        :meth:`~repro.streaming.ValidationSession.conclude` by default, a
+        :meth:`~repro.streaming.ShardedRefresher.refresh` on the sharded
+        paths. With a ``store``, the session journals into it, a
+        checkpoint is taken before the first step and after every
+        ``checkpoint_every`` steps, and before each step index in
+        ``kills`` the live session is discarded and rebuilt by
+        ``store.restore()``, resuming after the last logged step marker.
+        ``guard(call, site)`` runs each refinement (site
+        ``"session.conclude"``) and checkpoint (site
         ``"store.checkpoint"``); ``elicit(obj)`` runs before each step's
         validation.
         """
@@ -540,7 +544,7 @@ class ScenarioRunner:
                 guard(lambda: store.checkpoint(session, meta={"step": step}),
                       "store.checkpoint")
 
-        guard(session.conclude, "session.conclude")
+        guard(lambda: refine(session), "session.conclude")
         checkpoint(-1)
         pending = set(kills)
         index = 0
@@ -562,7 +566,7 @@ class ScenarioRunner:
             session.add_validation(step.object_index, step.expert_label,
                                    overwrite=True)
             session.set_masked_workers(step.masked_workers)
-            guard(session.conclude, "session.conclude")
+            guard(lambda: refine(session), "session.conclude")
             for obj in step.concluded_objects:
                 session.conclude_object(obj)
             session.mark_step(index)
@@ -570,32 +574,6 @@ class ScenarioRunner:
                 checkpoint(index)
             index += 1
         return session
-
-    def _replay_faults_sharded(self, scenario: CompiledScenario,
-                               steps: list[RecordedStep],
-                               template: ValidationSession, *,
-                               injector: FaultInjector,
-                               event_log: EventLog,
-                               policy: RetryPolicy,
-                               sharded_blocks: int,
-                               failure_budget: int,
-                               telemetry=NULL_TELEMETRY) -> np.ndarray:
-        supervisor = SupervisedExecutor(
-            retry_policy=policy, failure_budget=failure_budget,
-            fault_injector=injector, event_log=event_log, seed=self.seed,
-            telemetry=telemetry)
-        refresher = ShardedRefresher(max_objects_per_block=sharded_blocks,
-                                     supervisor=supervisor,
-                                     telemetry=telemetry)
-        session = self._fresh_session(scenario, template,
-                                      telemetry=telemetry)
-        refresher.refresh(session)
-        for step in steps:
-            session.add_validation(step.object_index, step.expert_label,
-                                   overwrite=True)
-            session.set_masked_workers(step.masked_workers)
-            refresher.refresh(session)
-        return np.array(session.model.assignment)
 
     @staticmethod
     def _fresh_session(scenario: CompiledScenario,

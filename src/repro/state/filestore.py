@@ -6,7 +6,7 @@ On-disk layout under the store root::
       wal.jsonl                 # one JSON record per line, append-only
       ckpt-000000/
         manifest.json           # schema version, dims, config, RNG state
-        global.npz              # model arrays + conclude-epoch bookkeeping
+        global.npz              # model arrays + the concluded mask
         segment-000.npz         # answer log (+ validations, dirty)
       ckpt-000001/
         ...
@@ -40,6 +40,14 @@ accepts any number of segments (earlier builds could split a checkpoint
 into one segment per partition block): it concatenates them and sorts by
 position, recovering the exact insertion order however many segments
 hold it.
+
+Older checkpoints carry two things this build no longer writes, and the
+reader accepts both without a schema bump: a manifest ``vocab`` entry
+(object, worker and label names), which it ignores, and a
+``concluded_validated`` array in ``global.npz`` (the validations at the
+last conclude), whose differences from the stored validations it adds to
+the dirty set, so such a checkpoint restores with the dirty objects it
+had.
 """
 
 from __future__ import annotations
@@ -57,7 +65,6 @@ from repro.core.answer_set import MISSING
 from repro.errors import (CheckpointCorruptionError,
                           CheckpointDimensionError,
                           CheckpointNotFoundError, CheckpointSchemaError)
-from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.state.snapshot import STATE_SCHEMA_VERSION, SessionState
 from repro.state.store import EVENT_KINDS, CheckpointInfo, SessionStore
 from repro.telemetry import NULL_TELEMETRY
@@ -70,6 +77,17 @@ _WAL = "wal.jsonl"
 _WAL_ENCODER = json.JSONEncoder(separators=(",", ":"))
 #: ``json.loads`` of a str, without its per-call argument handling.
 _WAL_DECODER = json.JSONDecoder()
+
+
+def _changed_since(concluded_validated: np.ndarray,
+                   validated: np.ndarray) -> list[int]:
+    """Objects whose validation differs from an older checkpoint's
+    ``concluded_validated``; objects past its end (grown since) count as
+    changed."""
+    overlap = min(concluded_validated.size, validated.size)
+    changed = np.flatnonzero(
+        concluded_validated[:overlap] != validated[:overlap])
+    return changed.tolist() + list(range(overlap, validated.size))
 
 
 class FileSessionStore(SessionStore):
@@ -89,16 +107,18 @@ class FileSessionStore(SessionStore):
 
     Resilience hooks
     ----------------
-    ``retry_policy`` retries the whole checkpoint write on transient
-    failures (:class:`~repro.errors.CheckpointWriteError`, bare
-    ``OSError``) — safe because the manifest is the commit point, so a
-    failed attempt leaves only an uncommitted directory that the retry
-    overwrites. ``fault_injector`` arms two sites:
+    :meth:`checkpoint` raises its own errors: a failed write surfaces as
+    :class:`~repro.errors.CheckpointWriteError` (or a bare ``OSError``),
+    which :func:`~repro.resilience.call_with_retry` classifies transient.
+    Retrying is the caller's choice, and it is safe because the manifest
+    is the commit point: a failed attempt leaves an uncommitted directory,
+    as a crash would, and the retry writes the next checkpoint id.
+    ``fault_injector`` arms two sites:
     ``"filestore.checkpoint-write"`` fires just *before* the manifest
     commit (simulating a torn checkpoint), and
     ``"filestore.segment-read"`` fires during restore assembly
-    (simulating a corrupt segment). ``event_log`` receives the retry /
-    degradation events. ``telemetry`` (a
+    (simulating a corrupt segment). ``event_log`` receives the restore
+    scan-back events. ``telemetry`` (a
     :class:`repro.telemetry.Telemetry` hub or spawn scope) times every
     checkpoint write (``store.checkpoint_write`` span +
     ``store.checkpoint_write_seconds`` histogram) and state load
@@ -108,13 +128,11 @@ class FileSessionStore(SessionStore):
 
     def __init__(self, root: str | os.PathLike, *,
                  fault_injector=None,
-                 retry_policy: RetryPolicy | None = None,
                  event_log=None,
                  telemetry=NULL_TELEMETRY) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.fault_injector = fault_injector
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=1)
         self.event_log = event_log
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -224,26 +242,15 @@ class FileSessionStore(SessionStore):
         state = session.capture_state()
         checkpoint_id = self._next_checkpoint_id()
         directory = self.root / f"{_CKPT_PREFIX}{checkpoint_id:06d}"
-        # The whole write is one retryable unit: a failed attempt leaves an
-        # uncommitted directory (no manifest) that the next attempt simply
-        # rewrites — hence exist_ok below, and why retrying is safe. With
-        # no retries configured the wrapper is skipped so a failure keeps
-        # its original type instead of surfacing as RetryExhaustedError.
+        # A failed write raises as it is and leaves an uncommitted
+        # directory (no manifest): listing and restore skip it, and the
+        # next checkpoint takes the next id.
         span = self.telemetry.span("store.checkpoint_write",
                                    checkpoint_id=checkpoint_id,
                                    n_answers=state.n_answers)
         with span:
-            if self.retry_policy.max_attempts == 1 \
-                    and self.event_log is None:
-                info = self._write_checkpoint(directory, checkpoint_id,
-                                              state, meta)
-            else:
-                info, _trace = call_with_retry(
-                    lambda: self._write_checkpoint(
-                        directory, checkpoint_id, state, meta),
-                    self.retry_policy, site="filestore.checkpoint-write",
-                    key=checkpoint_id, event_log=self.event_log,
-                    telemetry=self.telemetry)
+            info = self._write_checkpoint(directory, checkpoint_id, state,
+                                          meta)
         self.telemetry.histogram(
             "store.checkpoint_write_seconds").observe(span.duration)
         return info
@@ -255,8 +262,6 @@ class FileSessionStore(SessionStore):
 
         segments = self._write_segment(directory, state)
         global_arrays = {}
-        if state.concluded_validated is not None:
-            global_arrays["concluded_validated"] = state.concluded_validated
         if state.concluded is not None:
             global_arrays["concluded"] = state.concluded
         if state.assignment is not None:
@@ -281,13 +286,6 @@ class FileSessionStore(SessionStore):
             "config": {"init": state.init, "max_iter": state.max_iter,
                        "tol": state.tol, "smoothing": state.smoothing,
                        "on_conflict": state.on_conflict},
-            "vocab": {
-                "labels": None if state.labels is None
-                else list(state.labels),
-                "objects": None if state.objects is None
-                else list(state.objects),
-                "workers": None if state.workers is None
-                else list(state.workers)},
             "rng_state": state.rng_state,
             "masked_workers": list(state.masked_workers),
             "n_answers": state.n_answers,
@@ -297,8 +295,6 @@ class FileSessionStore(SessionStore):
                       "converged": state.model_converged,
                       "dims": None if state.model_dims is None
                       else list(state.model_dims)},
-            "has_concluded_validated":
-                state.concluded_validated is not None,
             "has_concluded": state.concluded is not None,
             "counters": {"n_concludes": state.n_concludes,
                          "total_em_iterations": state.total_em_iterations,
@@ -378,7 +374,6 @@ class FileSessionStore(SessionStore):
             n_workers = int(dims["n_workers"])
             n_labels = int(dims["n_labels"])
             config = manifest["config"]
-            vocab = manifest["vocab"]
             n_answers = int(manifest["n_answers"])
             segment_entries = manifest["segments"]
         except (KeyError, TypeError) as exc:
@@ -462,14 +457,17 @@ class FileSessionStore(SessionStore):
                 f"checkpoint {directory.name} masks workers outside "
                 f"[0, {n_workers})")
 
-        concluded_validated = concluded = None
+        concluded = None
         assignment = confusions = priors = None
         model_meta = manifest.get("model", {})
         model_dims = model_meta.get("dims")
         try:
             with np.load(directory / _GLOBAL, allow_pickle=False) as blob:
                 if manifest.get("has_concluded_validated"):
-                    concluded_validated = blob["concluded_validated"].copy()
+                    # An older checkpoint's validations at its last
+                    # conclude: what differs now was dirty then.
+                    dirty.update(_changed_since(
+                        blob["concluded_validated"], validated))
                 if manifest.get("has_concluded"):
                     concluded = blob["concluded"].astype(bool).copy()
                 if manifest.get("has_model"):
@@ -504,19 +502,12 @@ class FileSessionStore(SessionStore):
             tol=float(config["tol"]),
             smoothing=float(config["smoothing"]),
             on_conflict=str(config.get("on_conflict", "error")),
-            labels=None if vocab.get("labels") is None
-            else tuple(vocab["labels"]),
-            objects=None if vocab.get("objects") is None
-            else tuple(vocab["objects"]),
-            workers=None if vocab.get("workers") is None
-            else tuple(vocab["workers"]),
             rng_state=manifest["rng_state"],
             log_objects=log_objects, log_workers=log_workers,
             log_labels=log_labels,
             masked_workers=tuple(int(w) for w in masked),
             validated=validated,
             dirty=tuple(sorted(dirty)),
-            concluded_validated=concluded_validated,
             assignment=assignment, confusions=confusions, priors=priors,
             model_n_iterations=int(model_meta.get("n_iterations", 0)),
             model_converged=bool(model_meta.get("converged", False)),

@@ -9,7 +9,8 @@ bit-for-bit indistinguishable from the captured one — every aggregate the
 session maintains (the cell map, cached encodings, log-likelihood rows)
 is a pure function of these inputs, re-derived on restore. Spammer
 detection's validated-confusion counts are not session state at all:
-detectors count them from an answer set when they need them.
+detectors count them from an encoding when they need them. A session
+holds no object, worker or label names, so a state carries none either.
 
 The stores in :mod:`repro.state` serialize exactly this object; the schema
 version below stamps its on-disk form.
@@ -53,11 +54,6 @@ class SessionState:
     smoothing: float
     on_conflict: str
 
-    # Optional vocabularies (snapshot materialization only).
-    labels: tuple[str, ...] | None
-    objects: tuple[str, ...] | None
-    workers: tuple[str, ...] | None
-
     # The aggregator's RNG bit-generator state (JSON-serializable dict).
     rng_state: dict
 
@@ -70,10 +66,10 @@ class SessionState:
     # Expert validation as a dense length-n array (MISSING = -1).
     validated: np.ndarray
 
-    # Refinement epoch: dirty set, the validation array at the last
-    # conclude, and the warm-start model (all None/empty before the first).
+    # Refinement epoch: the dirty set (every object whose statistics
+    # changed since the last conclude) and the warm-start model (empty
+    # and None before the first).
     dirty: tuple[int, ...]
-    concluded_validated: np.ndarray | None
     assignment: np.ndarray | None
     confusions: np.ndarray | None
     priors: np.ndarray | None
@@ -118,7 +114,7 @@ class SessionState:
         scalar_fields = (
             "schema_version", "n_objects", "n_workers", "n_labels", "init",
             "max_iter", "tol", "smoothing", "on_conflict",
-            "labels", "objects", "workers", "masked_workers", "dirty",
+            "masked_workers", "dirty",
             "model_n_iterations", "model_converged", "model_dims",
             "n_concludes", "total_em_iterations", "n_conflicts")
         if any(getattr(self, f) != getattr(other, f)
@@ -127,7 +123,7 @@ class SessionState:
         if self.rng_state != other.rng_state:
             return False
         array_fields = ("log_objects", "log_workers", "log_labels",
-                        "validated", "concluded_validated", "assignment",
+                        "validated", "assignment",
                         "confusions", "priors", "concluded")
         return all(arr_eq(getattr(self, f), getattr(other, f))
                    for f in array_fields)
@@ -147,9 +143,6 @@ def capture_session(session) -> SessionState:
         tol=aggregator.tol,
         smoothing=aggregator.smoothing,
         on_conflict=session.on_conflict,
-        labels=session._labels,
-        objects=session._objects,
-        workers=session._workers,
         rng_state=rng_state(aggregator.rng),
         log_objects=obj,
         log_workers=wrk,
@@ -157,8 +150,6 @@ def capture_session(session) -> SessionState:
         masked_workers=tuple(sorted(session.masked_workers)),
         validated=session.validation.as_array(),
         dirty=tuple(sorted(session._dirty)),
-        concluded_validated=None if session._concluded_validated is None
-        else session._concluded_validated.copy(),
         assignment=None if model is None else model.assignment.copy(),
         confusions=None if model is None else model.confusions.copy(),
         priors=None if model is None else model.priors.copy(),
@@ -197,7 +188,6 @@ def restore_session(state: SessionState,
 
     session = ValidationSession(
         state.n_objects, state.n_workers, state.n_labels,
-        labels=state.labels, objects=state.objects, workers=state.workers,
         aggregator=IncrementalEM(
             init=state.init, max_iter=state.max_iter, tol=state.tol,
             smoothing=state.smoothing, rng=rng_from_state(state.rng_state)),
@@ -215,9 +205,6 @@ def restore_session(state: SessionState,
             n_iterations=state.model_n_iterations,
             converged=state.model_converged)
     session._model_dims = state.model_dims
-    session._concluded_validated = None \
-        if state.concluded_validated is None \
-        else state.concluded_validated.copy()
     if state.concluded is not None:
         session._concluded = state.concluded.astype(bool).copy()
     session._dirty = set(state.dirty)

@@ -64,15 +64,21 @@ class ValidationSession:
     bypass the journal; change validations through
     :meth:`add_validation` and :meth:`retract_validation`.
 
+    The session holds its answers once, as the statistics' append-only
+    log and the encoding of each statistics version
+    (:meth:`~repro.core.em_kernel.AnswerStats.encoded`); it keeps no
+    dense matrix and no object, worker or label names. A
+    :meth:`snapshot` hands that encoding over as
+    ``ProbabilisticAnswerSet.encoded``, so guidance, detection and the
+    confirmation check read the answers the refinement read. Export a
+    matrix with ``stats.to_matrix()``.
+
     Parameters
     ----------
     n_objects, n_workers, n_labels:
         Initial dimensions. Objects and workers may grow later
         (:meth:`grow`, or implicitly via ``add_answer(..., grow=True)``);
         the label vocabulary is fixed.
-    labels, objects, workers:
-        Optional vocabularies used when materializing snapshots; defaults
-        mirror :class:`~repro.core.answer_set.AnswerSet` (``l1..lm`` etc.).
     aggregator:
         The :class:`~repro.core.iem.IncrementalEM` every refinement runs
         through (default ``IncrementalEM()``): its ``init`` policy
@@ -118,9 +124,6 @@ class ValidationSession:
                  n_workers: int,
                  n_labels: int,
                  *,
-                 labels: tuple[str, ...] | None = None,
-                 objects: tuple[str, ...] | None = None,
-                 workers: tuple[str, ...] | None = None,
                  aggregator: IncrementalEM | None = None,
                  on_conflict: str = "error",
                  telemetry=NULL_TELEMETRY) -> None:
@@ -130,15 +133,14 @@ class ValidationSession:
         self.on_conflict = on_conflict
 
         self._stats = em_kernel.AnswerStats(n_objects, n_workers, n_labels)
-        self._labels = None if labels is None else tuple(labels)
-        self._objects = None if objects is None else tuple(objects)
-        self._workers = None if workers is None else tuple(workers)
         self._validation = ExpertValidation(n_objects, n_labels)
 
         # Last installed model and the statistics epoch it refined.
         self._model: em_kernel.EMResult | None = None
         self._model_dims: tuple[int, int] | None = None
-        self._concluded_validated: np.ndarray | None = None
+        # Objects whose statistics changed since the last refinement:
+        # every answer, validation change, mask toggle and growth adds
+        # its objects here, and an installed model clears it.
         self._dirty: set[int] = set()
 
         # Per-object concluded mask (CDAS-style quality targets): objects
@@ -152,8 +154,6 @@ class ValidationSession:
         # model (read path); rebuilt lazily after each refinement.
         self._log_like: np.ndarray | None = None
         self._log_conf: np.ndarray | None = None
-
-        self._answer_set_cache: tuple[int, AnswerSet] | None = None
 
         #: Refinements run and EM iterations spent across them.
         self.n_concludes = 0
@@ -209,18 +209,18 @@ class ValidationSession:
         The statistics are seeded from ``encode_answers(answer_set)``, one
         scan of the matrix, and adopt that encoding as their first epoch
         (:meth:`~repro.core.em_kernel.AnswerStats.seed`): the first
-        refinement, :attr:`answer_set` and every look-ahead over it share
-        one encoding, kernel plan and CSR view.
+        refinement, its snapshot and every look-ahead over it share one
+        encoding, kernel plan and CSR view. The encoding stays memoized
+        on ``answer_set``, so a detector reading the caller's answer set
+        reuses it too. The session keeps no reference to ``answer_set``
+        itself.
         """
         session = cls(answer_set.n_objects, answer_set.n_workers,
-                      answer_set.n_labels, labels=answer_set.labels,
-                      objects=answer_set.objects, workers=answer_set.workers,
-                      **kwargs)
+                      answer_set.n_labels, **kwargs)
         session._stats.seed(em_kernel.encode_answers(answer_set))
         if validation is not None:
             for index, label in validation.as_dict().items():
                 session.add_validation(index, label)
-        session._answer_set_cache = (session._stats.version, answer_set)
         session._dirty = set(range(answer_set.n_objects))
         return session
 
@@ -290,44 +290,13 @@ class ValidationSession:
 
     @property
     def dirty_objects(self) -> frozenset[int]:
-        """Objects whose statistics changed since the last refinement."""
-        dirty = set(self._dirty)
-        if self._concluded_validated is not None:
-            current = self._validation.as_array()
-            base = self._concluded_validated
-            if current.size == base.size:
-                dirty.update(np.flatnonzero(current != base).tolist())
-            else:
-                dirty.update(np.flatnonzero(
-                    current[:base.size] != base).tolist())
-                dirty.update(range(base.size, current.size))
-        return frozenset(dirty)
+        """Objects whose statistics changed since the last refinement.
 
-    @property
-    def answer_set(self) -> AnswerSet:
-        """Materialized (masked) answer set; cached per statistics version.
-
-        Each materialization carries the statistics' current encoding
-        (:meth:`~repro.core.em_kernel.AnswerStats.to_answer_set`), so
-        ``encode_answers(session.answer_set)`` is ``session.stats.encoded()``
-        and never rescans the matrix. Until the statistics change, this is
-        the answer set the session was seeded from.
+        Validations change only through the session's own methods, so
+        every change is already in the set; an object validated and then
+        restored to its label stays dirty until the next refinement.
         """
-        version = self._stats.version
-        if self._answer_set_cache is not None \
-                and self._answer_set_cache[0] == version:
-            return self._answer_set_cache[1]
-        labels = self._labels if self._labels is not None \
-            else tuple(f"l{c + 1}" for c in range(self.n_labels))
-        objects = self._objects \
-            if self._objects is not None \
-            and len(self._objects) == self.n_objects else None
-        workers = self._workers \
-            if self._workers is not None \
-            and len(self._workers) == self.n_workers else None
-        answer_set = self._stats.to_answer_set(labels, objects, workers)
-        self._answer_set_cache = (version, answer_set)
-        return answer_set
+        return frozenset(self._dirty)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -549,7 +518,6 @@ class ValidationSession:
     def _install(self, result: em_kernel.EMResult) -> None:
         self._model = result
         self._model_dims = (self.n_objects, self.n_workers)
-        self._concluded_validated = self._validation.as_array()
         self._dirty.clear()
         self._log_like = None
         self._log_conf = None
@@ -606,8 +574,9 @@ class ValidationSession:
 
         The returned :class:`~repro.core.probabilistic.ProbabilisticAnswerSet`
         is what every downstream consumer (guidance, uncertainty,
-        instantiation) already understands. It runs in a
-        ``session.snapshot`` span.
+        instantiation) already understands. Its ``encoded`` is
+        ``stats.encoded()`` itself, the encoding the refinement read. It
+        runs in a ``session.snapshot`` span.
         """
         if self._model is None:
             raise StreamingError(
@@ -618,7 +587,7 @@ class ValidationSession:
                 "call conclude() before snapshot()")
         with self.telemetry.span("session.snapshot"):
             return ProbabilisticAnswerSet(
-                answer_set=self.answer_set,
+                encoded=self._stats.encoded(),
                 validation=self._validation.copy(),
                 assignment=self._model.assignment,
                 confusions=self._model.confusions,

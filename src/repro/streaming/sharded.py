@@ -132,7 +132,10 @@ class ShardedRefresher:
 
     # ------------------------------------------------------------------
     def partition_for(self, session: ValidationSession) -> Partition:
-        """The (cached) partition of the session's answer matrix.
+        """The (cached) partition of the session's answers.
+
+        The partitioner reads the statistics' own encoding
+        (``session.stats.encoded()``), masked workers left out.
 
         Keyed on the session's statistics version, so any ingested answer,
         dimension growth, or mask toggle triggers a re-cut — a stale cut
@@ -145,7 +148,7 @@ class ShardedRefresher:
         if self._partition is None or self._partition_version != version:
             partitioner = MatrixPartitioner(self.max_objects_per_block,
                                             seed=self.seed)
-            self._partition = partitioner.partition(session.answer_set)
+            self._partition = partitioner.partition(session.stats.encoded())
             self._partition_version = version
         return self._partition
 

@@ -31,6 +31,7 @@ from repro.core.confusion import (
     validated_answer_counts,
     validated_confusion_counts,
 )
+from repro.core.em_kernel import encode_answers
 from repro.core.validation import ExpertValidation
 from repro.utils.checks import check_fraction, check_non_negative_int
 
@@ -140,9 +141,16 @@ class SpammerDetector:
                answer_set: AnswerSet,
                validation: ExpertValidation,
                priors: np.ndarray | None = None) -> DetectionResult:
-        """Run both detectors against the current validations."""
-        counts = validated_confusion_counts(answer_set, validation)
-        evidence = validated_answer_counts(answer_set, validation)
+        """Run both detectors against the current validations.
+
+        The answers are read through the :func:`encode_answers` memo, so
+        a caller that detects on the same answer set every step (the
+        validation process, whose session was seeded from it) encodes it
+        once.
+        """
+        encoded = encode_answers(answer_set)
+        counts = validated_confusion_counts(encoded, validation)
+        evidence = validated_answer_counts(encoded, validation)
         return self.detect_from_counts(counts, evidence, priors)
 
     def detect_from_counts(self,

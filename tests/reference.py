@@ -11,13 +11,21 @@ routine that is now only ever run through a faster path:
   fixed-point oracle the accelerated loop is checked against.
 * ``block_subencoding`` — the ``O(A)`` ``np.isin`` scan that locates a
   block's answers; the kernel gathers them from CSR segments instead.
-* ``expected_posterior_entropy`` — Eq. 8 by one fresh, rebuild-everything
-  ``conclude`` per hypothetical label; the shared-encoding look-ahead of
-  ``InformationGainStrategy`` must reproduce its scores exactly.
+* ``expected_posterior_entropy`` — Eq. 8 by one whole warm-started
+  i-EM refinement per hypothetical label, initial E-step included; the
+  shared-encoding look-ahead of ``InformationGainStrategy``, which takes
+  that E-step once per select, must reproduce its scores exactly.
 * ``outside_block_evidence`` — the M-step counts and label mass a block
   solve of the local look-ahead holds fixed, summed directly over the
   answers and rows outside the block; the scorer takes them as the whole
   answer set's minus the block's own.
+* ``validated_confusion_counts`` and ``validated_answer_counts`` — the
+  §5.3 validated counts read from the rows of a dense answer matrix; the
+  production counts gather the validated objects' answers from an
+  encoding.
+* ``object_covariance`` — the joint-entropy surrogate with its co-answer
+  counts from a dense ``n × k`` product; production multiplies the
+  encoding's sparse incidence.
 
 Test modules import this file as ``reference`` (``tests/`` is on
 ``sys.path`` under pytest; ``benchmarks/conftest.py`` adds it for the
@@ -28,13 +36,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.answer_set import MISSING
 from repro.core.confusion import PROB_FLOOR, normalize_rows
 from repro.core.em_kernel import (DEFAULT_MAX_ITER, DEFAULT_SMOOTHING,
                                   DEFAULT_TOL, EMResult, EncodedAnswers,
                                   EMMap, clamp_validated, estimate_priors,
                                   index_dtype, normalize_log_likelihood,
                                   squarem)
-from repro.core.uncertainty import answer_set_uncertainty
+from repro.core.uncertainty import answer_set_uncertainty, object_entropies
 from repro.guidance.information_gain import DEFAULT_LABEL_FLOOR
 
 
@@ -171,7 +180,47 @@ def expected_posterior_entropy(prob_set, aggregator, obj,
             expected += weight * current_entropy
             continue
         hypothetical = prob_set.validation.with_assignment(obj, label)
-        posterior = aggregator.conclude(prob_set.answer_set, hypothetical,
-                                        previous=prob_set)
-        expected += weight * answer_set_uncertainty(posterior)
+        posterior = aggregator.refine(prob_set.encoded, hypothetical,
+                                      prob_set)
+        expected += weight * float(object_entropies(
+            posterior.assignment).sum())
     return expected
+
+
+def validated_confusion_counts(answer_set, validation):
+    """``k × m × m`` counts of worker answers on validated objects, read
+    from the validated rows of the dense matrix."""
+    k = answer_set.n_workers
+    m = answer_set.n_labels
+    counts = np.zeros((k, m, m), dtype=np.int64)
+    validated = validation.validated_indices()
+    if validated.size == 0:
+        return counts
+    true_labels = validation.validated_labels()
+    sub = answer_set.matrix[validated, :]  # (v, k)
+    obj_pos, workers = np.nonzero(sub != MISSING)
+    answered = sub[obj_pos, workers]
+    np.add.at(counts, (workers, true_labels[obj_pos], answered), 1)
+    return counts
+
+
+def validated_answer_counts(answer_set, validation):
+    """Answers per worker on validated objects, from the dense matrix."""
+    validated = validation.validated_indices()
+    if validated.size == 0:
+        return np.zeros(answer_set.n_workers, dtype=np.int64)
+    sub = answer_set.matrix[validated, :]
+    return np.count_nonzero(sub != MISSING, axis=0)
+
+
+def object_covariance(prob_set, matrix, coupling):
+    """The Gaussian-surrogate covariance with dense co-answer counts."""
+    answered = (matrix != MISSING).astype(float)
+    shared = answered @ answered.T
+    np.fill_diagonal(shared, 0.0)
+    max_row = shared.sum(axis=1).max()
+    similarity = shared / max_row if max_row > 0 else shared
+    variances = np.maximum(object_entropies(prob_set.assignment), 1e-3)
+    scale = np.sqrt(variances)
+    n = variances.size
+    return scale[:, None] * (np.eye(n) + coupling * similarity) * scale[None, :]

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import em_kernel
-from repro.core.answer_set import AnswerSet
+from repro.core.answer_set import MISSING, AnswerSet
 from repro.guidance import GuidanceContext, WorkerDrivenStrategy
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.streaming import ValidationSession
@@ -65,10 +65,26 @@ def test_answer_set_from_int64_allocates_one_narrow_copy(crowd):
     assert peak <= 1.25 * CELLS, f"{peak / CELLS:.2f}·n·k bytes"
 
 
+def test_encoding_a_matrix_masks_one_row_block_at_a_time():
+    """``encode_answers`` masks row blocks of ``ENCODE_BLOCK_CELLS``
+    cells, not the whole matrix: at 16000×400 with 6 answers per object
+    its peak is about 0.4·n·k (the three index arrays, twice, plus one
+    block's mask), where a whole-matrix ``!= MISSING`` mask took it to
+    1.24·n·k."""
+    n, k = 16000, 400
+    rng = np.random.default_rng(0)
+    matrix = np.full((n, k), MISSING, dtype=np.int8)
+    matrix[np.repeat(np.arange(n), 6), rng.integers(0, k, 6 * n)] = \
+        rng.integers(0, 2, 6 * n)
+    answer_set = AnswerSet(matrix, ("a", "b"))
+    peak = _peak_bytes(lambda: em_kernel.encode_answers(answer_set))
+    assert peak < 0.75 * n * k, f"{peak / (n * k):.2f}·n·k bytes"
+
+
 def test_worker_branch_select_allocates_less_than_the_matrix(crowd):
     session = ValidationSession.from_answer_set(crowd.answer_set)
-    # After a mask toggle the answer set is materialized from the
-    # statistics: it must carry their encoding, not be rescanned.
+    # After a mask toggle the snapshot carries the statistics' new
+    # encoding; the select reads it, never a matrix.
     session.set_masked_workers(range(0, N_WORKERS, 7))
     context = GuidanceContext(prob_set=session.conclude_snapshot(),
                               aggregator=session.aggregator,
@@ -77,6 +93,20 @@ def test_worker_branch_select_allocates_less_than_the_matrix(crowd):
     strategy = WorkerDrivenStrategy(candidate_limit=50)
     peak = _peak_bytes(lambda: strategy.select(context))
     assert peak < CELLS, f"{peak / CELLS:.2f}·n·k bytes"
+
+
+def test_snapshot_after_mask_toggle_allocates_no_matrix(crowd):
+    """The snapshot half of ``conclude_snapshot()`` after a mask toggle
+    hands over the statistics' encoding: about 0.08·n·k (the validation
+    copy and the row-stochastic check), where rebuilding a dense answer
+    set took 2.02·n·k. The conclude half re-encodes and solves over the
+    answers, about 0.87·n·k here, with or without a matrix."""
+    session = ValidationSession.from_answer_set(crowd.answer_set)
+    session.conclude()
+    session.set_masked_workers(range(0, N_WORKERS, 7))
+    session.conclude()
+    peak = _peak_bytes(session.snapshot)
+    assert peak < 0.25 * CELLS, f"{peak / CELLS:.2f}·n·k bytes"
 
 
 def _retained_bytes(build) -> int:

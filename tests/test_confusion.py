@@ -18,8 +18,12 @@ from repro.core.confusion import (
     validated_confusion_counts,
     validated_confusions,
 )
+from repro.core.em_kernel import encode_answers
 from repro.core.validation import ExpertValidation
 from repro.errors import InvalidProbabilityError
+from repro.streaming import ValidationSession
+
+import reference
 
 
 class TestNormalizeRows:
@@ -82,21 +86,23 @@ class TestErrorRateAccuracy:
 
 class TestValidatedConfusions:
     def test_counts_only_over_validated(self, table2_answer_sets, table2_gold):
+        answers = encode_answers(table2_answer_sets)
         validation = ExpertValidation.from_mapping(
             {i: int(table2_gold[i]) for i in range(4)}, 8, 2)
-        counts = validated_confusion_counts(table2_answer_sets, validation)
+        counts = validated_confusion_counts(answers, validation)
         # worker A on first 4 objects (gold T,T,F,F; answers T,F,T,F)
         assert counts[0].tolist() == [[1, 1], [1, 1]]
         # worker A' always answers F
         assert counts[1].tolist() == [[0, 2], [0, 2]]
-        evidence = validated_answer_counts(table2_answer_sets, validation)
+        evidence = validated_answer_counts(answers, validation)
         assert evidence.tolist() == [4, 4]
 
     def test_no_validations_gives_zero_counts(self, table2_answer_sets):
+        answers = encode_answers(table2_answer_sets)
         validation = ExpertValidation.empty_for(table2_answer_sets)
-        counts = validated_confusion_counts(table2_answer_sets, validation)
+        counts = validated_confusion_counts(answers, validation)
         assert counts.sum() == 0
-        evidence = validated_answer_counts(table2_answer_sets, validation)
+        evidence = validated_answer_counts(answers, validation)
         assert evidence.tolist() == [0, 0]
 
     def test_table2_worker_matrices(self, table2_answer_sets, table2_gold):
@@ -104,15 +110,44 @@ class TestValidatedConfusions:
         Table 2 (A: all 0.5; A': ones column on F)."""
         validation = ExpertValidation.from_mapping(
             {i: int(table2_gold[i]) for i in range(8)}, 8, 2)
-        confusions = validated_confusions(table2_answer_sets, validation)
+        confusions = validated_confusions(encode_answers(table2_answer_sets),
+                                          validation)
         assert np.allclose(confusions[0], 0.5)
         assert np.allclose(confusions[1], [[0.0, 1.0], [0.0, 1.0]])
 
     def test_missing_answers_ignored(self):
         answers = AnswerSet(np.array([[0], [-1]]), labels=("T", "F"))
         validation = ExpertValidation.from_mapping({0: 0, 1: 1}, 2, 2)
-        counts = validated_confusion_counts(answers, validation)
+        counts = validated_confusion_counts(encode_answers(answers),
+                                            validation)
         assert counts.sum() == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), k=st.integers(1, 7), m=st.integers(2, 4),
+           seed=st.integers(0, 10_000))
+    def test_encoding_counts_match_dense_rows(self, n, k, m, seed):
+        """A session's encoding, masked workers left out, gives the counts
+        the dense formula reads from the validated rows of the masked
+        matrix."""
+        rng = np.random.default_rng(seed)
+        answer_set = AnswerSet(rng.integers(-1, m, size=(n, k)),
+                               tuple(f"l{i}" for i in range(m)))
+        masked = np.flatnonzero(rng.random(k) < 0.3).tolist()
+        session = ValidationSession.from_answer_set(answer_set)
+        session.set_masked_workers(masked)
+        validation = ExpertValidation(n, m)
+        for obj in np.flatnonzero(rng.random(n) < 0.5):
+            validation.assign(int(obj), int(rng.integers(m)))
+        dense = answer_set.mask_workers(masked)
+        encoded = session.stats.encoded()
+        for count, oracle in (
+                (validated_confusion_counts,
+                 reference.validated_confusion_counts),
+                (validated_answer_counts, reference.validated_answer_counts)):
+            got = count(encoded, validation)
+            want = oracle(dense, validation)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestSensitivitySpecificity:

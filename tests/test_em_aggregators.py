@@ -86,10 +86,11 @@ class TestIncrementalEM:
         iem = IncrementalEM()
         validation = ExpertValidation.empty_for(table1_answer_set)
         state = iem.conclude(table1_answer_set, validation)
-        w3_before = float(np.diag(state.confusion_of("w3")).mean())
+        w3 = table1_answer_set.worker_index("w3")
+        w3_before = float(np.diag(state.confusions[w3]).mean())
         validation.assign(3, int(table1_gold[3]))
         state = iem.conclude(table1_answer_set, validation, previous=state)
-        w3_after = float(np.diag(state.confusion_of("w3")).mean())
+        w3_after = float(np.diag(state.confusions[w3]).mean())
         assert w3_after >= w3_before
         # The validated object itself is always right afterwards.
         assert state.map_labels()[3] == table1_gold[3]

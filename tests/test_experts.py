@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.answer_set import AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.core.validation import ExpertValidation
 from repro.errors import ExpertError
@@ -15,6 +16,7 @@ from repro.experts.simulated import (
     OracleExpert,
     ScriptedExpert,
 )
+from repro.streaming import ValidationSession
 
 
 class TestOracleExpert:
@@ -99,8 +101,7 @@ class TestConfirmationCheck:
         validation.assign(wrong_obj, int(1 - gold[wrong_obj]))
         aggregator = IncrementalEM()
         current = aggregator.conclude(answers, validation)
-        report = ConfirmationCheck(aggregator).run(answers, validation,
-                                                   current)
+        report = ConfirmationCheck(aggregator).run(current)
         assert wrong_obj in report.flagged.tolist()
         assert report.n_flagged <= 2  # at most one extra borderline flag
 
@@ -112,14 +113,43 @@ class TestConfirmationCheck:
             validation.assign(obj, int(gold[obj]))
         aggregator = IncrementalEM()
         current = aggregator.conclude(answers, validation)
-        report = ConfirmationCheck(aggregator).run(answers, validation,
-                                                   current)
+        report = ConfirmationCheck(aggregator).run(current)
         assert report.n_flagged <= 1
 
     def test_skips_with_too_few_validations(self, small_crowd):
         validation = ExpertValidation.empty_for(small_crowd.answer_set)
         validation.assign(0, int(small_crowd.gold[0]))
-        report = ConfirmationCheck(min_other_validations=1).run(
-            small_crowd.answer_set, validation)
+        current = IncrementalEM().conclude(small_crowd.answer_set,
+                                           validation)
+        report = ConfirmationCheck(min_other_validations=1).run(current)
         assert report.checked.size == 0
         assert report.n_flagged == 0
+
+    def test_masked_snapshot_matches_dense_leave_one_out(self, small_crowd):
+        """After a mask toggle the check reads the snapshot's encoding and
+        flags what a leave-one-out conclude over the masked dense matrix
+        flags."""
+        answers, gold = small_crowd.answer_set, small_crowd.gold
+        session = ValidationSession.from_answer_set(answers)
+        for obj in range(8):
+            session.add_validation(obj, int(gold[obj]))
+        for obj in (9, 11):  # two wrong validations
+            session.add_validation(obj, int(1 - gold[obj]))
+        session.set_masked_workers([0, 3])
+        current = session.conclude_snapshot()
+        report = ConfirmationCheck(session.aggregator).run(current)
+
+        dense = AnswerSet(session.stats.to_matrix(include_masked=False),
+                          answers.labels)
+        validation = current.validation
+        flagged = []
+        for obj in validation.validated_indices().tolist():
+            posterior = IncrementalEM().conclude(
+                dense, validation.without(obj), previous=current)
+            if int(np.argmax(posterior.assignment[obj])) \
+                    != validation.label_of(obj):
+                flagged.append(obj)
+        assert report.checked.tolist() \
+            == validation.validated_indices().tolist()
+        assert report.flagged.tolist() == flagged
+        assert flagged  # the sweep does flag something

@@ -167,7 +167,7 @@ class TestWorkerDriven:
             aggregator=session.aggregator, detector=SpammerDetector(),
             rng=np.random.default_rng(0))
         candidates = context.candidates()
-        matrix = context.prob_set.answer_set.matrix
+        matrix = session.stats.to_matrix(include_masked=False)
         coverage = (matrix[candidates] != MISSING).sum(axis=1)
         top = np.argsort(-coverage, kind="stable")[:limit]
         selection = WorkerDrivenStrategy(candidate_limit=limit).select(

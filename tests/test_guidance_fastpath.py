@@ -283,9 +283,9 @@ class TestLocalizedLookahead:
         validation.assign(0, m - 1)
         aggregator = IncrementalEM()
         prob_set = aggregator.conclude(answer_set, validation)
-        encoded = em_kernel.encode_answers(prob_set.answer_set)
+        encoded = prob_set.encoded
         scorer = _LocalizedLookahead(
-            prob_set, encoded, 1e-3, answer_set_uncertainty(prob_set),
+            prob_set, 1e-3, answer_set_uncertainty(prob_set),
             max_iter=25, tol=aggregator.tol, smoothing=aggregator.smoothing)
         objects = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                      replace=False))
@@ -373,7 +373,7 @@ class TestLookaheadTelemetry:
         """(solves, iterations, cap_hits) of the same hypotheses, each
         run through run_em directly."""
         prob_set = context.prob_set
-        encoded = em_kernel.encode_answers(prob_set.answer_set)
+        encoded = prob_set.encoded
         initial = em_kernel.e_step(encoded, prob_set.confusions,
                                    prob_set.priors)
         validated = prob_set.validation.as_array()

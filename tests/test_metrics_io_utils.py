@@ -274,6 +274,25 @@ class TestJointEntropy:
         eigenvalues = np.linalg.eigvalsh(cov)
         assert np.all(eigenvalues > 0)
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.5, 0.8])
+    def test_covariance_equals_dense_construction(self, small_crowd,
+                                                  coupling):
+        """Co-answer counts from the encoding's sparse incidence are the
+        dense ``answered @ answered.T`` counts, so Σ is bit-identical;
+        masked workers share no objects."""
+        from repro.guidance import object_covariance
+        from repro.streaming import ValidationSession
+
+        import reference
+        session = ValidationSession.from_answer_set(small_crowd.answer_set)
+        session.set_masked_workers([1, 4])
+        prob_set = session.conclude_snapshot()
+        dense = session.stats.to_matrix(include_masked=False)
+        want = reference.object_covariance(prob_set, dense, coupling)
+        got = object_covariance(prob_set, coupling)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 @given(values=st.lists(st.integers(min_value=0, max_value=3),
                        min_size=1, max_size=30),

@@ -24,6 +24,7 @@ from repro.process import (
     ValidationProcess,
     dynamic_weight,
 )
+from repro.streaming import ValidationSession
 from repro.workers.spammer_detection import SpammerDetector
 
 
@@ -235,8 +236,9 @@ class TestFaultyWorkerFilter:
             sloppy_mask=np.zeros(2, dtype=bool))
         filt.handle(detection)
         assert filt.suspected == frozenset({0})
-        masked = filt.apply(table2_answer_sets)
-        assert masked.answers_per_worker()[0] == 0
+        session = ValidationSession.from_answer_set(table2_answer_sets)
+        session.set_masked_workers(filt.suspected)
+        assert 0 not in session.stats.encoded().worker_index
         # A later clean detection re-includes the worker.
         clean = DetectionResult(
             spammer_scores=np.array([1.0, 1.0]),
@@ -246,7 +248,9 @@ class TestFaultyWorkerFilter:
             sloppy_mask=np.zeros(2, dtype=bool))
         filt.handle(clean)
         assert filt.suspected == frozenset()
-        assert filt.apply(table2_answer_sets) is table2_answer_sets
+        session.set_masked_workers(filt.suspected)
+        assert session.stats.encoded().n_answers \
+            == table2_answer_sets.n_answers
         assert filt.history == [1, 0]
 
     def test_suspected_mask(self):

@@ -174,7 +174,7 @@ class TestSilentWorker:
         unmasked = twin.conclude()
         # No answers were removed, so the refinements are identical.
         assert np.array_equal(masked.assignment, unmasked.assignment)
-        assert session.answer_set.n_answers == answers.n_answers
+        assert session.stats.encoded().n_answers == answers.n_answers
 
     def test_faulty_filter_apply_with_silent_worker(
             self, crowd_with_silent_worker):
@@ -194,5 +194,7 @@ class TestSilentWorker:
             sloppy_mask=np.zeros(k, dtype=bool))
         filt.handle(detection)
         assert silent_index in filt.suspected
-        masked = filt.apply(answers)
-        assert masked.n_answers == answers.n_answers  # nothing to remove
+        session = ValidationSession.from_answer_set(answers)
+        session.set_masked_workers(filt.suspected)
+        # nothing to remove
+        assert session.stats.encoded().n_answers == answers.n_answers

@@ -461,16 +461,33 @@ class TestStoreResilience:
         injector = FaultInjector(FaultPlan(specs=(
             FaultSpec(site="filestore.checkpoint-write", kind="io-error"),)))
         log = EventLog()
-        store = FileSessionStore(tmp_path, fault_injector=injector,
-                                 retry_policy=RetryPolicy(max_attempts=3),
-                                 event_log=log)
-        info = store.checkpoint(small_session)
-        assert info.checkpoint_id == 0
+        store = FileSessionStore(tmp_path, fault_injector=injector)
+        info, _trace = call_with_retry(
+            lambda: store.checkpoint(small_session),
+            RetryPolicy(max_attempts=3), site="store.checkpoint",
+            event_log=log)
+        # The torn attempt's directory stays uncommitted, as after a
+        # crash, so the retry commits the next id.
+        assert info.checkpoint_id == 1
+        assert [c.checkpoint_id for c in store.checkpoints()] == [1]
         assert log.count("retry") == 1
         restored = store.restore()
         linf = float(np.abs(restored.session.model.assignment
                             - small_session.model.assignment).max())
         assert linf == 0.0
+
+    def test_write_fault_keeps_its_type_with_an_event_log(
+            self, tmp_path, small_session):
+        """An attached event log does not wrap the write: the injected
+        fault surfaces as the transient CheckpointWriteError a caller's
+        retry absorbs, not as a permanent RetryExhaustedError."""
+        injector = FaultInjector(FaultPlan(specs=(
+            FaultSpec(site="filestore.checkpoint-write", kind="io-error"),)))
+        store = FileSessionStore(tmp_path, fault_injector=injector,
+                                 event_log=EventLog())
+        with pytest.raises(CheckpointWriteError):
+            store.checkpoint(small_session)
+        assert store.checkpoints() == []
 
     def test_unretried_write_fault_leaves_store_consistent(
             self, tmp_path, small_session):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import em_kernel
+from repro.core.answer_set import AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.core.validation import ExpertValidation
 from repro.guidance import LOOKAHEAD_MODES
@@ -299,9 +300,10 @@ class TestTimedReplayCadence:
                                          batch_validation)
 
         # Exact layer: drained data == batch data, solved cold.
-        np.testing.assert_array_equal(session.answer_set.matrix,
-                                      compiled.answer_set.matrix)
-        cold = ValidationSession.from_answer_set(session.answer_set)
+        drained = session.stats.to_matrix(include_masked=False)
+        np.testing.assert_array_equal(drained, compiled.answer_set.matrix)
+        cold = ValidationSession.from_answer_set(
+            AnswerSet(drained, compiled.answer_set.labels))
         for obj, label in validations.items():
             cold.add_validation(obj, label, overwrite=True)
         np.testing.assert_array_equal(cold.conclude().assignment,
@@ -369,8 +371,8 @@ class TestWorkerChurn:
         session = ValidationSession(1, 1, compiled.n_labels)
         replay(compiled.events(), session,
                conclude_every=len(compiled.answer_events) // 4)
-        grown = session.answer_set.matrix[:compiled.n_objects,
-                                          :compiled.n_workers]
+        grown = session.stats.to_matrix(include_masked=False)[
+            :compiled.n_objects, :compiled.n_workers]
         np.testing.assert_array_equal(grown, compiled.answer_set.matrix)
 
         validations = {e.object_index: e.label
@@ -423,8 +425,8 @@ class TestDuplicateResubmissions:
         summary = replay(compiled.events(), session, on_conflict="ignore")
         assert summary.n_answers == len(compiled.answer_events)
         assert session.n_conflicts > 0
-        drained = session.answer_set.matrix[:compiled.n_objects,
-                                            :compiled.n_workers]
+        drained = session.stats.to_matrix(include_masked=False)[
+            :compiled.n_objects, :compiled.n_workers]
         np.testing.assert_array_equal(drained, compiled.answer_set.matrix)
 
         validations = {e.object_index: e.label
@@ -433,7 +435,9 @@ class TestDuplicateResubmissions:
             validations, compiled.n_objects, compiled.n_labels)
         batch = IncrementalEM().conclude(compiled.answer_set,
                                          batch_validation)
-        cold = ValidationSession.from_answer_set(session.answer_set)
+        cold = ValidationSession.from_answer_set(AnswerSet(
+            session.stats.to_matrix(include_masked=False),
+            compiled.answer_set.labels))
         for obj, label in validations.items():
             cold.add_validation(obj, label, overwrite=True)
         np.testing.assert_array_equal(cold.conclude().assignment,

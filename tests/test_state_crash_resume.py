@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -165,6 +166,36 @@ class TestGoldenCheckpointFixture:
         # The restored RNG continues the exact pinned stream.
         assert session.aggregator.rng.random() == pytest.approx(
             expected["next_uniform"], abs=0.0)
+
+    def test_fixture_stored_validation_diff_is_empty(self, golden_root):
+        """The fixture carries the ``concluded_validated`` array older
+        builds wrote; it equals the stored validations, so it adds no
+        dirty object."""
+        checkpoint = golden_root / "store" / "ckpt-000000"
+        with np.load(checkpoint / "global.npz") as blob:
+            concluded_validated = blob["concluded_validated"]
+        state = FileSessionStore(golden_root / "store").load_state()
+        np.testing.assert_array_equal(concluded_validated, state.validated)
+        assert state.dirty == ()
+
+    def test_older_concluded_validated_marks_changed_objects_dirty(
+            self, golden_root, tmp_path):
+        """A checkpoint whose stored ``concluded_validated`` differs from
+        its validations at one object restores with that object dirty,
+        the ``dirty_objects`` the session had when it was written."""
+        root = tmp_path / "store"
+        shutil.copytree(golden_root / "store", root)
+        checkpoint = root / "ckpt-000000"
+        with np.load(checkpoint / "global.npz") as blob:
+            arrays = dict(blob)
+        arrays["concluded_validated"][2] = 1  # object 2 is unvalidated
+        np.savez(checkpoint / "global.npz", **arrays)
+        store = FileSessionStore(root)
+        assert store.load_state().dirty == (2,)
+        session = store.load_state().restore()
+        assert session.dirty_objects == frozenset({2})
+        # The WAL tail's conclude clears it, as it cleared the original.
+        assert store.restore().session.dirty_objects == frozenset()
 
     def test_fixture_supports_continued_work(self, golden_root):
         store = FileSessionStore(golden_root / "store")

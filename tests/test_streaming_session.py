@@ -78,10 +78,8 @@ class BatchReplay:
         if self.masked:
             answer_set = answer_set.mask_workers(self.masked)
         compatible = (self.previous is not None
-                      and self.previous.answer_set.n_objects
-                      == answer_set.n_objects
-                      and self.previous.answer_set.n_workers
-                      == answer_set.n_workers)
+                      and self.previous.n_objects == answer_set.n_objects
+                      and self.previous.n_workers == answer_set.n_workers)
         self.previous = self.iem.conclude(
             answer_set, self.validation,
             previous=self.previous if compatible else None)
@@ -168,7 +166,8 @@ class TestStreamingMatchesBatch:
             small_crowd.answer_set,
             ExpertValidation.empty_for(small_crowd.answer_set))
         assert np.array_equal(prob_set.assignment, reference.assignment)
-        assert prob_set.answer_set is small_crowd.answer_set  # cached
+        # The seed encoding, memoized on the caller's answer set.
+        assert prob_set.encoded is encode_answers(small_crowd.answer_set)
         assert prob_set.n_em_iterations == reference.n_em_iterations
 
     def test_duplicate_answers_do_not_double_count(self):
@@ -179,16 +178,16 @@ class TestStreamingMatchesBatch:
 
 
 class TestSharedEncoding:
-    """One encoding per statistics version, shared with the answer set."""
+    """One encoding per statistics version, shared with the snapshot."""
 
     def test_answer_set_carries_the_statistics_encoding(self, small_crowd):
         session = ValidationSession.from_answer_set(small_crowd.answer_set)
         for toggle in (None, [0, 3], []):
             if toggle is not None:
                 session.set_masked_workers(toggle)
-            session.conclude()
+            snapshot = session.conclude_snapshot()
             encoded = session.stats.encoded()
-            assert encoded is encode_answers(session.answer_set)
+            assert snapshot.encoded is encoded
             fresh = encode_answers(AnswerSet(
                 session.stats.to_matrix(include_masked=False),
                 small_crowd.answer_set.labels))
@@ -333,7 +332,9 @@ class TestStreamReplay:
         previous = session.snapshot()
         final = session.conclude()
         reference = IncrementalEM().conclude(
-            previous.answer_set, session.validation, previous=previous)
+            AnswerSet(session.stats.to_matrix(include_masked=False),
+                      small_crowd.answer_set.labels),
+            session.validation, previous=previous)
         assert np.allclose(final.assignment, reference.assignment,
                            atol=1e-9)
 

@@ -141,7 +141,7 @@ class TestProbabilisticAnswerSet:
         good = DawidSkeneEM().fit(table1_answer_set)
         with pytest.raises(InvalidProbabilityError):
             ProbabilisticAnswerSet(
-                answer_set=table1_answer_set,
+                encoded=good.encoded,
                 validation=good.validation,
                 assignment=good.assignment[:2],
                 confusions=good.confusions,
@@ -157,4 +157,5 @@ class TestProbabilisticAnswerSet:
     def test_confusion_of_by_name(self, table1_answer_set):
         from repro.core.em import DawidSkeneEM
         prob_set = DawidSkeneEM().fit(table1_answer_set)
-        assert prob_set.confusion_of("w3").shape == (4, 4)
+        w3 = table1_answer_set.worker_index("w3")
+        assert prob_set.confusions[w3].shape == (4, 4)
