@@ -4,9 +4,10 @@ The paper's experiments assume workers whose behavior never changes. This
 example compiles the registry of adversarial workloads — drifting
 reliability, sleeper spammers, colluding cliques, bursty arrivals, label
 skew, a fallible expert — and runs each through the differential harness:
-the same scenario executes on the batch pipeline, the streaming engine,
-and the sharded refresher, and the harness asserts they agree before
-reporting quality and spammer-detection metrics.
+the same scenario executes on the batch pipeline and on streaming
+sessions (seeded from the matrix, fed the answer stream, killed and
+restored, replayed under injected faults), and the harness asserts they
+agree before reporting quality and spammer-detection metrics.
 
 Run it with no arguments::
 
@@ -42,7 +43,8 @@ def main() -> None:
 
     print("\nEvery row passed the cross-path conformance checks: the "
           "streaming replay matched the batch posteriors bit for bit, and "
-          "the sharded refresh stayed within documented tolerances.")
+          "so did the session fed the answer stream, the killed-and-"
+          "restored replay and the replay under injected faults.")
 
     # Zoom in on one adversary: how much does guided validation recover?
     name = "colluding-clique"

@@ -34,7 +34,7 @@ from repro.core import (
     majority_vote,
 )
 from repro.errors import ReproError
-from repro.streaming import ShardedRefresher, ValidationSession
+from repro.streaming import ValidationSession
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __version__ = "1.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "ProbabilisticAnswerSet",
     "ReproError",
     "Telemetry",
-    "ShardedRefresher",
     "ValidationSession",
     "answer_set_uncertainty",
     "deterministic_assignment",

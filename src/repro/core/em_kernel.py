@@ -3,9 +3,9 @@
 Full answer-set solves reach this kernel through one method,
 :meth:`repro.core.iem.IncrementalEM.refine`: batch EM, i-EM and the
 streaming session differ only in where it starts (a random, majority or
-uniform estimate, or a previous model). The exact look-ahead and the
-sharded block solves call :func:`run_em` directly on their sub-problems;
-the local look-ahead runs :func:`squarem` over an :class:`EMMap` whose
+uniform estimate, or a previous model). The exact look-ahead calls
+:func:`run_em` directly on its hypothetical problems; the local
+look-ahead runs :func:`squarem` over an :class:`EMMap` whose
 model adds the evidence held fixed outside its block.
 
 Implementation notes
@@ -258,9 +258,9 @@ class EncodingCSR:
 
     The per-object and per-worker neighborhood structures shared by the
     guidance look-aheads, :func:`block_subencoding` (and through it the
-    :class:`repro.streaming.ShardedRefresher` block payloads), the kernel
-    plan, and the session read paths live here, built **once per encoding
-    epoch** and memoized on the encoding itself via :func:`csr_view`:
+    partitioner's block split), the kernel plan, and the session read
+    paths live here, built **once per encoding epoch** and memoized on
+    the encoding itself via :func:`csr_view`:
 
     ``object_starts``
         Length ``n + 1`` segment boundaries; the answers of object ``o``
@@ -344,7 +344,7 @@ def csr_view(encoded: EncodedAnswers) -> EncodingCSR:
     """The (memoized) :class:`EncodingCSR` for an encoding.
 
     Like :func:`kernel_plan`, the view is cached on the ``EncodedAnswers``
-    instance, so the guidance look-aheads, the sharded refresher, and the
+    instance, so the guidance look-aheads, the partitioner and the
     streaming session all share one set of segment arrays per encoding
     epoch instead of each rebuilding their own.
     """
@@ -366,11 +366,11 @@ def block_subencoding(encoded: EncodedAnswers,
                       ) -> tuple[EncodedAnswers, np.ndarray]:
     """Restrict a flat encoding to an object block with local indices.
 
-    The shared seam of every partition-scoped solve: the
-    :class:`repro.streaming.ShardedRefresher` block refreshes and the
-    localized look-ahead of
-    :class:`repro.guidance.information_gain.InformationGainStrategy` both
-    re-solve an object neighborhood over its own answers.
+    The shared seam of every block-scoped read: the localized look-ahead
+    of :class:`repro.guidance.information_gain.InformationGainStrategy`
+    re-solves an object neighborhood over its own answers, and
+    :class:`repro.partitioning.MatrixPartitioner` splits a component's
+    answers with it.
 
     Parameters
     ----------
@@ -641,11 +641,15 @@ class AnswerStats:
         When the log is empty and the batch holds no duplicate cells (the
         bulk-seeding case of a session built from an answer set), the log
         is filled in one pass instead of per-answer calls, and the cell map
-        waits for its first use.
+        waits for its first use. Signed integer arrays are read in their
+        own type (an int32 encoding is not widened); other input is cast
+        to int64.
         """
-        objects = np.asarray(objects, dtype=np.int64).ravel()
-        workers = np.asarray(workers, dtype=np.int64).ravel()
-        labels = np.asarray(labels, dtype=np.int64).ravel()
+        objects, workers, labels = (
+            array if array.dtype.kind == "i" else array.astype(np.int64)
+            for array in (np.asarray(objects).ravel(),
+                          np.asarray(workers).ravel(),
+                          np.asarray(labels).ravel()))
         if objects.size and not self._n_answers \
                 and self._bulk_load(objects, workers, labels):
             return int(objects.size)
@@ -662,7 +666,9 @@ class AnswerStats:
                 or workers.min() < 0 or workers.max() >= self._n_workers \
                 or labels.min() < 0 or labels.max() >= self._n_labels:
             return False  # let add_answer raise the precise error
-        keys = objects * self._n_workers + workers
+        keys = objects.astype(np.int64)  # wide enough for obj·k + worker
+        keys *= self._n_workers
+        keys += workers
         # Strictly increasing keys (an encoding's order) hold no duplicate;
         # only another order pays for the hash-based check.
         if not (keys[1:] > keys[:-1]).all() \

@@ -19,10 +19,10 @@ class TransientError:
 
     Transient failures — a checkpoint write hitting a momentary IO error,
     an expert endpoint timing out, an injected chaos fault — are the ones
-    :func:`repro.resilience.call_with_retry` and
-    :class:`repro.resilience.SupervisedExecutor` are allowed to mask by
-    retrying. Classification is by inheritance so it survives ``raise ...
-    from`` chains and pickling across process pools.
+    :func:`repro.resilience.call_with_retry` (and the
+    :class:`~repro.experts.supervised.SupervisedExpert` built on it) is
+    allowed to mask by retrying. Classification is by inheritance so it
+    survives ``raise ... from`` chains.
     """
 
 
@@ -30,9 +30,9 @@ class PermanentError:
     """Mixin marking an error as *permanent*: retrying cannot help.
 
     Corrupt checkpoints, schema mismatches, and exhausted retry budgets
-    are permanent — a supervisor must degrade (quarantine the shard, scan
-    back to an older checkpoint, fall back to the exact path) rather than
-    spin on retries.
+    are permanent: :func:`repro.resilience.call_with_retry` re-raises
+    them at once, and a restore degrades (scans back to an older
+    checkpoint) rather than spin on retries.
     """
 
 
@@ -141,8 +141,7 @@ class StreamingError(ReproError):
     """A streaming validation session was used inconsistently.
 
     Raised when a snapshot is requested before any refinement has run, or
-    when an externally supplied model does not match the session's current
-    dimensions.
+    after the session's dimensions grew past its last refinement.
     """
 
 
@@ -199,14 +198,14 @@ class CheckpointWriteError(StateStoreError, TransientError):
 
 
 class ResilienceError(ReproError):
-    """Base class for supervised-execution failures (:mod:`repro.resilience`)."""
+    """Base class for retry and fault-injection failures (:mod:`repro.resilience`)."""
 
 
 class DeadlineExceededError(ResilienceError, TransientError):
     """A supervised call ran past its per-attempt deadline.
 
-    Transient: the canonical cause is a slow shard or a stalled endpoint,
-    and a retry on a healthy worker usually completes in time.
+    Transient: the canonical cause is a stalled endpoint, and a retry
+    usually completes in time.
     """
 
 
@@ -214,8 +213,8 @@ class RetryExhaustedError(ResilienceError, PermanentError):
     """A transient failure persisted through the whole retry budget.
 
     Carries the final underlying failure as ``__cause__``. Permanent by
-    definition — the budget *was* the retry — so supervisors respond by
-    degrading (quarantine, fallback) rather than retrying further.
+    definition — the budget *was* the retry — so it surfaces to the
+    caller rather than being retried further.
     """
 
 
@@ -225,9 +224,9 @@ class InjectedFaultError(ResilienceError):
 
 class TransientInjectedFault(InjectedFaultError, TransientError):
     """An injected fault standing in for a retryable failure (crashed
-    shard worker, dropped connection)."""
+    worker, dropped connection)."""
 
 
 class PermanentInjectedFault(InjectedFaultError, PermanentError):
     """An injected fault standing in for an unretryable failure (poisoned
-    shard input, hard hardware fault)."""
+    input, hard hardware fault)."""

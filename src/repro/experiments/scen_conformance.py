@@ -1,11 +1,13 @@
 """Adversarial-scenario conformance matrix (beyond the paper's figures).
 
 Runs every registered scenario (:mod:`repro.scenarios.registry`) through
-the differential harness — batch, streaming replay, and sharded refresh
-under both guidance look-ahead modes — and tabulates per-scenario quality,
-cross-path divergence, and spammer-detection precision/recall. The rows
-double as a health dashboard: a non-zero ``stream_linf`` anywhere means
-the streaming engine's bit-for-bit contract broke.
+the differential harness under both guidance look-ahead modes, and
+tabulates per-scenario quality, cross-path divergence, and
+spammer-detection precision/recall. The rows double as a health
+dashboard: a non-zero ``stream_linf`` anywhere means the streaming
+engine's bit-for-bit contract broke, and a non-zero ``ingest_linf`` means
+a session fed the answer stream no longer matches one seeded from the
+matrix.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
                 name, lookahead,
                 s["initial_precision"], s["final_precision"],
                 s["effort"],
-                s["stream_linf"], s["sharded_linf"],
+                s["stream_linf"], s["ingest_linf"],
                 s["detection_precision"], s["detection_recall"],
             ))
     return ExperimentResult(
         experiment_id="scen",
         title="Adversarial scenarios: cross-path conformance and detection",
         columns=["scenario", "lookahead", "P0", "Pf", "effort",
-                 "stream_linf", "sharded_linf", "det_precision",
+                 "stream_linf", "ingest_linf", "det_precision",
                  "det_recall"],
         rows=rows,
         metadata={"scale": scale, "seed": seed,

@@ -2,7 +2,7 @@
 
 Runs one registry scenario through the full differential harness
 (:class:`~repro.scenarios.runner.ScenarioRunner` — batch, streaming,
-sharded, crash/resume, replay-under-faults) with an enabled
+ingest, crash/resume, replay-under-faults) with an enabled
 :class:`~repro.telemetry.Telemetry` hub, then renders the run manifest:
 top spans by self-time, the metric table, and the degradation timeline.
 

@@ -189,7 +189,7 @@ class _LocalizedLookahead:
         # Worker-neighborhood adjacency over the flat encoding: the
         # shared CSR view supplies both the per-object answer slices and
         # the per-worker (stable argsort) segments — built once per
-        # encoding epoch, shared with the sharded refresher and session.
+        # encoding epoch, shared with the partitioner and session.
         self._csr = em_kernel.csr_view(self.encoded)
 
     def _neighborhood(self, obj: int) -> np.ndarray:

@@ -38,9 +38,7 @@ class Executor:
         Pool size for the parallel modes; defaults to CPU count − 1.
 
     The executor records no telemetry of its own: callers that need
-    per-task timings time the tasks they submit
-    (:class:`repro.resilience.SupervisedExecutor` reports each task's
-    queue wait and run time).
+    per-task timings time the tasks they submit.
 
     Examples
     --------
@@ -114,10 +112,6 @@ class Executor:
             raise
         return results
 
-    def starmap(self, fn: Callable, items: Iterable[Sequence]) -> list:
-        """Like :meth:`map` but unpacks each item as positional arguments."""
-        return self.map(_StarCall(fn), items)
-
     def __repr__(self) -> str:
         return f"Executor(mode={self.mode!r}, max_workers={self.max_workers})"
 
@@ -126,12 +120,3 @@ def _map_chunk(fn: Callable, chunk: Sequence) -> list:
     """Apply ``fn`` to one chunk (module-level so process pools pickle it)."""
     return [fn(item) for item in chunk]
 
-
-class _StarCall:
-    """Picklable adapter turning ``fn(*args)`` into a single-arg callable."""
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, args: Sequence) -> object:
-        return self.fn(*args)

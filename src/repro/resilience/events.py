@@ -1,4 +1,4 @@
-"""The degradation log: the audit trail of supervised execution.
+"""The degradation log: the audit trail of retried execution.
 
 Every time the resilience layer masks, retries, or routes around a fault
 — instead of letting it surface as an exception — it records an event
@@ -7,13 +7,13 @@ into an :class:`EventLog`. The record is the telemetry timeline's own
 The contract of the chaos conformance suite is precisely this split:
 *transient* faults are invisible in results (final posteriors stay
 bit-equal) but visible in the event log, while failures that force a
-degradation (shard quarantine, checkpoint scan-back, fallback to the
-exact path) appear as events **instead of** exceptions.
+degradation (a checkpoint scan-back) appear as events **instead of**
+exceptions.
 
 The log is deliberately simple — an append-only in-process list with a
-JSON projection — so it can be attached to any layer (executor, store,
-expert, scenario runner) without coupling them, and dumped as the CI
-chaos job's artifact.
+JSON projection — so it can be attached to any layer (retry helper,
+store, expert, scenario runner) without coupling them, and dumped as the
+CI chaos job's artifact.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ EVENT_KINDS = (
     "deadline",              # per-attempt deadline breached, attempt rerun
     "retry-exhausted",       # transient failures outlived the retry budget
     "permanent-failure",     # a non-retryable failure was observed
-    "quarantine",            # a shard exceeded its failure budget
-    "fallback-exact",        # sharded refresh degraded to the exact path
     "checkpoint-scan-back",  # restore skipped a corrupt/stale checkpoint
 )
 
@@ -40,13 +38,13 @@ class EventLog:
     """Append-only recorder shared across the resilience layers.
 
     One log instance is typically threaded through a whole supervised run
-    (executor + store + expert), so the resulting sequence is the run's
-    complete degradation history in causal order.
+    (retried calls + store + expert), so the resulting sequence is the
+    run's complete degradation history in causal order.
 
     Each entry is a :class:`~repro.telemetry.TimelineEvent`. With a
     ``telemetry`` hub attached, :meth:`record` keeps the very object the
-    hub appended to its timeline — so chaos, retries and quarantine share
-    one timeline with the spans and metrics — and counts it on a
+    hub appended to its timeline — so chaos and retries share one
+    timeline with the spans and metrics — and counts it on a
     ``resilience.<kind>`` counter. Without one, the log builds the entry
     itself. The log stays the canonical chaos-artifact source.
     """
@@ -58,9 +56,8 @@ class EventLog:
                error: BaseException | str | None = None,
                **fields) -> TimelineEvent:
         """Append one event; ``fields`` are the :class:`TimelineEvent`
-        attributes ``key``, ``attempt``, ``detail``, ``queue_wait`` and
-        ``run_time``, and an exception ``error`` is rendered to
-        ``"Type: message"``."""
+        attributes ``key``, ``attempt`` and ``detail``, and an exception
+        ``error`` is rendered to ``"Type: message"``."""
         if error is not None and not isinstance(error, str):
             error = f"{type(error).__name__}: {error}"
         event = self.telemetry.event(kind, site, error=error, **fields)

@@ -1,6 +1,6 @@
 """Deterministic, seed-driven fault injection at named sites.
 
-A :class:`FaultPlan` declares *what* can fail — which site, which shard
+A :class:`FaultPlan` declares *what* can fail — which site, which
 key, which failure shape, how often — and a :class:`FaultInjector`
 executes the plan deterministically: per-spec randomness is spawned
 statelessly from the plan seed (:func:`repro.utils.rng.spawn_rngs`
@@ -13,16 +13,15 @@ Instrumented sites call :meth:`FaultInjector.check` at the top of the
 guarded operation. A failure-shaped fault *raises* (the realistic typed
 exception for the site: :class:`~repro.errors.TransientInjectedFault`,
 :class:`~repro.errors.CheckpointWriteError`, …); a slowness-shaped fault
-instead *returns* extra latency seconds which supervised callers charge
-against their per-attempt deadline — no wall-clock sleeping, so chaos
-tests stay fast and flake-free.
+instead *returns* extra latency seconds which
+:func:`~repro.resilience.call_with_retry` charges against its
+per-attempt deadline — no wall-clock sleeping, so chaos tests stay fast
+and flake-free.
 
 Built-in sites (the names are a convention, not an enum — any caller may
 guard its own):
 
 ==============================  ========================================
-``shard.refresh``               per-block solve in supervised sharded
-                                refresh (crash / slow shard)
 ``session.conclude``            an exact streaming refinement
 ``store.checkpoint``            driver-level checkpoint write
 ``filestore.checkpoint-write``  the file store's manifest commit
@@ -75,7 +74,7 @@ class FaultSpec:
         makes the common conformance shape — "fails once, the retry
         succeeds" — the default.
     key:
-        Restrict the fault to one shard/object/checkpoint key
+        Restrict the fault to one object/checkpoint key
         (``None`` matches every key).
     after_visits:
         Skip the first this-many eligible visits of ``(site, key)``
@@ -145,16 +144,15 @@ class FaultPlan:
 def transient_chaos_plan(seed: int = 0) -> FaultPlan:
     """The default transient-only schedule for conformance replays.
 
-    One crashed refinement, two flaky expert calls, one checkpoint-write
-    IO error, and one slow shard — every built-in failure shape that a
-    retry or deadline-rerun must fully mask.
+    One crashed refinement, two flaky expert calls, and one
+    checkpoint-write IO error at each of the two write sites — every
+    built-in failure shape that a retry must fully mask.
     """
     return FaultPlan(specs=(
         FaultSpec(site="session.conclude", kind="crash", after_visits=1),
         FaultSpec(site="expert.validate", kind="flaky", max_fires=2),
         FaultSpec(site="store.checkpoint", kind="io-error"),
         FaultSpec(site="filestore.checkpoint-write", kind="io-error"),
-        FaultSpec(site="shard.refresh", kind="slow", delay=30.0),
     ), seed=seed)
 
 
@@ -178,12 +176,12 @@ class FaultInjector:
 
     Examples
     --------
-    >>> plan = FaultPlan(specs=(FaultSpec(site="shard.refresh"),))
+    >>> plan = FaultPlan(specs=(FaultSpec(site="session.conclude"),))
     >>> injector = FaultInjector(plan)
-    >>> injector.check("shard.refresh", key=0)  # doctest: +IGNORE_EXCEPTION_DETAIL
+    >>> injector.check("session.conclude")  # doctest: +IGNORE_EXCEPTION_DETAIL
     Traceback (most recent call last):
     TransientInjectedFault: ...
-    >>> injector.check("shard.refresh", key=0)  # budget spent: passes
+    >>> injector.check("session.conclude")  # budget spent: passes
     0.0
     """
 

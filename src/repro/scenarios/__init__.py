@@ -13,8 +13,8 @@ first-class, registry-driven test surface:
   :class:`~repro.core.answer_set.AnswerSet` *and* a timed event replay,
   projected from the same label draws;
 * :mod:`~repro.scenarios.runner` — drives every scenario through the
-  batch, streaming, and sharded execution paths and asserts cross-path
-  agreement within documented tolerances;
+  batch, streaming, ingest, crash/resume and replay-under-faults paths
+  and asserts they agree bit for bit;
 * :mod:`~repro.scenarios.registry` — named builtin workloads; future PRs
   add coverage by registering one spec.
 

@@ -2,8 +2,8 @@
 
 Every entry is a :class:`~repro.scenarios.spec.ScenarioSpec` the
 conformance suite (``tests/test_scenarios_conformance.py``) executes
-through all three paths. Future PRs extend coverage by registering one
-more spec — the harness picks it up automatically.
+through all five paths. Coverage grows by registering one more spec —
+the harness picks it up automatically.
 
 Builtin coverage:
 
@@ -20,13 +20,12 @@ Builtin coverage:
                               cold-start under churn)
 ``duplicate-resubmissions``   duplicate/conflicting re-sent answers
                               (first-write-wins conflict policy)
-``sharded-multiblock``        sparse block-diagonal answer matrix where
-                              the independent-blocks approximation is
-                              near-exact (§5.4 partitioning)
+``sharded-multiblock``        sparse block-diagonal answer matrix: the
+                              disjoint blocks §5.4's partitioning finds
 ============================  ==========================================
 
 :data:`PRODUCTION_SCALE` is the deliberate exception: a production-sized
-(n≈5k, k≈500) sharded multi-block workload that stays **unregistered** so
+(n≈5k, k≈500) multi-block workload that stays **unregistered** so
 the every-PR conformance and chaos sweeps (which parametrize over
 :func:`scenario_names`) never pick it up; the ``slow``-marked suite runs
 it on the nightly/manual CI trigger instead.
@@ -226,10 +225,8 @@ register_scenario(ScenarioSpec(
     name="sharded-multiblock",
     description="Four disjoint object/worker blocks, dense inside and "
                 "empty between: the sparse block-structured matrix of "
-                "§5.4 where blocks share no workers, so the sharded "
-                "refresher's independent-blocks approximation is exact "
-                "up to the globally re-estimated priors. Run through all "
-                "five runner paths with a tight documented tolerance "
+                "§5.4 where blocks share no workers. Run through all "
+                "five runner paths, each held to the exact tolerance "
                 "(tests/test_scenarios_conformance.py).",
     n_objects=48, n_workers=16, reliability=0.8,
     population=_HONEST_LEANING,
@@ -239,14 +236,14 @@ register_scenario(ScenarioSpec(
     seed=1110,
 ))
 
-#: Production-size sharded workload (n≈5k, k≈500, 25 blocks) — the scale
-#: PR 3's registry deliberately left out. NOT registered: the every-PR
+#: Production-size multi-block workload (n≈5k, k≈500, 25 blocks) — the
+#: scale the registry deliberately leaves out. NOT registered: the every-PR
 #: scenario/chaos sweeps parametrize over the registry, and this spec is
 #: minutes, not seconds. The ``slow``-marked conformance test runs it
 #: behind the nightly/manual CI trigger.
 PRODUCTION_SCALE = ScenarioSpec(
     name="production-scale-multiblock",
-    description="Sharded multi-block workload at production size: 5 000 "
+    description="Multi-block workload at production size: 5 000 "
                 "objects answered inside 25 disjoint 200-object × "
                 "20-worker blocks, 6 answers per object, a small expert "
                 "budget. Exercises the same five runner paths as the "

@@ -7,10 +7,13 @@ execution paths the system ships:
    .ValidationProcess` (Algorithm 1) with a guidance strategy choosing the
    validation order against the scenario's precompiled expert sheet;
 2. **streaming** — a fresh :class:`~repro.streaming.ValidationSession`
-   replaying the *recorded* batch decisions (validations + worker
-   maskings) event by event through exact warm-started ``conclude``s;
-3. **sharded** — the same replay refined through
-   :class:`~repro.streaming.ShardedRefresher` partition-scoped refreshes;
+   seeded from the batch answer set, replaying the *recorded* batch
+   decisions (validations + worker maskings) event by event through
+   exact warm-started ``conclude``s;
+3. **ingest** — the same replay into a session that starts empty and
+   ingests the scenario's stream view (its ``answer_events``, in arrival
+   order, conflicting resubmissions dropped first-write-wins) instead of
+   being seeded from the batch matrix;
 4. **crash/resume** — the streaming replay again, but checkpointed into a
    :class:`~repro.state.SessionStore` on a fixed cadence with process
    kills injected at random step boundaries; each kill discards the live
@@ -20,21 +23,21 @@ execution paths the system ships:
    driver-level operation supervised (:mod:`repro.resilience`) and a
    deterministic :class:`~repro.resilience.FaultPlan` firing failures at
    the named sites: flaky expert elicitations, crashed refinements, and
-   checkpoint-write IO errors are retried whole; slow shards breach
-   deadlines; unmaskable failures degrade into recorded events.
+   checkpoint-write IO errors are retried whole; unmaskable failures
+   degrade into recorded events.
 
 and then checks that they agree:
 
 * batch vs streaming must match to ``exact_atol`` (the streaming exact
   path is bit-for-bit the batch kernel, so the observed divergence is
   0.0 — any widening is a regression in the view-maintenance contract);
+* ingest vs the streaming replay must match to ``exact_atol`` — the
+  statistics encode answers in sorted order, so a session fed the stream
+  holds the same encoding as one seeded from the matrix, and every
+  refinement sees the same floats;
 * crash/resume vs the uninterrupted streaming run must also match to
   ``exact_atol`` — restore is bit-for-bit, so surviving a kill changes
   *no float* of the final posterior;
-* sharded vs batch is the independent-blocks approximation, held to the
-  documented ``sharded_atol`` posterior divergence **or**
-  ``sharded_map_agreement`` MAP-label agreement (single-block refreshers
-  must meet the exact tolerance);
 * replay-under-faults vs the fault-free streaming run must match to
   ``exact_atol`` whenever the fault plan is *transient-only*: retries and
   deadline reruns may change how many attempts things took, but never a
@@ -69,14 +72,12 @@ from repro.resilience import (
     FaultInjector,
     FaultPlan,
     RetryPolicy,
-    SupervisedExecutor,
     call_with_retry,
     transient_chaos_plan,
 )
 from repro.scenarios.compiler import CompiledScenario
 from repro.state import MemorySessionStore
 from repro.streaming.session import ValidationSession
-from repro.streaming.sharded import ShardedRefresher
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.rng import spawn_rngs
 from repro.workers.spammer_detection import (
@@ -124,8 +125,8 @@ class FaultReplay:
 
     ``posteriors`` is the final assignment matrix; ``event_log`` holds
     every degradation the supervision recorded (retries, deadline
-    breaches, quarantines, fallbacks, scan-backs); ``injector`` exposes
-    which planned faults actually fired.
+    breaches, exhausted retries, scan-backs); ``injector`` exposes which
+    planned faults actually fired.
     """
 
     posteriors: np.ndarray
@@ -151,9 +152,13 @@ class ScenarioOutcome:
         Which workload ran, under which guidance look-ahead mode.
     report:
         The batch path's full effort-to-quality trace.
-    streaming_divergence, sharded_divergence:
-        Cross-path posterior agreement (streaming vs batch, sharded vs
-        batch).
+    streaming_divergence:
+        Streaming replay vs batch; the same kernel on the same floats
+        makes this exactly zero.
+    ingest_divergence:
+        Ingest replay vs the streaming replay; a session fed the stream
+        holds the streaming session's encoding, so this too is exactly
+        zero.
     resume_divergence:
         Crash/resume replay vs the uninterrupted streaming replay; the
         restore contract makes this exactly zero.
@@ -178,7 +183,7 @@ class ScenarioOutcome:
     lookahead: str
     report: ValidationReport
     streaming_divergence: PathDivergence
-    sharded_divergence: PathDivergence
+    ingest_divergence: PathDivergence
     resume_divergence: PathDivergence
     detection_precision: float
     detection_recall: float
@@ -200,10 +205,8 @@ class ScenarioOutcome:
             "effort": int(self.report.total_effort),
             "stream_linf": float(
                 self.streaming_divergence.max_abs_posterior_gap),
-            "sharded_linf": float(
-                self.sharded_divergence.max_abs_posterior_gap),
-            "sharded_map_agreement": float(
-                self.sharded_divergence.map_agreement),
+            "ingest_linf": float(
+                self.ingest_divergence.max_abs_posterior_gap),
             "resume_linf": float(
                 self.resume_divergence.max_abs_posterior_gap),
             "fault_linf": float(
@@ -237,18 +240,10 @@ class ScenarioRunner:
     candidate_limit:
         Candidate pruning width for the default strategy.
     exact_atol:
-        Maximum tolerated batch-vs-streaming posterior divergence. The
-        streaming exact path feeds identical floats to the same kernel, so
-        this is a regression tripwire, not a modeling tolerance.
-    sharded_atol, sharded_map_agreement:
-        The sharded path passes if its posterior divergence stays within
-        ``sharded_atol`` **or** its MAP agreement reaches
-        ``sharded_map_agreement`` — coarse partitions legitimately move
-        probability mass without flipping conclusions.
-    max_objects_per_block:
-        Partition granularity for the sharded path; ``None`` uses a
-        single block (which must then meet ``exact_atol``-level agreement
-        up to cold-start differences, checked against ``sharded_atol``).
+        Maximum tolerated posterior divergence between any two paths the
+        runner compares. Every replay feeds identical floats to the same
+        kernel, so this is a regression tripwire, not a modeling
+        tolerance.
     handle_faulty:
         Whether the batch path masks detected spammers (Algorithm 1's
         worker handling); replays mirror whatever the batch path did.
@@ -273,7 +268,7 @@ class ScenarioRunner:
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub. Each execution
         path instruments into its own ``spawn`` scope (``batch``,
-        ``streaming``, ``sharded``, ``resume``, ``faults``), so one
+        ``streaming``, ``ingest``, ``resume``, ``faults``), so one
         conformance run yields five labelled sub-streams in a single
         manifest; :meth:`run` itself is a ``scenario.run`` span.
         Instrumentation observes and never perturbs — posteriors are
@@ -286,9 +281,6 @@ class ScenarioRunner:
                  | None = None,
                  candidate_limit: int = 8,
                  exact_atol: float = 1e-9,
-                 sharded_atol: float = 0.15,
-                 sharded_map_agreement: float = 0.85,
-                 max_objects_per_block: int | None = None,
                  handle_faulty: bool = True,
                  n_kills: int = 2,
                  checkpoint_every: int = 3,
@@ -303,9 +295,6 @@ class ScenarioRunner:
         self.strategy_factory = strategy_factory
         self.candidate_limit = int(candidate_limit)
         self.exact_atol = float(exact_atol)
-        self.sharded_atol = float(sharded_atol)
-        self.sharded_map_agreement = float(sharded_map_agreement)
-        self.max_objects_per_block = max_objects_per_block
         self.handle_faulty = bool(handle_faulty)
         self.n_kills = int(n_kills)
         self.checkpoint_every = int(checkpoint_every)
@@ -361,23 +350,32 @@ class ScenarioRunner:
                          steps: list[RecordedStep],
                          template: ValidationSession) -> np.ndarray:
         """Path 2: exact warm-started session replay of the recorded run."""
-        session = self._replay(scenario, steps, template,
-                               telemetry=self.telemetry.spawn("streaming"))
+        session = self._replay(self._fresh_session(
+            scenario, template, self.telemetry.spawn("streaming")), steps)
         return np.array(session.model.assignment)
 
-    def replay_sharded(self, scenario: CompiledScenario,
-                       steps: list[RecordedStep],
-                       template: ValidationSession) -> np.ndarray:
-        """Path 3: the same replay, refined via partition-scoped refresh."""
-        scope = self.telemetry.spawn("sharded")
-        block = self.max_objects_per_block \
-            if self.max_objects_per_block is not None \
-            else scenario.n_objects
-        refresher = ShardedRefresher(max_objects_per_block=block,
-                                     telemetry=scope)
-        session = self._replay(scenario, steps, template, telemetry=scope,
-                               refine=refresher.refresh)
-        return np.array(session.model.assignment)
+    def replay_ingest(self, scenario: CompiledScenario,
+                      steps: list[RecordedStep],
+                      template: ValidationSession) -> np.ndarray:
+        """Path 3: path 2's replay into a session fed the answer stream.
+
+        The session starts empty at the scenario's dimensions and ingests
+        ``scenario.answer_events`` in arrival order through
+        :meth:`~repro.streaming.ValidationSession.add_answers` with
+        ``on_conflict="ignore"``, so a conflicting resubmission is dropped
+        first-write-wins and counted (``session.n_conflicts``) exactly as
+        the batch view dropped it. Only how the session is built differs
+        from path 2; the recorded steps replay through the same loop.
+        """
+        session = ValidationSession(
+            scenario.n_objects, scenario.n_workers, scenario.n_labels,
+            aggregator=template.aggregator,
+            telemetry=self.telemetry.spawn("ingest"))
+        session.add_answers(((event.object_index, event.worker_index,
+                              event.label)
+                             for event in scenario.answer_events),
+                            on_conflict="ignore")
+        return np.array(self._replay(session, steps).model.assignment)
 
     def replay_crash_resume(self, scenario: CompiledScenario,
                             steps: list[RecordedStep],
@@ -399,8 +397,9 @@ class ScenarioRunner:
         replay's exactly (L∞ = 0.0).
         """
         session = self._replay(
-            scenario, steps, template,
-            telemetry=self.telemetry.spawn("resume"),
+            self._fresh_session(scenario, template,
+                                self.telemetry.spawn("resume")),
+            steps,
             store=store if store is not None else MemorySessionStore(),
             kills=self._kill_points(len(steps), self.n_kills, 0xDEAD))
         # The concluded mask must survive the kills exactly: every bit in
@@ -423,55 +422,29 @@ class ScenarioRunner:
                             plan: FaultPlan | None = None,
                             store=None,
                             retry_policy: RetryPolicy | None = None,
-                            sharded_blocks: int | None = None,
-                            failure_budget: int = 2,
                             n_kills: int = 0) -> FaultReplay:
         """Path 5: the recorded replay, supervised, under a fault schedule.
 
         Every driver-level operation runs under supervision: expert
         elicitations through a :class:`~repro.experts.SupervisedExpert`
-        (site ``"expert.validate"``), exact refinements and checkpoint
+        (site ``"expert.validate"``), and refinements and checkpoint
         writes through :func:`~repro.resilience.call_with_retry` (sites
-        ``"session.conclude"`` / ``"store.checkpoint"``), and — when
-        ``sharded_blocks`` is given — block solves through a
-        :class:`~repro.resilience.SupervisedExecutor` (site
-        ``"shard.refresh"``) with ``failure_budget``-driven quarantine
-        and fallback to the exact path.
+        ``"session.conclude"`` / ``"store.checkpoint"``).
 
         With a *transient-only* ``plan`` (default:
-        :func:`~repro.resilience.transient_chaos_plan`) and no sharding,
-        the final posterior is bit-equal to the fault-free streaming
-        replay: an injected fault fires *before* the guarded operation
-        runs, so every retried conclude is a whole conclude and the
-        warm-start chain is reproduced float for float. ``n_kills``
-        additionally crashes and restores the session mid-replay
-        (``store.restore`` scan-back included), which must also be
-        invisible in the result.
-
-        Sharded mode makes no bit-equality promise (multi-block refresh
-        is the documented approximation); its contract is that shard
-        failures surface as recorded quarantine/fallback events — never
-        as exceptions — which :class:`FaultReplay` exposes for the
-        conformance suite to assert.
+        :func:`~repro.resilience.transient_chaos_plan`) the final
+        posterior is bit-equal to the fault-free streaming replay: an
+        injected fault fires *before* the guarded operation runs, so
+        every retried conclude is a whole conclude and the warm-start
+        chain is reproduced float for float. ``n_kills`` additionally
+        crashes and restores the session mid-replay (``store.restore``
+        scan-back included), which must also be invisible in the result.
         """
         plan = plan if plan is not None else transient_chaos_plan(self.seed)
         injector = FaultInjector(plan)
         scope = self.telemetry.spawn("faults")
         event_log = EventLog(telemetry=scope)
         policy = retry_policy or RetryPolicy(max_attempts=3)
-        if sharded_blocks is not None:
-            supervisor = SupervisedExecutor(
-                retry_policy=policy, failure_budget=failure_budget,
-                fault_injector=injector, event_log=event_log,
-                seed=self.seed, telemetry=scope)
-            refresher = ShardedRefresher(
-                max_objects_per_block=sharded_blocks, supervisor=supervisor,
-                telemetry=scope)
-            session = self._replay(scenario, steps, template,
-                                   telemetry=scope, refine=refresher.refresh)
-            return FaultReplay(posteriors=np.array(session.model.assignment),
-                               event_log=event_log, injector=injector)
-
         expert = SupervisedExpert(
             ScriptedExpert({int(step.object_index): int(step.expert_label)
                             for step in steps}),
@@ -489,7 +462,7 @@ class ScenarioRunner:
         # land on the expert site; the recorded label is what gets
         # ingested either way (the scripted expert is pure).
         session = self._replay(
-            scenario, steps, template, telemetry=scope,
+            self._fresh_session(scenario, template, scope), steps,
             store=store if store is not None else MemorySessionStore(),
             kills=self._kill_points(len(steps), n_kills, 0xFA_11),
             guard=guard, elicit=expert.validate, event_log=event_log)
@@ -508,35 +481,28 @@ class ScenarioRunner:
                             replace=False)
         return {int(b) for b in chosen}
 
-    def _replay(self, scenario: CompiledScenario,
-                steps: list[RecordedStep],
-                template: ValidationSession, *,
-                telemetry,
-                refine: Callable[[ValidationSession], object]
-                = ValidationSession.conclude,
+    def _replay(self, session: ValidationSession,
+                steps: list[RecordedStep], *,
                 store=None,
                 kills: Collection[int] = (),
                 guard=lambda call, site: call(),
                 elicit=None,
                 event_log=None) -> ValidationSession:
-        """The recorded steps, replayed into a fresh session (all replay
-        paths).
+        """The recorded steps, replayed into a fresh ``session`` (all
+        replay paths); returns the session that finished the run.
 
-        ``refine(session)`` runs each refinement: the exact
-        :meth:`~repro.streaming.ValidationSession.conclude` by default, a
-        :meth:`~repro.streaming.ShardedRefresher.refresh` on the sharded
-        paths. With a ``store``, the session journals into it, a
-        checkpoint is taken before the first step and after every
-        ``checkpoint_every`` steps, and before each step index in
-        ``kills`` the live session is discarded and rebuilt by
-        ``store.restore()``, resuming after the last logged step marker.
-        ``guard(call, site)`` runs each refinement (site
-        ``"session.conclude"``) and checkpoint (site
+        Each refinement is the session's exact
+        :meth:`~repro.streaming.ValidationSession.conclude`. With a
+        ``store``, the session journals into it, a checkpoint is taken
+        before the first step and after every ``checkpoint_every`` steps,
+        and before each step index in ``kills`` the live session is
+        discarded and rebuilt by ``store.restore()``, resuming after the
+        last logged step marker. ``guard(call, site)`` runs each
+        refinement (site ``"session.conclude"``) and checkpoint (site
         ``"store.checkpoint"``); ``elicit(obj)`` runs before each step's
         validation.
         """
-        session = self._fresh_session(scenario, template,
-                                      telemetry=telemetry)
+        telemetry = session.telemetry
         session.attach_journal(store)
 
         def checkpoint(step: int) -> None:
@@ -544,7 +510,7 @@ class ScenarioRunner:
                 guard(lambda: store.checkpoint(session, meta={"step": step}),
                       "store.checkpoint")
 
-        guard(lambda: refine(session), "session.conclude")
+        guard(session.conclude, "session.conclude")
         checkpoint(-1)
         pending = set(kills)
         index = 0
@@ -566,7 +532,7 @@ class ScenarioRunner:
             session.add_validation(step.object_index, step.expert_label,
                                    overwrite=True)
             session.set_masked_workers(step.masked_workers)
-            guard(lambda: refine(session), "session.conclude")
+            guard(session.conclude, "session.conclude")
             for obj in step.concluded_objects:
                 session.conclude_object(obj)
             session.mark_step(index)
@@ -578,8 +544,9 @@ class ScenarioRunner:
     @staticmethod
     def _fresh_session(scenario: CompiledScenario,
                        template: ValidationSession,
-                       telemetry=NULL_TELEMETRY) -> ValidationSession:
-        """A new session over the scenario with the batch path's aggregator."""
+                       telemetry) -> ValidationSession:
+        """A new session seeded from the scenario's answer set, with the
+        batch path's aggregator."""
         return ValidationSession.from_answer_set(
             scenario.answer_set, aggregator=template.aggregator,
             telemetry=telemetry)
@@ -603,14 +570,14 @@ class ScenarioRunner:
 
             streaming = self.replay_streaming(scenario, steps,
                                               process.session)
-            sharded = self.replay_sharded(scenario, steps, process.session)
+            ingested = self.replay_ingest(scenario, steps, process.session)
             resumed = self.replay_crash_resume(scenario, steps,
                                                process.session)
             fault_replay = self.replay_under_faults(scenario, steps,
                                                     process.session)
             span.set("n_steps", len(steps))
         streaming_divergence = _divergence(batch_posteriors, streaming)
-        sharded_divergence = _divergence(batch_posteriors, sharded)
+        ingest_divergence = _divergence(streaming, ingested)
         resume_divergence = _divergence(streaming, resumed)
         fault_divergence = _divergence(streaming, fault_replay.posteriors)
 
@@ -625,7 +592,7 @@ class ScenarioRunner:
             lookahead=lookahead,
             report=process.report(),
             streaming_divergence=streaming_divergence,
-            sharded_divergence=sharded_divergence,
+            ingest_divergence=ingest_divergence,
             resume_divergence=resume_divergence,
             detection_precision=precision,
             detection_recall=recall,
@@ -651,6 +618,14 @@ class ScenarioRunner:
                 f"batch vs streaming posteriors diverge by {stream_gap:.3e} "
                 f"(> {self.exact_atol:.1e}) — the exact streaming path must "
                 f"be bit-for-bit with the batch kernel")
+        ingest_gap = outcome.ingest_divergence.max_abs_posterior_gap
+        if ingest_gap > self.exact_atol:
+            raise ConformanceError(
+                f"scenario {outcome.scenario!r} ({outcome.lookahead}): "
+                f"the session fed the answer stream diverges from the "
+                f"seeded streaming replay by {ingest_gap:.3e} "
+                f"(> {self.exact_atol:.1e}) — ingesting the stream must "
+                f"build the same statistics as seeding from the matrix")
         resume_gap = outcome.resume_divergence.max_abs_posterior_gap
         if resume_gap > self.exact_atol:
             raise ConformanceError(
@@ -667,14 +642,6 @@ class ScenarioRunner:
                 f"fault-free streaming run by {fault_gap:.3e} "
                 f"(> {self.exact_atol:.1e}) — retried operations must "
                 f"mask injected faults without touching a single float")
-        sharded = outcome.sharded_divergence
-        if (sharded.max_abs_posterior_gap > self.sharded_atol
-                and sharded.map_agreement < self.sharded_map_agreement):
-            raise ConformanceError(
-                f"scenario {outcome.scenario!r} ({outcome.lookahead}): "
-                f"sharded refresh diverges from batch beyond tolerance "
-                f"({sharded}) — allowed L∞ {self.sharded_atol} or MAP "
-                f"agreement >= {self.sharded_map_agreement}")
 
     def run_matrix(self, scenarios, lookaheads=LOOKAHEAD_MODES,
                    check: bool = True) -> list[ScenarioOutcome]:

@@ -78,10 +78,10 @@ class ScenarioSpec:
     n_blocks:
         Block-diagonal answer structure (see
         :attr:`~repro.simulation.crowd.CrowdConfig.n_blocks`): > 1 makes
-        the workload sparse and block-structured, the regime where the
-        sharded refresher's independent-blocks approximation is exact by
-        construction. The default single block leaves every draw
-        byte-identical to pre-block compilations.
+        the workload sparse and block-structured, the disjoint-block
+        matrices the §5.4 partitioner is built to find. The default
+        single block leaves every draw byte-identical to pre-block
+        compilations.
     seed:
         Canonical seed; every compile from the same seed is bit-identical.
     """

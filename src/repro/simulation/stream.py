@@ -160,7 +160,6 @@ def replay(events: Iterable,
            *,
            conclude_every: int | None = None,
            conclude_every_seconds: float | None = None,
-           refresher=None,
            on_conflict: str | None = None,
            store=None,
            checkpoint_every_seconds: float | None = None,
@@ -174,8 +173,9 @@ def replay(events: Iterable,
         from :func:`merge_streams`). Answers for unseen objects/workers
         grow the session.
     conclude_every:
-        Refine after every this-many events; ``None`` refines only once,
-        after the stream ends. A refinement always runs at the end.
+        Refine (the session's exact ``conclude``) after every this-many
+        events; ``None`` refines only once, after the stream ends. A
+        refinement always runs at the end.
     conclude_every_seconds:
         Refine whenever event time crosses the next multiple of this
         interval — a wall-clock refresh cadence, like a service refining
@@ -184,10 +184,6 @@ def replay(events: Iterable,
         refinement and leaves refinements over lulls to no-op, which is
         exactly what the adversarial arrival scenarios stress. Both
         cadences may be combined (either trigger refines).
-    refresher:
-        Optional :class:`repro.streaming.ShardedRefresher`; when given,
-        refinements go through partition-scoped refresh instead of the
-        exact full conclude. Not combinable with ``store``.
     on_conflict:
         Conflict policy forwarded to every ingested answer (``None`` uses
         the session's own policy). Pass ``"ignore"`` when the stream may
@@ -202,9 +198,7 @@ def replay(events: Iterable,
         session has checked it and before it is applied, so
         ``store.restore()`` after a crash rebuilds the session
         bit-for-bit at the last logged event, and an event the session
-        refuses leaves no record. The promise covers exact refinements
-        only: a sharded refresh installs its model unlogged, so passing
-        both ``store`` and ``refresher`` raises ``ValueError``.
+        refuses leaves no record.
     checkpoint_every_seconds:
         Full-checkpoint cadence on the event clock (same crossing
         semantics as ``conclude_every_seconds``); requires ``store``. A
@@ -222,9 +216,6 @@ def replay(events: Iterable,
                              f"None, got {checkpoint_every_seconds}")
         if store is None:
             raise ValueError("checkpoint_every_seconds requires a store")
-    if store is not None and refresher is not None:
-        raise ValueError("a store cannot restore sharded refreshes; "
-                         "pass store or refresher, not both")
     concludes_before = session.n_concludes
     iterations_before = session.total_em_iterations
     n_answers = n_validations = 0
@@ -235,12 +226,6 @@ def replay(events: Iterable,
         if checkpoint_every_seconds is not None else None
     if store is not None:
         session.attach_journal(store)
-
-    def refine() -> None:
-        if refresher is not None:
-            refresher.refresh(session)
-        else:
-            session.conclude()
 
     for event in events:
         if isinstance(event, AnswerEvent):
@@ -257,9 +242,9 @@ def replay(events: Iterable,
         duration = max(duration, float(event.time))
         if conclude_every is not None \
                 and (n_answers + n_validations) % conclude_every == 0:
-            refine()
+            session.conclude()
         if next_refine_time is not None and event.time >= next_refine_time:
-            refine()
+            session.conclude()
             # Skip empty intervals wholesale: refine once per crossing.
             intervals = int(event.time // conclude_every_seconds) + 1
             next_refine_time = intervals * conclude_every_seconds
@@ -268,7 +253,7 @@ def replay(events: Iterable,
             store.checkpoint(session, meta={"time": float(event.time)})
             intervals = int(event.time // checkpoint_every_seconds) + 1
             next_checkpoint_time = intervals * checkpoint_every_seconds
-    refine()
+    session.conclude()
     if store is not None:
         store.checkpoint(session, meta={"final": True})
     return ReplaySummary(

@@ -255,10 +255,9 @@ class SessionStore(ABC):
         journal nor telemetry attached: a driver that goes on logging
         re-attaches both (``attach_journal``, ``attach_telemetry``).
 
-        The result is bit-for-bit the live session when every refinement
-        since the checkpoint was an exact ``conclude``: a model installed
-        with ``install_model`` (a sharded refresh) is not logged, so the
-        replay cannot reproduce it.
+        The result is bit-for-bit the live session, for every session:
+        each of its mutations, refinements included, goes through a
+        method that logs it, so the tail replays them all.
         """
         if event_log is None:
             event_log = self.event_log

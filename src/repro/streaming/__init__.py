@@ -8,7 +8,7 @@ turns that pipeline into a *delta-maintained* one, following the paper's own
 view-maintenance principle (§4.1): each new answer or expert validation
 propagates only its marginal change.
 
-Three pieces:
+Two pieces:
 
 * :class:`ValidationSession` — the online engine. Ingests answers and
   expert validations incrementally, maintains mutable sufficient statistics
@@ -19,10 +19,6 @@ Three pieces:
   streaming and batch answers never disagree. Its public mutating
   methods are the only way to change it (``session.validation`` is a
   read-only view), so a journaled session logs every change.
-* :class:`ShardedRefresher` — partition-aware refresh. Reuses
-  :mod:`repro.partitioning` to cut the answer matrix into dense blocks and
-  :mod:`repro.parallel` to refine, shard-parallel, only the blocks whose
-  statistics changed.
 * :mod:`repro.simulation.stream` (sibling module) — replays a simulated
   crowd as a timed answer/validation event stream for testing and
   benchmarking.
@@ -45,20 +41,8 @@ Embedding in the batch world::
 
     session = ValidationSession.from_answer_set(answer_set)
     prob_set = session.conclude_snapshot()   # a ProbabilisticAnswerSet
-
-Scaling refreshes with partitioning::
-
-    from repro.parallel import Executor
-    refresher = ShardedRefresher(max_objects_per_block=200,
-                                 executor=Executor("threads"))
-    refresher.refresh(session)               # only dirty shards are solved
 """
 
 from repro.streaming.session import ValidationSession
-from repro.streaming.sharded import RefreshReport, ShardedRefresher
 
-__all__ = [
-    "RefreshReport",
-    "ShardedRefresher",
-    "ValidationSession",
-]
+__all__ = ["ValidationSession"]

@@ -14,9 +14,8 @@ whole matrix on every event, the session
   exactly the paper's view-maintenance principle (§4.1), so each
   :meth:`~ValidationSession.conclude` costs a handful of EM iterations
   instead of a cold solve;
-* tracks which objects' statistics changed (``dirty_objects``) so a
-  partition-aware refresher (:mod:`repro.streaming.sharded`) can refresh
-  only the shards that actually moved.
+* tracks which objects' statistics changed since the last refinement
+  (``dirty_objects``).
 
 The exact-refinement path is **bit-for-bit consistent** with the batch
 kernel: ``session.conclude()`` produces the same floats as
@@ -55,9 +54,8 @@ class ValidationSession:
     :meth:`conclude_object` and :meth:`mark_step` checks its input, appends
     one record, then applies it. A refused call writes nothing. The growth
     inside ``add_answer(grow=True)`` rides on the answer's record, and
-    :meth:`conclude_snapshot` logs the one conclude it runs;
-    :meth:`install_model` is not logged. A restored session starts
-    detached.
+    :meth:`conclude_snapshot` logs the one conclude it runs. A restored
+    session starts detached.
 
     These methods are the only way to change the session. The
     :attr:`validation` it hands out is a read-only view, so no write can
@@ -72,6 +70,13 @@ class ValidationSession:
     ``ProbabilisticAnswerSet.encoded``, so guidance, detection and the
     confirmation check read the answers the refinement read. Export a
     matrix with ``stats.to_matrix()``.
+
+    The session also keeps the objects whose statistics changed since the
+    last refinement (:attr:`dirty_objects`). The ``session.conclude``
+    span reports their count as ``n_dirty`` and checkpoints store them.
+    No refinement reads them yet: every ``conclude`` solves the whole
+    answer set, and a refine that re-solves only what changed is their
+    intended reader.
 
     Parameters
     ----------
@@ -140,7 +145,7 @@ class ValidationSession:
         self._model_dims: tuple[int, int] | None = None
         # Objects whose statistics changed since the last refinement:
         # every answer, validation change, mask toggle and growth adds
-        # its objects here, and an installed model clears it.
+        # its objects here, and each conclude clears it.
         self._dirty: set[int] = set()
 
         # Per-object concluded mask (CDAS-style quality targets): objects
@@ -492,28 +497,6 @@ class ValidationSession:
         :attr:`repro.state.RestoredSession.step`); no-op when detached."""
         if self._journal is not None:
             self._journal.append(state_events.step_event(step))
-
-    def install_model(self,
-                      assignment: np.ndarray,
-                      confusions: np.ndarray,
-                      priors: np.ndarray,
-                      n_iterations: int = 0,
-                      converged: bool = True) -> None:
-        """Adopt an externally refined model (e.g. a sharded refresh).
-
-        The model must match the session's current dimensions; installing
-        clears the dirty-object set and re-arms the warm start.
-        """
-        n, k, m = self.n_objects, self.n_workers, self.n_labels
-        if assignment.shape != (n, m) or confusions.shape != (k, m, m) \
-                or priors.shape != (m,):
-            raise StreamingError(
-                f"model shapes {assignment.shape}/{confusions.shape}/"
-                f"{priors.shape} do not match session dimensions "
-                f"({n} objects × {k} workers, {m} labels)")
-        self._install(em_kernel.EMResult(
-            assignment=assignment, confusions=confusions, priors=priors,
-            n_iterations=int(n_iterations), converged=bool(converged)))
 
     def _install(self, result: em_kernel.EMResult) -> None:
         self._model = result

@@ -12,7 +12,7 @@ no-op call.
 
 ``spawn`` creates labelled child scopes sharing the parent's registry,
 tracer, and timeline: metric names gain a ``label/`` prefix and spans
-carry the scope string, giving per-shard / per-session sub-streams that
+carry the scope string, giving per-path / per-session sub-streams that
 still aggregate into one manifest.
 """
 
@@ -114,13 +114,10 @@ class TimelineEvent:
     :class:`repro.resilience.EventLog` keeps the very objects its hub
     appends here. ``kind`` says what happened (see
     :data:`repro.resilience.EVENT_KINDS`) at the named ``site``; ``key``
-    is the affected shard, object or checkpoint (``None`` site-wide),
+    is the affected object or checkpoint (``None`` site-wide),
     ``attempt`` the 1-based attempt (0 when moot) and ``error`` the
-    failure as ``"Type: message"``. ``queue_wait`` and ``run_time`` are
-    the failing task's seconds between dispatch and start, and its
-    worker-side run time; only the supervised executor measures them
-    (``None`` elsewhere). ``time`` is the hub clock's reading and
-    ``scope`` the recording scope.
+    failure as ``"Type: message"``. ``time`` is the hub clock's reading
+    and ``scope`` the recording scope.
     """
 
     kind: str
@@ -129,8 +126,6 @@ class TimelineEvent:
     attempt: int = 0
     detail: str = ""
     error: str | None = None
-    queue_wait: float | None = None
-    run_time: float | None = None
     time: float = 0.0
     scope: str = ""
 
@@ -169,7 +164,7 @@ class Telemetry:
 
     def event(self, kind, site="", **fields) -> TimelineEvent:
         """Append and return one :class:`TimelineEvent` (``fields`` are
-        its ``key`` … ``run_time`` attributes)."""
+        its ``key`` … ``error`` attributes)."""
         entry = TimelineEvent(kind, site, **fields,
                               time=self.tracer.clock(), scope=self.scope)
         self.events.append(entry)

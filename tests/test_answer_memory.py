@@ -10,7 +10,8 @@ per object (60k answers) the triple log retains 12 B/answer when seeded,
 and the cell map, built at the first cell lookup, takes that to about
 153 B/answer; fed answer by answer, a session retains about 116 B/answer.
 Another per-answer index (a position list per object or per worker) adds
-more than 35 B/answer and breaks the bounds.
+more than 35 B/answer and breaks the bounds. Seeding peaks at 20 B/answer:
+the int32 log plus the int64 cell keys it checks for duplicates.
 """
 
 from __future__ import annotations
@@ -151,3 +152,17 @@ def test_answer_statistics_retain_few_bytes_per_answer(dense_crowd):
     assert per_answer <= 180, f"looked up: {per_answer:.0f} B/answer"
     per_answer = _retained_bytes(fed) / n_answers
     assert per_answer <= 140, f"fed: {per_answer:.0f} B/answer"
+
+
+def test_seeding_statistics_keeps_the_encoding_narrow(dense_crowd):
+    """``AnswerStats.seed`` reads an int32 encoding in its own type. Its
+    peak is the int32 log (12 B/answer) plus the int64 cell keys
+    (8 B/answer); widening the three index arrays to int64 first took it
+    to 44 B/answer."""
+    answer_set = dense_crowd.answer_set
+    encoded = em_kernel.encode_answers(answer_set)
+    assert encoded.object_index.dtype == np.int32
+    dims = (answer_set.n_objects, answer_set.n_workers, answer_set.n_labels)
+    peak = _peak_bytes(lambda: em_kernel.AnswerStats(*dims).seed(encoded))
+    per_answer = peak / encoded.object_index.size
+    assert per_answer <= 24, f"seed peak: {per_answer:.0f} B/answer"

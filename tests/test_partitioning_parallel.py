@@ -23,7 +23,7 @@ from repro.partitioning import (
 )
 from repro.scenarios import compile_registered
 from repro.simulation import CrowdConfig, simulate_crowd
-from repro.streaming import ShardedRefresher, ValidationSession
+from repro.streaming import ValidationSession
 
 
 def two_communities() -> EncodedAnswers:
@@ -150,14 +150,14 @@ def _crowd():
 
 
 def _masked_session():
-    """A session's partition after a mask toggle (the sharded refresher's
-    path): the masked workers' answers are not edges."""
+    """A session's partition after a mask toggle: the partitioner reads
+    the statistics' encoding, where the masked workers' answers are not
+    edges."""
     crowd = simulate_crowd(CrowdConfig(n_objects=150, n_workers=40,
                                        answers_per_object=4), rng=12)
     session = ValidationSession.from_answer_set(crowd.answer_set)
     session.set_masked_workers(range(0, 40, 3))
-    return ShardedRefresher(max_objects_per_block=12,
-                            seed=2).partition_for(session)
+    return MatrixPartitioner(12, seed=2).partition(session.stats.encoded())
 
 
 #: name -> (function cutting the partition, sha256 of its blocks, block
@@ -203,10 +203,6 @@ class TestExecutor:
         with Executor("processes", max_workers=2) as executor:
             result = executor.map(abs, [-1, -2, 3])
         assert result == [1, 2, 3]
-
-    def test_starmap(self):
-        with Executor("serial") as executor:
-            assert executor.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

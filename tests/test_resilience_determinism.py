@@ -10,9 +10,7 @@ seed/parameter space and pins:
 * :class:`~repro.state.MemorySessionStore` and
   :class:`~repro.state.FileSessionStore` are interchangeable under the
   same fault schedule — same degradations, same floats;
-* supervision itself is invisible: a supervised sharded replay with no
-  faults is bit-equal to the plain sharded replay, for any failure
-  budget (quarantine armed or not).
+* a retry schedule is a pure function of its seed.
 
 The scenario/steps are recorded once at module scope; per-example work
 is replay only. File stores use ``tempfile.mkdtemp`` (not ``tmp_path``:
@@ -93,21 +91,6 @@ def test_memory_and_file_stores_agree_under_faults(seed):
         shutil.rmtree(root, ignore_errors=True)
     assert in_memory.event_log.to_json() == on_disk.event_log.to_json()
     assert np.array_equal(in_memory.posteriors, on_disk.posteriors)
-
-
-@given(budget=st.integers(1, 4), blocks=st.sampled_from([2, 4]))
-@settings(max_examples=4, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_supervision_is_invisible_without_faults(budget, blocks):
-    scenario, _, template, steps, _ = _recorded()
-    runner = ScenarioRunner(seed=11, max_objects_per_block=blocks)
-    plain = runner.replay_sharded(scenario, steps, template)
-    supervised = runner.replay_under_faults(
-        scenario, steps, template, plan=FaultPlan(),
-        sharded_blocks=blocks, failure_budget=budget)
-    assert supervised.n_faults_fired == 0
-    assert supervised.n_degradations == 0
-    assert np.array_equal(plain, supervised.posteriors)
 
 
 @given(seed=st.integers(0, 2**16 - 1),

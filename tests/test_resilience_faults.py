@@ -9,8 +9,6 @@ Pins the contracts the chaos conformance suite builds on:
   immediately, enforces per-attempt deadlines (injected latency charged
   *before* the callable runs), and surfaces exhausted budgets as
   :class:`~repro.errors.RetryExhaustedError`;
-* :class:`SupervisedExecutor` retries in waves, quarantines keys that
-  exceed their failure budget, and never raises for task failures;
 * a failed :meth:`repro.parallel.Executor.map` shuts its pool down
   (cancelled futures, fresh pool next call) instead of leaking it;
 * :meth:`SessionStore.restore` scans back over corrupt checkpoints while
@@ -34,11 +32,10 @@ from repro.errors import (CheckpointCorruptionError, CheckpointDimensionError,
 from repro.experts import ScriptedExpert, SupervisedExpert
 from repro.parallel.executor import Executor
 from repro.resilience import (EventLog, FaultInjector, FaultPlan, FaultSpec,
-                              RetryPolicy, SupervisedExecutor,
-                              call_with_retry, transient_chaos_plan)
+                              RetryPolicy, call_with_retry,
+                              transient_chaos_plan)
 from repro.state import FileSessionStore, MemorySessionStore
 from repro.streaming import ValidationSession
-from repro.telemetry import Telemetry, jsonl_records
 
 
 @pytest.fixture
@@ -290,115 +287,6 @@ class TestRetry:
 
 
 # ----------------------------------------------------------------------
-# Supervised executor
-# ----------------------------------------------------------------------
-class TestSupervisedExecutor:
-    def test_happy_path_preserves_order(self):
-        supervisor = SupervisedExecutor()
-        outcomes = supervisor.run(lambda x: x * 10, [3, 1, 2])
-        assert [o.value for o in outcomes] == [30, 10, 20]
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
-        assert len(supervisor.event_log) == 0
-
-    def test_per_item_failure_does_not_poison_siblings(self):
-        def picky(x):
-            if x == 2:
-                raise ValueError("poisoned input")
-            return x
-
-        supervisor = SupervisedExecutor()
-        outcomes = supervisor.run(picky, [1, 2, 3])
-        assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
-        # Permanent failure: one attempt, no retries burned.
-        assert outcomes[1].attempts == 1
-        assert supervisor.event_log.count("permanent-failure") == 1
-
-    def test_transient_failures_retry_in_waves(self):
-        injector = FaultInjector(FaultPlan(specs=(
-            FaultSpec(site="task", kind="io-error", key=1),)))
-        supervisor = SupervisedExecutor(
-            fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=3))
-        outcomes = supervisor.run(lambda x: x, ["a", "b"], site="task")
-        assert [o.value for o in outcomes] == ["a", "b"]
-        assert outcomes[0].attempts == 1 and outcomes[1].attempts == 2
-        assert supervisor.event_log.count("retry") == 1
-
-    def test_injected_slow_fault_breaches_deadline_without_sleeping(self):
-        injector = FaultInjector(FaultPlan(specs=(
-            FaultSpec(site="task", kind="slow", delay=30.0),)))
-        calls = []
-        supervisor = SupervisedExecutor(
-            fault_injector=injector, deadline=1.0,
-            retry_policy=RetryPolicy(max_attempts=2))
-        outcomes = supervisor.run(lambda x: calls.append(x) or x, [9],
-                                  site="task")
-        assert outcomes[0].ok and outcomes[0].attempts == 2
-        assert calls == [9]  # abandoned attempt never ran the task
-        assert supervisor.event_log.count("deadline") == 1
-
-    def test_quarantine_after_failure_budget(self):
-        def bad(x):
-            raise OSError("always down")
-
-        supervisor = SupervisedExecutor(
-            failure_budget=2, retry_policy=RetryPolicy(max_attempts=2))
-        first = supervisor.run(bad, [0], keys=["shard-0"])
-        assert first[0].status == "failed"
-        assert "shard-0" not in supervisor.quarantined
-        second = supervisor.run(bad, [0], keys=["shard-0"])
-        assert second[0].status == "failed"
-        assert "shard-0" in supervisor.quarantined
-        assert supervisor.event_log.count("quarantine") == 1
-        third = supervisor.run(lambda x: x, [0], keys=["shard-0"])
-        assert third[0].status == "quarantined"
-        assert third[0].attempts == 0
-
-    def test_lift_quarantine(self):
-        supervisor = SupervisedExecutor(
-            failure_budget=1, retry_policy=RetryPolicy(max_attempts=1))
-
-        def bad(x):
-            raise OSError("down")
-
-        supervisor.run(bad, [0], keys=["k"])
-        assert "k" in supervisor.quarantined
-        supervisor.lift_quarantine("k")
-        outcomes = supervisor.run(lambda x: x + 1, [0], keys=["k"])
-        assert outcomes[0].ok
-
-    def test_key_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SupervisedExecutor().run(lambda x: x, [1, 2], keys=[1])
-
-    def test_worker_side_timing_reaches_the_timeline(self):
-        calls = []
-
-        def flaky(x):
-            calls.append(x)
-            if len(calls) == 1:
-                raise OSError("first call fails")
-            return x
-
-        hub = Telemetry()
-        supervisor = SupervisedExecutor(
-            Executor("serial"),
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-            telemetry=hub)
-        assert supervisor.run(flaky, [7])[0].value == 7
-        (event,) = supervisor.event_log.events
-        assert event.kind == "retry"
-        for seconds in (event.queue_wait, event.run_time):
-            assert isinstance(seconds, float) and seconds >= 0.0
-        # The log keeps the timeline's own entry, not a copy of it.
-        assert supervisor.event_log.events[0] is hub.events[0]
-        (record,) = [record for record in jsonl_records(hub)
-                     if record["type"] == "event"]
-        assert record["queue_wait"] == event.queue_wait
-        assert record["run_time"] == event.run_time
-
-
-# ----------------------------------------------------------------------
 # Executor shutdown-on-failure fix
 # ----------------------------------------------------------------------
 class TestExecutorCancellation:
@@ -423,12 +311,6 @@ class TestExecutorCancellation:
         with pytest.raises(RuntimeError):
             executor.map(lambda x: (_ for _ in ()).throw(RuntimeError("x")),
                          [1, 2])
-
-    def test_starmap_still_chunks_correctly(self):
-        with Executor("threads", max_workers=2) as executor:
-            result = executor.starmap(lambda a, b: a + b,
-                                      [(i, i) for i in range(10)])
-        assert result == [2 * i for i in range(10)]
 
 
 # ----------------------------------------------------------------------

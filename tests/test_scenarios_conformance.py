@@ -3,9 +3,10 @@
 Two layers:
 
 * the **registry matrix** — every registered scenario is executed by
-  :class:`~repro.scenarios.ScenarioRunner` through the batch, streaming,
-  and sharded execution paths under both guidance look-ahead modes, with
-  the runner's cross-path agreement assertions armed;
+  :class:`~repro.scenarios.ScenarioRunner` through its five execution
+  paths (batch, streaming, ingest, crash/resume, replay under faults)
+  under both guidance look-ahead modes, with the runner's cross-path
+  agreement assertions armed;
 * the **property layer** (hypothesis) — on randomly drawn small scenarios,
   batch and streaming posteriors must agree, and the kernel's operator
   path must stay bit-for-bit equal to the ``np.add.at`` reference
@@ -39,6 +40,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.streaming import ValidationSession
+from repro.telemetry import Telemetry
 
 import reference
 
@@ -50,7 +52,7 @@ REQUIRED_SCENARIOS = ("reliability-drift", "sleeper-spammers",
 
 
 # ----------------------------------------------------------------------
-# Registry matrix: every scenario × every look-ahead, all three paths
+# Registry matrix: every scenario × every look-ahead, all five paths
 # ----------------------------------------------------------------------
 class TestRegistryMatrix:
     @pytest.fixture(scope="class")
@@ -63,20 +65,21 @@ class TestRegistryMatrix:
     @pytest.mark.parametrize("name", REQUIRED_SCENARIOS)
     @pytest.mark.parametrize("lookahead", LOOKAHEAD_MODES)
     def test_cross_path_agreement(self, runner, name, lookahead):
-        """batch vs streaming vs sharded, tolerances enforced by check."""
+        """All five paths, tolerances enforced by check."""
         outcome = runner.run(compile_registered(name), lookahead)
         # The exact streaming replay feeds identical floats to the same
         # kernel: the divergence is not merely small, it is zero.
         assert outcome.streaming_divergence.max_abs_posterior_gap == 0.0
         assert outcome.streaming_divergence.map_agreement == 1.0
-        # Single-block sharded refresh is the same solve modulo cold-start
-        # bookkeeping; MAP conclusions must be identical.
-        assert outcome.sharded_divergence.map_agreement == 1.0
+        # A session fed the answer stream holds the seeded session's
+        # encoding, so its replay lands on the same floats.
+        assert outcome.ingest_divergence.max_abs_posterior_gap == 0.0
 
     @pytest.mark.parametrize("name", ["difficulty-strata"])
     def test_extra_registered_scenarios_also_conform(self, runner, name):
         outcome = runner.run(compile_registered(name), "exact")
         assert outcome.streaming_divergence.max_abs_posterior_gap == 0.0
+        assert outcome.ingest_divergence.max_abs_posterior_gap == 0.0
 
     def test_validation_helps_under_adversity(self, runner):
         """Guided validation must not leave precision below its start."""
@@ -85,30 +88,36 @@ class TestRegistryMatrix:
             assert outcome.report.final_precision() \
                 >= outcome.report.initial_precision
 
-    def test_multi_block_sharded_is_a_documented_approximation(self):
-        """Coarse partitions may move mass but keep conclusions sane."""
-        runner = ScenarioRunner(max_objects_per_block=12)
-        outcome = runner.run(compile_registered("colluding-clique"),
-                             "exact", check=False)
-        assert outcome.streaming_divergence.max_abs_posterior_gap == 0.0
-        assert outcome.sharded_divergence.map_agreement >= 0.9
+    def test_ingest_path_reads_the_stream(self):
+        """Path 3 ingests the scenario's answer events, not a seeded copy
+        of the matrix: on ``duplicate-resubmissions`` it drops the
+        stream's 12 conflicting resubmissions first-write-wins, adds
+        exactly the batch view's answers, and still lands on the
+        streaming replay's floats."""
+        scenario = compile_registered("duplicate-resubmissions")
+        hub = Telemetry()
+        outcome = ScenarioRunner(telemetry=hub).run(scenario, "exact")
+        assert hub.registry.counter("ingest/session.answers").value \
+            == scenario.answer_set.n_answers
+        assert hub.registry.gauge("ingest/session.n_conflicts").value == 12
+        assert outcome.ingest_divergence.max_abs_posterior_gap == 0.0
 
 
 # ----------------------------------------------------------------------
-# Sharded multi-block: the regime where partitioning is near-exact
+# Multi-block: a block-diagonal matrix through every path
 # ----------------------------------------------------------------------
 class TestShardedMultiBlock:
     """The ``sharded-multiblock`` scenario: a block-diagonal answer matrix
-    (four disjoint object/worker blocks) where the §5.4 independent-blocks
-    approximation is exact up to the globally re-estimated priors."""
+    (four disjoint object/worker blocks), the structure the §5.4
+    partitioner cuts."""
 
     @pytest.fixture(scope="class")
     def runner(self) -> ScenarioRunner:
         return ScenarioRunner()
 
     def test_answer_matrix_is_block_diagonal(self):
-        """No worker answers outside their block — the structural premise
-        the documented tolerance rests on."""
+        """No worker answers outside their block — the structure the
+        scenario exists to exercise."""
         compiled = compile_registered("sharded-multiblock")
         matrix = compiled.answer_set.matrix
         n_blocks = compiled.spec.n_blocks
@@ -124,30 +133,15 @@ class TestShardedMultiBlock:
             == compiled.n_objects * compiled.spec.answers_per_object
 
     @pytest.mark.parametrize("lookahead", LOOKAHEAD_MODES)
-    def test_all_five_paths_agree_single_block(self, runner, lookahead):
-        """Default (single-block) runner: all five paths, exact layers at
-        zero, sharded MAP conclusions identical."""
+    def test_all_five_paths_agree(self, runner, lookahead):
+        """All five paths, every replay at zero divergence."""
         outcome = runner.run(compile_registered("sharded-multiblock"),
                              lookahead)
         assert outcome.streaming_divergence.max_abs_posterior_gap == 0.0
+        assert outcome.ingest_divergence.max_abs_posterior_gap == 0.0
         assert outcome.resume_divergence.max_abs_posterior_gap == 0.0
         assert outcome.fault_divergence.max_abs_posterior_gap == 0.0
         assert outcome.n_faults_fired > 0
-        assert outcome.sharded_divergence.map_agreement == 1.0
-
-    def test_block_aligned_partition_is_near_exact(self):
-        """Partitioning at the true block granularity (12 objects per
-        block = the scenario's 4 blocks exactly): the only divergence
-        left is the globally re-estimated priors, so the posterior gap is
-        small (documented tolerance 0.08; measured ≈0.053) and not a
-        single MAP conclusion flips — much tighter than the generic
-        ``sharded_atol``/MAP tolerance coarse partitions are held to."""
-        runner = ScenarioRunner(max_objects_per_block=12)
-        outcome = runner.run(compile_registered("sharded-multiblock"),
-                             "exact", check=False)
-        assert outcome.streaming_divergence.max_abs_posterior_gap == 0.0
-        assert outcome.sharded_divergence.max_abs_posterior_gap <= 0.08
-        assert outcome.sharded_divergence.map_agreement == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +465,7 @@ class TestFullMatrixSlow:
 class TestProductionScaleSlow:
     """:data:`~repro.scenarios.PRODUCTION_SCALE` (n=5 000, k=500, 25
     disjoint blocks, 30 000 answers) through all five runner paths — the
-    production-size sharded workload the every-PR sweeps deliberately skip.
+    production-size workload the every-PR sweeps deliberately skip.
     CI runs this behind the nightly/manual ``-m slow`` trigger."""
 
     def test_stays_out_of_the_registry(self):
@@ -484,19 +478,13 @@ class TestProductionScaleSlow:
         compiled = compile_scenario(PRODUCTION_SCALE)
         assert compiled.answer_set.n_answers \
             == PRODUCTION_SCALE.n_objects * PRODUCTION_SCALE.answers_per_object
-        # Partition at the true block granularity (5 000 / 25 = 200).
-        runner = ScenarioRunner(max_objects_per_block=200)
-        outcome = runner.run(compiled, "local", check=False)
-        # Exact layers stay exact at production size.
+        outcome = ScenarioRunner().run(compiled, "local", check=False)
+        # Every replay stays exact at production size.
         assert outcome.streaming_divergence.max_abs_posterior_gap == 0.0
+        assert outcome.ingest_divergence.max_abs_posterior_gap == 0.0
         assert outcome.resume_divergence.max_abs_posterior_gap == 0.0
         assert outcome.fault_divergence.max_abs_posterior_gap == 0.0
         assert outcome.n_faults_fired > 0
-        # The sharded path solves 25 independent blocks; with only 12
-        # expert anchors over 25 blocks, unanchored blocks may settle in
-        # a flipped per-block basin, so the contract is MAP-level, not
-        # posterior-level (measured agreement 0.950).
-        assert outcome.sharded_divergence.map_agreement >= 0.9
         # Guided validation still helps at scale.
         assert outcome.report.final_precision() \
             >= outcome.report.initial_precision

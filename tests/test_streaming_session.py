@@ -19,7 +19,6 @@ from repro.core.em_kernel import encode_answers
 from repro.core.iem import IncrementalEM
 from repro.core.validation import ExpertValidation
 from repro.errors import StreamingError
-from repro.parallel import Executor
 from repro.simulation import CrowdConfig, simulate_crowd
 from repro.simulation.stream import (
     AnswerEvent,
@@ -29,8 +28,7 @@ from repro.simulation.stream import (
     replay,
     validation_stream,
 )
-from repro.state import MemorySessionStore
-from repro.streaming import ShardedRefresher, ValidationSession
+from repro.streaming import ValidationSession
 
 
 def _labels(m):
@@ -197,91 +195,6 @@ class TestSharedEncoding:
                 assert ours.tobytes() == theirs.tobytes()
 
 
-class TestShardedRefresh:
-    def test_single_block_equals_exact_conclude(self, small_crowd):
-        exact = ValidationSession.from_answer_set(small_crowd.answer_set)
-        sharded = ValidationSession.from_answer_set(small_crowd.answer_set)
-        for obj in range(5):
-            exact.add_validation(obj, int(small_crowd.gold[obj]))
-            sharded.add_validation(obj, int(small_crowd.gold[obj]))
-        result = exact.conclude()
-        refresher = ShardedRefresher(max_objects_per_block=10_000)
-        report = refresher.refresh(sharded)
-        assert report.n_blocks == 1
-        assert np.allclose(sharded.model.assignment, result.assignment,
-                           atol=1e-12)
-        assert np.allclose(sharded.model.confusions, result.confusions,
-                           atol=1e-12)
-
-    def test_only_dirty_blocks_refresh(self, small_crowd):
-        session = ValidationSession.from_answer_set(small_crowd.answer_set)
-        refresher = ShardedRefresher(max_objects_per_block=8)
-        first = refresher.refresh(session)
-        assert first.n_refreshed == first.n_blocks  # cold: everything
-        assert session.dirty_objects == frozenset()
-        session.add_validation(0, int(small_crowd.gold[0]))
-        second = refresher.refresh(session)
-        assert second.n_refreshed >= 1
-        if second.n_blocks > 1:
-            assert second.n_refreshed < second.n_blocks
-        clean = refresher.refresh(session)  # nothing changed
-        assert clean.n_refreshed == 0
-
-    def test_threaded_refresh_matches_serial(self, small_crowd):
-        serial = ValidationSession.from_answer_set(small_crowd.answer_set)
-        threaded = ValidationSession.from_answer_set(small_crowd.answer_set)
-        ShardedRefresher(max_objects_per_block=8).refresh(serial)
-        with Executor("threads", max_workers=2) as executor:
-            ShardedRefresher(max_objects_per_block=8,
-                             executor=executor).refresh(threaded)
-        assert np.allclose(serial.model.assignment,
-                           threaded.model.assignment, atol=1e-12)
-
-    def test_refresh_survives_worker_growth(self, small_crowd):
-        """A grown worker axis must not index stale confusions (regression)."""
-        session = ValidationSession.from_answer_set(small_crowd.answer_set)
-        refresher = ShardedRefresher(max_objects_per_block=8)
-        refresher.refresh(session)
-        new_worker = session.n_workers
-        session.add_answer(0, new_worker, 0, grow=True)
-        report = refresher.refresh(session)  # cold: dims changed
-        assert report.n_refreshed == report.n_blocks
-        assert session.model.confusions.shape[0] == new_worker + 1
-
-    def test_refresh_recuts_partition_after_new_answers(self, small_crowd):
-        """Answers from a worker outside a block's stale worker set must
-        not be misattributed (regression: partition keyed on stats
-        version)."""
-        answers = small_crowd.answer_set
-        # A worker who answered nothing yet: their first answer arrives
-        # only after the partition has been cached.
-        silent = np.full((answers.n_objects, 1), MISSING, dtype=np.int64)
-        answers = AnswerSet(np.hstack([answers.matrix, silent]),
-                            answers.labels, answers.objects,
-                            answers.workers + ("late",))
-        session = ValidationSession.from_answer_set(answers)
-        exact = ValidationSession.from_answer_set(answers)
-        refresher = ShardedRefresher(max_objects_per_block=10_000)
-        refresher.refresh(session)
-        exact.conclude()
-        late = answers.n_workers - 1
-        session.add_answer(0, late, 0)
-        exact.add_answer(0, late, 0)
-        refresher.refresh(session)
-        reference = exact.conclude()
-        assert np.allclose(session.model.assignment, reference.assignment,
-                           atol=1e-12)
-        assert np.allclose(session.model.confusions, reference.confusions,
-                           atol=1e-12)
-
-    def test_install_model_validates_shapes(self, small_crowd):
-        session = ValidationSession.from_answer_set(small_crowd.answer_set)
-        with pytest.raises(StreamingError, match="shapes"):
-            session.install_model(np.ones((2, 2)) / 2.0,
-                                  np.ones((1, 2, 2)) / 2.0,
-                                  np.ones(2) / 2.0)
-
-
 class TestStreamReplay:
     def test_answer_stream_covers_all_answers_in_time_order(self, small_crowd):
         events = list(answer_stream(small_crowd, rate=10.0, rng=0))
@@ -338,16 +251,6 @@ class TestStreamReplay:
         assert np.allclose(final.assignment, reference.assignment,
                            atol=1e-9)
 
-    def test_replay_through_sharded_refresher(self, small_crowd):
-        session = ValidationSession.from_answer_set(small_crowd.answer_set)
-        refresher = ShardedRefresher(max_objects_per_block=8)
-        events = list(validation_stream(small_crowd, rate=1.0, limit=5,
-                                        rng=4))
-        summary = replay(events, session, conclude_every=2,
-                         refresher=refresher)
-        assert summary.n_validations == 5
-        assert session.has_model
-
     def test_validation_before_any_answer_grows_session(self):
         """A validation for an object nobody answered yet must not crash
         the replay (regression)."""
@@ -364,10 +267,6 @@ class TestStreamReplay:
             replay([], session, conclude_every=0)
         with pytest.raises(TypeError):
             replay(["not-an-event"], session)
-        # A store cannot restore the models sharded refreshes install.
-        with pytest.raises(ValueError):
-            replay([], session, refresher=ShardedRefresher(),
-                   store=MemorySessionStore())
 
     def test_merge_streams_orders_by_time(self):
         a = [AnswerEvent(0.5, 0, 0, 0), AnswerEvent(2.0, 1, 0, 0)]

@@ -5,7 +5,7 @@ Three promises, each pinned here:
 * **Observing never perturbs** — posteriors and recorded selections are
   bit-identical with telemetry on vs off, across every registry scenario
   and all five :class:`~repro.scenarios.ScenarioRunner` conformance
-  paths (batch, streaming, sharded, crash/resume, replay-under-faults).
+  paths (batch, streaming, ingest, crash/resume, replay-under-faults).
 * **Deterministic instruments** — histogram bucketing is a pure function
   of the (fixed) edges and the observed values, spans nest and aggregate
   deterministically under an injected clock, and a JSONL trace round-
@@ -282,8 +282,8 @@ def test_all_paths_bit_identical_on_vs_off(name):
     pairs = [
         (on.replay_streaming(scenario, steps_on, template_on),      # 2
          off.replay_streaming(scenario, steps_off, template_off)),
-        (on.replay_sharded(scenario, steps_on, template_on),        # 3
-         off.replay_sharded(scenario, steps_off, template_off)),
+        (on.replay_ingest(scenario, steps_on, template_on),         # 3
+         off.replay_ingest(scenario, steps_off, template_off)),
         (on.replay_crash_resume(scenario, steps_on, template_on),   # 4
          off.replay_crash_resume(scenario, steps_off, template_off)),
         (on.replay_under_faults(scenario, steps_on,                 # 5
