@@ -6,8 +6,7 @@ from _driver import run_artifact
 def test_appe_joint_entropy(benchmark, report_result):
     result = run_artifact(benchmark, report_result, "appe", scale=1.0)
     for row in result.rows:
-        (size, exact_h, greedy_h, gap,
-         exact_s, greedy_s, quadratic_s, slowdown) = row
+        (size, exact_h, greedy_h, gap, exact_s, greedy_s, slowdown) = row
         # Greedy can never beat the exact optimum.
         assert gap >= -1e-9
         # And stays near-optimal on these instances.

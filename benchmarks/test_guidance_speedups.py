@@ -11,7 +11,8 @@ the pre-overhaul ("PR-1") code path:
   localized look-ahead mode (the exact shared-encoding mode is recorded,
   and must stay bitwise-equal to PR-1 while beating it);
 * ``greedy_max_entropy_subset`` CELF lazy-greedy vs the quadratic
-  slogdet-per-candidate reference — floor **10x** at ``n=256, size=32``.
+  slogdet-per-candidate greedy of ``tests/reference.py`` — floor **10x**
+  at ``n=256, size=32``.
 
 With ``REPRO_BENCH_RECORD=1`` every run appends an ops/sec + speedup
 entry to ``BENCH_guidance.json`` at the repository root, building a
@@ -30,7 +31,8 @@ from repro.core.uncertainty import answer_set_uncertainty, object_entropies
 from repro.core.validation import ExpertValidation
 from repro.guidance import InformationGainStrategy, greedy_max_entropy_subset
 from repro.guidance.base import GuidanceContext
-from repro.guidance.joint_entropy import object_covariance
+from repro.guidance.joint_entropy import (gaussian_joint_entropy,
+                                          object_covariance)
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.workers.spammer_detection import SpammerDetector
 
@@ -180,17 +182,16 @@ def test_lazy_greedy_entropy_speedup():
     size = 32
 
     lazy_subset, lazy_value = greedy_max_entropy_subset(covariance, size)
-    quad_subset, quad_value = greedy_max_entropy_subset(
-        covariance, size, method="quadratic")
+    quad_subset = reference.quadratic_greedy_indices(covariance, size)
     assert np.array_equal(lazy_subset, quad_subset), \
         "CELF selection diverged from the quadratic greedy"
-    assert lazy_value == quad_value
+    assert lazy_value == gaussian_joint_entropy(covariance, quad_subset)
 
     lazy = median_seconds(
         lambda: greedy_max_entropy_subset(covariance, size), rounds=5)
     quadratic = median_seconds(
-        lambda: greedy_max_entropy_subset(covariance, size,
-                                          method="quadratic"), rounds=3)
+        lambda: reference.quadratic_greedy_indices(covariance, size),
+        rounds=3)
     speedup = quadratic / lazy
     print(f"\ngreedy subset at n=256/size=32: lazy {lazy * 1e3:.1f} ms vs "
           f"quadratic {quadratic * 1e3:.1f} ms -> {speedup:.1f}x")

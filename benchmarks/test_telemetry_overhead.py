@@ -6,9 +6,10 @@ no-op singletons resolved once at attach time — so a disabled session
 pays an attribute lookup plus an empty call per conclude, never anything
 per EM iteration. This bench pins that contract at the paper-scale
 streaming workload (``n=2000, k=200``): a warm ``session.conclude()``
-with the null hub vs a hand-inlined twin of its body with the
-instrumentation calls stripped. Both feed identical floats to the same
-kernel, so the ratio isolates the null-instrument cost.
+with the null hub vs the ``IncrementalEM.refine`` call it makes, with
+the session's span, histogram, gauges and model install left out. Both
+run the same refine on identical floats, so the ratio isolates the
+null-instrument cost.
 
 Measured interleaved (alternating the two variants round by round, then
 comparing the per-variant minima) so drift in machine load cancels
@@ -47,26 +48,17 @@ MAX_PASSES = 3
 
 
 def _bare_conclude(session: ValidationSession) -> em_kernel.EMResult:
-    """``ValidationSession.conclude``'s warm body, instrumentation stripped.
+    """The refine a warm ``ValidationSession.conclude`` makes, bare.
 
-    Line-for-line the same work the instrumented method does on the warm
-    path — encoding, warm e-step, ``run_em``, install — minus the
-    span, histogram, and gauge calls. If this twin drifts from the real
-    method the equality assertion below catches it (different floats),
-    so the pair can't silently measure different work.
+    The same ``IncrementalEM.refine`` call on the session's encoding,
+    validation and model, without the span, histogram, gauges and
+    install around it. The caller reinstalls the pinned warm state
+    before every call, so the model it reads is the one ``conclude``
+    reads; the equality assertion below checks both return the same
+    floats.
     """
-    encoded = session._stats.encoded()
-    validated = session._validation.validated_indices()
-    labels = session._validation.validated_labels()
-    initial = em_kernel.e_step(encoded, session._model.confusions,
-                               session._model.priors)
-    aggregator = session.aggregator
-    result = em_kernel.run_em(
-        encoded, initial, validated, labels,
-        max_iter=aggregator.max_iter, tol=aggregator.tol,
-        smoothing=aggregator.smoothing)
-    session._install(result)
-    return result
+    return session.aggregator.refine(session.stats.encoded(),
+                                     session.validation, session.model)
 
 
 def test_null_telemetry_conclude_overhead():

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-
 from repro.core.answer_set import AnswerSet
 from repro.core.uncertainty import answer_set_uncertainty
 from repro.experts.simulated import CallbackExpert

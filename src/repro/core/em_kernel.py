@@ -3,10 +3,11 @@
 Full answer-set solves reach this kernel through one method,
 :meth:`repro.core.iem.IncrementalEM.refine`: batch EM, i-EM and the
 streaming session differ only in where it starts (a random, majority or
-uniform estimate, or a previous model). The exact look-ahead calls
-:func:`run_em` directly on its hypothetical problems; the local
-look-ahead runs :func:`squarem` over an :class:`EMMap` whose
-model adds the evidence held fixed outside its block.
+uniform estimate, or a previous model). Every Dawid–Skene E/M map comes
+from :func:`dawid_skene_map`. :func:`run_em` builds one over the whole
+answer set; the look-ahead builds one per hypothetical validation, over
+the whole answer set or over a block whose outside evidence it holds
+fixed, and runs :func:`squarem` over it.
 
 Implementation notes
 --------------------
@@ -1120,6 +1121,43 @@ class EMMap:
         return float(rows.sum())
 
 
+def dawid_skene_map(encoded: EncodedAnswers,
+                    validated_objects: np.ndarray,
+                    validated_labels: np.ndarray,
+                    smoothing: float,
+                    *,
+                    held: tuple[np.ndarray, np.ndarray, int] | None = None,
+                    ) -> EMMap:
+    """The Dawid–Skene E/M map over ``encoded`` (Eq. 1–5).
+
+    With ``held=None`` the rows of ``encoded`` are the whole answer set:
+    the model is :func:`m_step` plus :func:`estimate_priors`. Otherwise
+    ``encoded`` is a block and ``held`` is ``(counts, mass, n_objects)``:
+    the M-step counts of the block's workers from answers outside it
+    (laid out like :func:`cell_counts`), the label mass of the rows
+    outside it, and the object count the priors divide by. The map adds
+    both to the block's own before normalizing, so its model is the
+    whole answer set's with the outside rows held fixed.
+    """
+    if held is None:
+        def model(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return (m_step(encoded, assignment, smoothing),
+                    estimate_priors(assignment))
+    else:
+        held_counts, held_mass, n_objects = held
+
+        def model(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            counts = cell_counts(encoded, assignment) + held_counts
+            mass = held_mass + label_mass(assignment)
+            return (confusions_from_counts(counts, smoothing),
+                    priors_from_mass(mass, n_objects))
+
+    def scatter(log_confusions: np.ndarray) -> np.ndarray:
+        return scatter_log_likelihood(encoded, log_confusions)
+
+    return EMMap(model, scatter, validated_objects, validated_labels)
+
+
 def squarem(em_map: EMMap, initial_assignment: np.ndarray, *,
             max_iter: int, tol: float) -> tuple[EMResult, dict]:
     """EM to tolerance by squared extrapolation (SQUAREM, SqS3).
@@ -1265,7 +1303,8 @@ def run_em(encoded: EncodedAnswers,
            telemetry=NULL_TELEMETRY) -> EMResult:
     """Run EM to convergence from an initial soft assignment.
 
-    The loop is :func:`squarem`: squared extrapolation over ``U`` with a
+    The loop is :func:`squarem` over the whole answer set's
+    :func:`dawid_skene_map`: squared extrapolation over ``U`` with a
     likelihood guard, which reaches the plain loop's fixed points in
     far fewer E/M maps. ``tests/reference.py`` drives the same loop over
     its ``np.add.at`` scatters, and keeps the plain loop as the
@@ -1307,11 +1346,8 @@ def run_em(encoded: EncodedAnswers,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     kernel_plan(encoded, telemetry)
-    em_map = EMMap(lambda assignment: (m_step(encoded, assignment, smoothing),
-                                       estimate_priors(assignment)),
-                   lambda log_confusions: scatter_log_likelihood(
-                       encoded, log_confusions),
-                   validated_objects, validated_labels)
+    em_map = dawid_skene_map(encoded, validated_objects, validated_labels,
+                             smoothing)
     # One span per EM call; the E/M inner loop stays instrumentation-free.
     with telemetry.span(
             "em.run", n_objects=encoded.n_objects, n_workers=encoded.n_workers,

@@ -5,17 +5,14 @@ practical consequence the paper draws is that heuristics are the only
 viable route. This driver quantifies it: on Gaussian-surrogate instances,
 exact (exponential) subset selection is compared with greedy forward
 selection — reporting the greedy/exact value ratio and the wall-clock blow
-up of exactness as the subset size grows. Both greedy solvers are timed:
-the CELF lazy-greedy over an incremental Cholesky factor (the production
-selector) and the quadratic slogdet-per-candidate reference it provably
-matches subset-for-subset.
+up of exactness as the subset size grows. The greedy is the CELF
+lazy-greedy over an incremental Cholesky factor (the production
+selector).
 """
 
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from repro.core.em import DawidSkeneEM
 from repro.experiments.common import ExperimentResult
@@ -49,26 +46,17 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         started = time.perf_counter()
         _, greedy_value = greedy_max_entropy_subset(covariance, size)
         greedy_time = time.perf_counter() - started
-        started = time.perf_counter()
-        _, quadratic_value = greedy_max_entropy_subset(covariance, size,
-                                                       method="quadratic")
-        quadratic_time = time.perf_counter() - started
-        # Subset-for-subset equivalence of the two greedy pipelines is
-        # pinned by the property suite (tests/test_guidance_fastpath.py);
-        # a near-tie argmax flip on an exotic BLAS build is not a defect,
-        # so the driver reports both timings without asserting equality.
         # Differential entropies can be negative; compare via the gap.
         gap = exact_value - greedy_value
         rows.append((size, float(exact_value), float(greedy_value),
-                     float(gap), exact_time, greedy_time, quadratic_time,
+                     float(gap), exact_time, greedy_time,
                      exact_time / greedy_time if greedy_time > 0
                      else float("nan")))
     return ExperimentResult(
         experiment_id="appe",
         title="Exact vs greedy max joint-entropy subset selection",
         columns=["subset_size", "exact_H", "greedy_H", "optimality_gap",
-                 "exact_s", "greedy_s", "quadratic_greedy_s",
-                 "slowdown_exact_vs_greedy"],
+                 "exact_s", "greedy_s", "slowdown_exact_vs_greedy"],
         rows=rows,
         metadata={"n_objects": n_objects, "seed": seed},
     )

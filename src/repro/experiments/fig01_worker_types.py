@@ -9,8 +9,6 @@ random spammers around (0.5, 0.5), and uniform spammers at the axis corners
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.common import ExperimentResult, scaled_repeats
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.workers.reliability import worker_stats

@@ -12,8 +12,6 @@ parallel scoring stays well under the serial time for the larger sizes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.common import ExperimentResult, scaled_repeats
 from repro.experts.simulated import OracleExpert
 from repro.guidance.information_gain import InformationGainStrategy

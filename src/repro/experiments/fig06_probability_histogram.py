@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.iem import IncrementalEM
-from repro.core.validation import ExpertValidation
 from repro.experiments.common import ExperimentResult, baseline_strategy
 from repro.experts.simulated import OracleExpert
 from repro.process.validation_process import ValidationProcess

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.em import DawidSkeneEM
 from repro.core.iem import IncrementalEM
-from repro.core.uncertainty import object_entropies
 from repro.core.validation import ExpertValidation
 from repro.experiments.common import ExperimentResult, scaled_repeats
 from repro.guidance.base import GuidanceContext

@@ -10,8 +10,6 @@ baseline's effort.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.common import (
     DEFAULT_STRATEGIES,
     EFFORT_GRID,

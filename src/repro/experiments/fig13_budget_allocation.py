@@ -9,7 +9,7 @@ the expert.
 
 from __future__ import annotations
 
-from repro.costmodel.allocation import allocation_curve, best_allocation
+from repro.costmodel.allocation import allocation_curve
 from repro.experiments.common import ExperimentResult, scaled_repeats
 from repro.experiments.fig12_cost_tradeoff import _pool_config
 from repro.simulation.crowd import simulate_crowd

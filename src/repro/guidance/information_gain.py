@@ -12,28 +12,31 @@ Because one selection requires ``O(|candidates| × m)`` i-EM invocations,
 the cost controls mirror — and extend — the paper's implementation notes
 (§5.4):
 
-* **shared-encoding look-ahead**: the flat answer encoding, its kernel
-  plan, the ``log(clip(...))`` of the current model, and the warm-start
-  E-step are all computed **once per selection** and threaded through
-  every hypothetical solve, instead of being rebuilt ``O(n·k)``-style
-  inside each ``conclude``;
+* **one warm start per select**: the flat answer encoding, its kernel
+  plan and the warm-start E-step are computed **once per selection**
+  and threaded through every hypothetical solve, instead of being
+  rebuilt ``O(n·k)``-style inside each ``conclude``;
 * an :class:`~repro.parallel.executor.Executor` can fan candidates out over
   threads or processes;
 * ``candidate_limit`` optionally prunes candidates to the top-K by object
   entropy before the expensive look-ahead (an implementation choice, not
   part of the paper's Eq. 10; ``None`` scores every candidate);
-* an opt-in **localized look-ahead** (``lookahead="local"``) lets only
-  the rows of the candidate's worker-neighborhood block move — the
-  objects coupled to it through shared workers, extracted by
-  :func:`~repro.core.em_kernel.block_subencoding` — and holds every other
-  row at the current posterior, whose answers enter each block solve's
-  M-step as fixed counts. It trades the exact Eq. 8 expectation for
-  block-local cost on large sparse answer sets; where a hypothesis
-  reaches past one hop the two part (see :class:`_LocalizedLookahead`).
+* one scorer, :class:`_Lookahead`, serves both look-ahead modes, and a
+  mode only picks which rows of a hypothetical solve may move. The
+  default ``lookahead="exact"`` moves every row. The opt-in
+  ``lookahead="local"`` moves only the candidate's worker-neighborhood
+  block — the objects coupled to it through shared workers, extracted
+  by :func:`~repro.core.em_kernel.block_subencoding` — and holds every
+  other row at the current posterior, whose answers enter each block
+  solve's M-step as fixed counts. It trades the exact Eq. 8 expectation
+  for block-local cost on large sparse answer sets; where a hypothesis
+  reaches past one hop the two part. The block is the one place the
+  local mode departs from Eq. 8 (``tools/lookahead_frontier.py``
+  measures how far).
 
-The default exact mode reproduces the rebuild-per-conclude selection
-choices bit-for-bit: it feeds identical floats (same encoding, same warm
-start, same clamps) to the same kernel; ``tests/reference.py`` keeps that
+The exact mode reproduces the rebuild-per-conclude selection choices
+bit-for-bit: it feeds identical floats (same encoding, same warm start,
+same clamps) to the same kernel; ``tests/reference.py`` keeps that
 one-``conclude``-per-label form of Eq. 8 as the test oracle. "Exact"
 means the full answer set, not converged solves (see
 :class:`InformationGainStrategy`).
@@ -54,7 +57,6 @@ import numpy as np
 
 from repro.core import em_kernel
 from repro.core.answer_set import MISSING
-from repro.core.confusion import PROB_FLOOR
 from repro.core.probabilistic import ProbabilisticAnswerSet
 from repro.core.uncertainty import answer_set_uncertainty, object_entropies
 from repro.guidance.base import (
@@ -89,108 +91,63 @@ class LookaheadScore(NamedTuple):
                    sum(not result.converged for result in results))
 
 
-class _SharedLookahead:
-    """Picklable per-candidate scorer over one shared encoding/plan.
+class _Lookahead:
+    """Picklable per-candidate scorer of Eq. 8 in either look-ahead mode.
 
     Everything invariant across the ``|candidates| × m`` hypothetical
-    solves is computed once at construction: the flat encoding, its kernel
-    plan, the clipped logs of the current model, and the warm-start E-step
-    (the look-ahead ``conclude``'s initial assignment does not depend on
-    the hypothesis — clamping happens inside ``run_em``). Each call is
-    then ``m`` clamped ``run_em`` invocations and nothing else, producing
-    floats identical to the rebuild-per-conclude path.
-    """
+    solves is computed once at construction, the warm-start E-step under
+    the current model above all (clamping happens inside the map, so the
+    start does not depend on the hypothesis). A call picks the
+    candidate's block, the rows that may move, and runs one
+    :func:`~repro.core.em_kernel.squarem` per label over the block's
+    :func:`~repro.core.em_kernel.dawid_skene_map`:
 
-    def __init__(self, prob_set: ProbabilisticAnswerSet,
-                 label_floor: float, current_entropy: float,
-                 max_iter: int, tol: float, smoothing: float) -> None:
-        self.assignment = prob_set.assignment
-        self.validated = prob_set.validation.as_array()
-        self.encoded = prob_set.encoded
-        self.label_floor = label_floor
-        self.current_entropy = current_entropy
-        self.max_iter = max_iter
-        self.tol = tol
-        self.smoothing = smoothing
-        log_conf = np.log(np.clip(prob_set.confusions, PROB_FLOOR, None))
-        log_priors = np.log(np.clip(prob_set.priors, PROB_FLOOR, None))
-        self.initial = em_kernel.e_step(
-            self.encoded, prob_set.confusions, prob_set.priors,
-            log_confusions=log_conf, log_priors=log_priors)
-
-    def __call__(self, obj: int) -> LookaheadScore:
-        beliefs = self.assignment[obj]
-        hypothetical = self.validated.copy()
-        expected = 0.0
-        results = []
-        for label, weight in enumerate(beliefs):
-            if weight < self.label_floor:
-                expected += weight * self.current_entropy
-                continue
-            hypothetical[obj] = label
-            validated_objects = np.flatnonzero(hypothetical != MISSING)
-            result = em_kernel.run_em(
-                self.encoded, self.initial,
-                validated_objects, hypothetical[validated_objects],
-                max_iter=self.max_iter, tol=self.tol,
-                smoothing=self.smoothing)
-            results.append(result)
-            expected += weight * float(
-                object_entropies(result.assignment).sum())
-        return LookaheadScore.of(expected, results)
-
-
-class _LocalizedLookahead:
-    """Block-local per-candidate scorer (the opt-in ``"local"`` mode).
-
-    For candidate ``o``, only the rows of ``o``'s *worker neighborhood*
-    move: the objects sharing at least one worker with ``o``
-    (:func:`~repro.core.em_kernel.block_subencoding`). Every other row
-    stays at the current posterior ``U``, so its answers add a constant
-    to the M-step: the block workers' cell counts from answers outside
-    the block, and the label mass of the rows outside it. Each block
-    solve adds both to its own counts and mass before normalizing, so
-    its confusions and priors are those of the whole answer set with the
-    outside rows held fixed. That is EM with an E-step over the block's
-    rows only, a valid partial EM step (Neal & Hinton, 1998), started
-    from the session's fixed point: it moves only with the hypothesis.
+    * exact (``local=False``): the block is the whole encoding and
+      nothing is held fixed: ``run_em``'s solve, so the scores are the
+      rebuild-per-conclude path's bit for bit;
+    * local: the block is the candidate's *worker neighborhood*, the
+      objects sharing a worker with it. Every other row stays at the
+      current posterior ``U``, so its answers add a constant to the
+      M-step (:meth:`outside_evidence`): EM with an E-step over the
+      block's rows only, a valid partial EM step (Neal & Hinton, 1998)
+      that moves only with the hypothesis. Its start rows are the
+      select's E-step rows: in the block's sub-encoding an object's row
+      sums the same answers in the same order.
 
     The outside evidence is the whole answer set's counts and mass under
-    ``U``, taken once per select, minus the block's own under ``U``
-    (rounding negatives clipped to 0). When the block is the whole
-    matrix the difference is exactly 0.0, and the solve is the exact
-    solve bit for bit. Per candidate this costs EM over the block's
-    answers instead of all ``A``. The block reaches one hop: a
-    hypothesis that moves workers outside it is not followed (see
-    PERFORMANCE.md for where that matters).
+    ``U``, taken once per select, minus the block's own (rounding
+    negatives clipped to 0). When the block is the whole matrix it is
+    exactly 0.0, and the local solve is the exact one bit for bit. The
+    block reaches one hop: a hypothesis that moves workers outside it is
+    not followed (see PERFORMANCE.md for where that matters).
     """
 
-    def __init__(self, prob_set: ProbabilisticAnswerSet,
+    def __init__(self, prob_set: ProbabilisticAnswerSet, local: bool,
                  label_floor: float, current_entropy: float,
                  max_iter: int, tol: float, smoothing: float) -> None:
         self.assignment = prob_set.assignment
-        self.confusions = prob_set.confusions
-        self.priors = prob_set.priors
         self.validated = prob_set.validation.as_array()
         self.encoded = prob_set.encoded
+        self.local = local
         self.label_floor = label_floor
         self.current_entropy = current_entropy
         self.max_iter = max_iter
         self.tol = tol
         self.smoothing = smoothing
-        self.log_conf = np.log(np.clip(prob_set.confusions, PROB_FLOOR,
-                                       None))
-        self.log_priors = np.log(np.clip(prob_set.priors, PROB_FLOOR, None))
-        self.base_entropies = object_entropies(prob_set.assignment)
-        # The whole answer set's M-step evidence under U; a block's
-        # outside evidence is this minus the block's own.
-        self.counts = em_kernel.cell_counts(self.encoded, self.assignment)
-        self.mass = em_kernel.label_mass(self.assignment)
-        # Worker-neighborhood adjacency over the flat encoding: the
-        # shared CSR view supplies both the per-object answer slices and
-        # the per-worker (stable argsort) segments — built once per
-        # encoding epoch, shared with the partitioner and session.
-        self._csr = em_kernel.csr_view(self.encoded)
+        self.initial = em_kernel.e_step(self.encoded, prob_set.confusions,
+                                        prob_set.priors)
+        if local:
+            self.base_entropies = object_entropies(prob_set.assignment)
+            # The whole answer set's M-step evidence under U; a block's
+            # outside evidence is this minus the block's own.
+            self.counts = em_kernel.cell_counts(self.encoded,
+                                                self.assignment)
+            self.mass = em_kernel.label_mass(self.assignment)
+            # Worker-neighborhood adjacency over the flat encoding: the
+            # shared CSR view supplies both the per-object answer slices
+            # and the per-worker (stable argsort) segments — built once
+            # per encoding epoch, shared with the partitioner and session.
+            self._csr = em_kernel.csr_view(self.encoded)
 
     def _neighborhood(self, obj: int) -> np.ndarray:
         """Sorted unique objects sharing a worker with ``obj`` (incl. it)."""
@@ -217,41 +174,32 @@ class _LocalizedLookahead:
         return np.maximum(counts, 0.0), np.maximum(mass, 0.0)
 
     def __call__(self, obj: int) -> LookaheadScore:
-        objects = self._neighborhood(obj)
-        sub, workers = em_kernel.block_subencoding(self.encoded, objects)
-        initial = em_kernel.e_step(
-            sub, self.confusions[workers], self.priors,
-            log_confusions=self.log_conf[workers],
-            log_priors=self.log_priors)
-        outside_counts, outside_mass = self.outside_evidence(
-            sub, objects, workers)
-        n_objects, smoothing = self.assignment.shape[0], self.smoothing
-
-        def model(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            counts = em_kernel.cell_counts(sub, block) + outside_counts
-            mass = outside_mass + em_kernel.label_mass(block)
-            return (em_kernel.confusions_from_counts(counts, smoothing),
-                    em_kernel.priors_from_mass(mass, n_objects))
-
-        def scatter(log_confusions: np.ndarray) -> np.ndarray:
-            return em_kernel.scatter_log_likelihood(sub, log_confusions)
-
-        entropy_of_rest = (float(self.base_entropies.sum())
-                           - float(self.base_entropies[objects].sum()))
-        block_validated = self.validated[objects]
-        local_obj = int(np.searchsorted(objects, obj))
-        beliefs = self.assignment[obj]
+        if self.local:
+            objects = self._neighborhood(obj)
+            encoded, workers = em_kernel.block_subencoding(self.encoded,
+                                                           objects)
+            held = (*self.outside_evidence(encoded, objects, workers),
+                    self.assignment.shape[0])
+            initial = self.initial[objects]
+            hypothetical = self.validated[objects]
+            position = int(np.searchsorted(objects, obj))
+            entropy_of_rest = (float(self.base_entropies.sum())
+                               - float(self.base_entropies[objects].sum()))
+        else:
+            encoded, held, initial = self.encoded, None, self.initial
+            hypothetical = self.validated.copy()
+            position, entropy_of_rest = obj, 0.0
         expected = 0.0
         results = []
-        for label, weight in enumerate(beliefs):
+        for label, weight in enumerate(self.assignment[obj]):
             if weight < self.label_floor:
                 expected += weight * self.current_entropy
                 continue
-            hypothetical = block_validated.copy()
-            hypothetical[local_obj] = label
+            hypothetical[position] = label
             validated_objects = np.flatnonzero(hypothetical != MISSING)
-            em_map = em_kernel.EMMap(model, scatter, validated_objects,
-                                     hypothetical[validated_objects])
+            em_map = em_kernel.dawid_skene_map(
+                encoded, validated_objects, hypothetical[validated_objects],
+                self.smoothing, held=held)
             result, _ = em_kernel.squarem(em_map, initial,
                                           max_iter=self.max_iter,
                                           tol=self.tol)
@@ -285,16 +233,16 @@ class InformationGainStrategy(GuidanceStrategy):
         about 8 maps, and none of them stops at 25. The
         ``lookahead.cap_hits`` counter reports this per run.
     lookahead:
-        ``"exact"`` (default) runs each hypothetical solve over the full
-        answer set through one shared encoding/plan — identical selections
-        to the rebuild-per-conclude path, several times faster. "Exact"
-        refers to the answer set, not to convergence: a solve that hits
-        ``lookahead_max_iter`` scores Eq. 8 on its truncated posterior.
-        ``"local"`` lets only the candidate's worker-neighborhood block
-        move and holds the other rows at the current posterior (see
-        :class:`_LocalizedLookahead`) — an approximation suited to large
-        sparse answer sets where even the shared-encoding look-ahead is
-        too slow.
+        Which rows a hypothetical solve may move; both modes share one
+        scorer (:class:`_Lookahead`) and one warm-start E-step per
+        select. ``"exact"`` (default) moves every row of the full answer
+        set — identical selections to the rebuild-per-conclude path,
+        several times faster. "Exact" refers to the answer set, not to
+        convergence: a solve that hits ``lookahead_max_iter`` scores
+        Eq. 8 on its truncated posterior. ``"local"`` moves only the
+        candidate's worker-neighborhood block and holds the other rows at
+        the current posterior — an approximation suited to large sparse
+        answer sets where even the exact look-ahead is too slow.
     """
 
     name = "uncertainty"
@@ -342,10 +290,9 @@ class InformationGainStrategy(GuidanceStrategy):
                 candidates = candidates[np.sort(top)]
 
             current_entropy = answer_set_uncertainty(prob_set)
-            scorer_type = _LocalizedLookahead if self.lookahead == "local" \
-                else _SharedLookahead
-            scorer = scorer_type(
-                prob_set, self.label_floor, current_entropy,
+            scorer = _Lookahead(
+                prob_set, self.lookahead == "local", self.label_floor,
+                current_entropy,
                 max_iter=self.lookahead_max_iter,
                 tol=context.aggregator.tol,
                 smoothing=context.aggregator.smoothing,

@@ -10,12 +10,12 @@ of a subset ``D`` is ``½ log det(2πe · Σ[D, D])`` for a covariance matrix
 off-diagonal couples objects by their co-answer overlap.
 
 This module provides the exact (exponential) solver for tiny instances and
-two interchangeable greedy solvers: the quadratic reference (a fresh
-``slogdet`` per candidate per round) and the default CELF-style lazy-greedy
-over an incrementally extended Cholesky factor, where each marginal gain is
-an ``O(|D|²)`` triangular solve instead of an ``O(|D|³)`` determinant and
-submodularity lets stale upper bounds skip most re-evaluations entirely.
-Both pick identical subsets; the benches quantify the greedy approximation
+a CELF-style lazy-greedy over an incrementally extended Cholesky factor,
+where each marginal gain is an ``O(|D|²)`` triangular solve instead of an
+``O(|D|³)`` determinant and submodularity lets stale upper bounds skip most
+re-evaluations entirely. It picks the subsets of the quadratic greedy (a
+fresh ``slogdet`` per candidate per round), which ``tests/reference.py``
+keeps as its oracle; the benches quantify the greedy approximation
 quality empirically — the paper's justification for resorting to heuristics.
 """
 
@@ -113,7 +113,6 @@ def exact_max_entropy_subset(covariance: np.ndarray,
 
 def greedy_max_entropy_subset(covariance: np.ndarray,
                               size: int,
-                              method: str = "lazy",
                               *,
                               telemetry=NULL_TELEMETRY,
                               ) -> tuple[np.ndarray, float]:
@@ -123,22 +122,22 @@ def greedy_max_entropy_subset(covariance: np.ndarray,
     The classical polynomial-time heuristic for maximum entropy sampling;
     the Appendix E bench measures its gap to :func:`exact_max_entropy_subset`.
 
+    The selection is CELF lazy evaluation over an incremental Cholesky
+    factor: each evaluated gain is an ``O(|D|²)`` triangular solve, and
+    submodularity of ``log det`` lets stale gains serve as upper bounds,
+    so most candidates are never re-evaluated. Equal-gain ties resolve
+    toward the lowest object index, so it selects the identical subset
+    as the quadratic ``slogdet``-per-candidate greedy of
+    ``tests/reference.py``.
+
     Parameters
     ----------
     covariance:
         The Gaussian-surrogate covariance (:func:`object_covariance`).
     size:
         Number of objects to select.
-    method:
-        ``"lazy"`` (default) runs CELF lazy evaluation over an incremental
-        Cholesky factor — each evaluated gain is an ``O(|D|²)`` triangular
-        solve, and submodularity of ``log det`` lets stale gains serve as
-        upper bounds so most candidates are never re-evaluated. The
-        ``"quadratic"`` reference recomputes a fresh ``slogdet`` per
-        candidate per round. Both resolve equal-gain ties toward the lowest
-        object index and select identical subsets.
     telemetry:
-        Instrumentation hub; the lazy path reports its CELF evaluation
+        Instrumentation hub; the selector reports its CELF evaluation
         economy (heap pops vs. actual gain recomputations, i.e. the
         lazy-evaluation hit rate) on a ``guidance.max_entropy_subset``
         span and the ``celf.pops`` / ``celf.evals`` counters.
@@ -147,50 +146,17 @@ def greedy_max_entropy_subset(covariance: np.ndarray,
     -------
     (indices, joint entropy)
         Selected objects in pick order and their joint entropy
-        (``gaussian_joint_entropy`` of the final subset on both paths, so
-        the two methods return identical floats).
+        (``gaussian_joint_entropy`` of the final subset).
     """
     check_positive_int(size, "size")
     n = covariance.shape[0]
     if size > n:
         raise ValueError(f"subset size {size} exceeds {n} objects")
-    with telemetry.span("guidance.max_entropy_subset", n=n, size=size,
-                        method=method) as span:
-        if method == "lazy":
-            chosen = _lazy_greedy_indices(covariance, size,
-                                          telemetry=telemetry, span=span)
-        elif method == "quadratic":
-            chosen = _quadratic_greedy_indices(covariance, size)
-        else:
-            raise ValueError(
-                f"method must be 'lazy' or 'quadratic', got {method!r}")
+    with telemetry.span("guidance.max_entropy_subset", n=n,
+                        size=size) as span:
+        chosen = _lazy_greedy_indices(covariance, size,
+                                      telemetry=telemetry, span=span)
     return chosen, gaussian_joint_entropy(covariance, chosen)
-
-
-def _quadratic_greedy_indices(covariance: np.ndarray,
-                              size: int) -> np.ndarray:
-    """Reference greedy: one fresh ``slogdet`` per candidate per round.
-
-    Candidates are scanned in ascending index order, so equal-gain ties
-    resolve to the lowest index reproducibly (a Python ``set`` here would
-    make the pick hash-dependent).
-    """
-    n = covariance.shape[0]
-    chosen: list[int] = []
-    remaining = list(range(n))
-    for _ in range(size):
-        best_obj = -1
-        best_value = float("-inf")
-        for obj in remaining:
-            value = gaussian_joint_entropy(covariance, chosen + [obj])
-            if value > best_value:
-                best_value = value
-                best_obj = obj
-        if best_obj < 0:  # every remaining subset singular: lowest index
-            best_obj = remaining[0]
-        chosen.append(best_obj)
-        remaining.remove(best_obj)
-    return np.array(chosen, dtype=np.int64)
 
 
 def _lazy_greedy_indices(covariance: np.ndarray, size: int,
@@ -207,7 +173,7 @@ def _lazy_greedy_indices(covariance: np.ndarray, size: int,
     PSD matrices), so a max-heap of stale gains is a valid upper-bound
     queue: a popped candidate whose gain was computed against the current
     ``D`` is the true argmax. Heap entries order ties by object index,
-    mirroring the quadratic reference.
+    mirroring the quadratic greedy's ascending scan.
 
     The loop keeps plain-int tallies of heap pops vs. gain recomputations
     and reports them once at the end (``celf.pops`` / ``celf.evals``
@@ -265,7 +231,8 @@ def _lazy_greedy_indices(covariance: np.ndarray, size: int,
         if negated == float("inf"):
             # Every remaining extension is singular (all gains -inf), and
             # supersets of a singular subset stay singular — mirror the
-            # quadratic fallback: fill with the lowest remaining indices.
+            # quadratic greedy's fallback: fill with the lowest remaining
+            # indices.
             remainder = sorted(entry[1] for entry in heap)
             chosen_arr[depth] = obj
             chosen_arr[depth + 1:] = remainder[:size - depth - 1]
@@ -282,19 +249,16 @@ def _lazy_greedy_indices(covariance: np.ndarray, size: int,
 def greedy_validation_order(prob_set: ProbabilisticAnswerSet,
                             budget: int,
                             coupling: float = DEFAULT_COUPLING,
-                            method: str = "lazy",
                             *,
                             telemetry=NULL_TELEMETRY) -> np.ndarray:
     """A full greedy ordering of up to ``budget`` objects for validation.
 
     Convenience wrapper: builds the surrogate covariance once and returns
     the greedy subset in selection order — a static (non-adaptive) guidance
-    plan usable when the expert wants the whole work list upfront. Runs the
-    CELF lazy-greedy selector by default (see
-    :func:`greedy_max_entropy_subset`).
+    plan usable when the expert wants the whole work list upfront, chosen
+    by the CELF lazy-greedy selector (see :func:`greedy_max_entropy_subset`).
     """
     covariance = object_covariance(prob_set, coupling)
     subset, _ = greedy_max_entropy_subset(
-        covariance, min(budget, covariance.shape[0]), method=method,
-        telemetry=telemetry)
+        covariance, min(budget, covariance.shape[0]), telemetry=telemetry)
     return subset

@@ -32,7 +32,6 @@ from repro.core.iem import IncrementalEM
 from repro.core.instantiation import deterministic_assignment
 from repro.core.probabilistic import ProbabilisticAnswerSet
 from repro.core.uncertainty import answer_set_uncertainty
-from repro.core.validation import ExpertValidation
 from repro.errors import BudgetExhaustedError, GoalError, GuidanceError
 from repro.experts.confirmation import ConfirmationCheck
 from repro.experts.simulated import Expert

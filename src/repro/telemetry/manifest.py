@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.telemetry.hub import Telemetry, TelemetryScope, root_hub
+from repro.telemetry.hub import Telemetry, root_hub
 
 
 def _hub(telemetry) -> Telemetry:

@@ -26,6 +26,9 @@ routine that is now only ever run through a faster path:
 * ``object_covariance`` — the joint-entropy surrogate with its co-answer
   counts from a dense ``n × k`` product; production multiplies the
   encoding's sparse incidence.
+* ``quadratic_greedy_indices`` — greedy maximum joint-entropy selection
+  by a fresh ``slogdet`` per candidate per round; the CELF lazy-greedy
+  of ``greedy_max_entropy_subset`` must pick the identical subset.
 
 Test modules import this file as ``reference`` (``tests/`` is on
 ``sys.path`` under pytest; ``benchmarks/conftest.py`` adds it for the
@@ -45,6 +48,7 @@ from repro.core.em_kernel import (DEFAULT_MAX_ITER, DEFAULT_SMOOTHING,
                                   squarem)
 from repro.core.uncertainty import answer_set_uncertainty, object_entropies
 from repro.guidance.information_gain import DEFAULT_LABEL_FLOOR
+from repro.guidance.joint_entropy import gaussian_joint_entropy
 
 
 def m_step(encoded, assignment, smoothing=DEFAULT_SMOOTHING):
@@ -224,3 +228,28 @@ def object_covariance(prob_set, matrix, coupling):
     scale = np.sqrt(variances)
     n = variances.size
     return scale[:, None] * (np.eye(n) + coupling * similarity) * scale[None, :]
+
+
+def quadratic_greedy_indices(covariance, size):
+    """Greedy subset: one fresh ``slogdet`` per candidate per round.
+
+    Candidates are scanned in ascending index order, so equal-gain ties
+    resolve to the lowest index reproducibly (a Python ``set`` here would
+    make the pick hash-dependent).
+    """
+    n = covariance.shape[0]
+    chosen: list[int] = []
+    remaining = list(range(n))
+    for _ in range(size):
+        best_obj = -1
+        best_value = float("-inf")
+        for obj in remaining:
+            value = gaussian_joint_entropy(covariance, chosen + [obj])
+            if value > best_value:
+                best_value = value
+                best_obj = obj
+        if best_obj < 0:  # every remaining subset singular: lowest index
+            best_obj = remaining[0]
+        chosen.append(best_obj)
+        remaining.remove(best_obj)
+    return np.array(chosen, dtype=np.int64)

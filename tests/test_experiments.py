@@ -9,7 +9,6 @@ import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.experiments.common import (
-    EFFORT_GRID,
     ExperimentResult,
     curve_rows,
     scaled_budget,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.answer_set import MISSING
-from repro.core.em import DawidSkeneEM
 from repro.core.iem import IncrementalEM
 from repro.core.uncertainty import object_entropies
 from repro.core.validation import ExpertValidation

@@ -7,15 +7,17 @@ Three seams, each with a property suite:
   on arbitrary answer matrices; ``np.array_equal``, never ``allclose``.
 * **Lazy greedy** — CELF over the incremental Cholesky factor must select
   the identical subset (and return the identical entropy float) as the
-  quadratic slogdet-per-candidate greedy, with reproducible lowest-index
-  tie-breaking.
+  quadratic slogdet-per-candidate greedy of ``tests/reference.py``, with
+  reproducible lowest-index tie-breaking.
 * **Look-ahead rework** — ``InformationGainStrategy`` with the shared
   encoding must reproduce the PR-1 rebuild-per-conclude selection choices
-  and scores exactly; the localized mode must degrade gracefully to the
-  exact result when the worker neighborhood spans the whole matrix, hold
-  the evidence outside its block at the reference sums, and track
-  converged exact Eq. 8 where each hypothesis stays inside its block; and
-  the look-ahead counters must count exactly the solves it ran.
+  and scores exactly; one select takes one E-step in either mode, because
+  a block's sub-encoding reproduces the whole E-step's rows; the
+  localized mode must degrade gracefully to the exact result when the
+  worker neighborhood spans the whole matrix, hold the evidence outside
+  its block at the reference sums, and track converged exact Eq. 8 where
+  each hypothesis stays inside its block; and the look-ahead counters
+  must count exactly the solves it ran.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from repro.core.uncertainty import answer_set_uncertainty
 from repro.core.validation import ExpertValidation
 from repro.guidance import InformationGainStrategy, greedy_max_entropy_subset
 from repro.guidance.base import GuidanceContext
-from repro.guidance.information_gain import _LocalizedLookahead
+from repro.guidance.information_gain import _Lookahead
+from repro.guidance.joint_entropy import gaussian_joint_entropy
 from repro.parallel import Executor
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
 from repro.telemetry import Telemetry
@@ -141,17 +144,16 @@ class TestLazyGreedyEquivalence:
         covariance = basis @ basis.T / (n + 3) + 0.05 * np.eye(n)
         size = int(rng.integers(1, n + 1))
         lazy, lazy_value = greedy_max_entropy_subset(covariance, size)
-        quad, quad_value = greedy_max_entropy_subset(covariance, size,
-                                                     method="quadratic")
+        quad = reference.quadratic_greedy_indices(covariance, size)
         assert np.array_equal(lazy, quad)
-        assert lazy_value == quad_value
+        assert lazy_value == gaussian_joint_entropy(covariance, quad)
 
     def test_ties_resolve_to_lowest_index(self):
         covariance = np.eye(8)  # all gains identical every round
-        for method in ("lazy", "quadratic"):
-            subset, _ = greedy_max_entropy_subset(covariance, 3,
-                                                  method=method)
-            assert subset.tolist() == [0, 1, 2]
+        lazy, _ = greedy_max_entropy_subset(covariance, 3)
+        assert lazy.tolist() == [0, 1, 2]
+        assert reference.quadratic_greedy_indices(covariance, 3).tolist() \
+            == [0, 1, 2]
 
     def test_singular_covariance_matches_quadratic_fallback(self):
         """Rank-one covariance: after the first pick every extension is
@@ -159,14 +161,10 @@ class TestLazyGreedyEquivalence:
         instead of crashing."""
         covariance = np.outer(np.ones(5), np.ones(5))
         lazy, lazy_value = greedy_max_entropy_subset(covariance, 4)
-        quad, quad_value = greedy_max_entropy_subset(covariance, 4,
-                                                     method="quadratic")
+        quad = reference.quadratic_greedy_indices(covariance, 4)
         assert np.array_equal(lazy, quad)
-        assert lazy_value == quad_value == float("-inf")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            greedy_max_entropy_subset(np.eye(3), 2, method="annealing")
+        assert lazy_value == gaussian_joint_entropy(covariance, quad) \
+            == float("-inf")
 
 
 def _context(crowd, n_validated=4, rng_seed=0):
@@ -230,6 +228,53 @@ class TestSharedLookaheadEquivalence:
         assert selection.scores[chosen] >= pr1_scores.max() - 1e-12
 
 
+class TestOneWarmStartPerSelect:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 14), k=st.integers(1, 8), m=st.integers(2, 4),
+           seed=st.integers(0, 10_000))
+    def test_block_e_step_rows_equal_the_whole_e_step(self, n, k, m, seed):
+        """In a worker neighborhood's sub-encoding an object's E-step row
+        sums the same answers in the same order as in the whole encoding,
+        so the select's one E-step holds every block's start rows."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(-1, m, size=(n, k))
+        matrix[rng.random(n) < 0.2] = MISSING  # unanswered objects
+        stats = em_kernel.AnswerStats(n, k, m)
+        objects, workers = np.nonzero(matrix != MISSING)
+        stats.add_answers(objects, workers, matrix[objects, workers])
+        stats.set_masked_workers(np.flatnonzero(rng.random(k) < 0.25))
+        encoded = stats.encoded()
+        confusions = rng.dirichlet(np.ones(m), size=(k, m))
+        priors = rng.dirichlet(np.ones(m))
+        whole = em_kernel.e_step(encoded, confusions, priors)
+        for obj in rng.choice(n, size=min(n, 4), replace=False):
+            shared = encoded.worker_index[encoded.object_index == obj]
+            block = np.union1d([obj], encoded.object_index[
+                np.isin(encoded.worker_index, shared)])
+            sub, block_workers = em_kernel.block_subencoding(encoded, block)
+            rows = em_kernel.e_step(sub, confusions[block_workers], priors)
+            assert np.array_equal(rows, whole[block])
+
+    @pytest.mark.parametrize("lookahead", ["exact", "local"])
+    def test_select_runs_one_e_step(self, lookahead, monkeypatch):
+        crowd = simulate_crowd(
+            CrowdConfig(n_objects=30, n_workers=15, answers_per_object=2),
+            rng=1)
+        context = _context(crowd)
+        calls = []
+        e_step = em_kernel.e_step
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n_objects)
+            return e_step(*args, **kwargs)
+
+        monkeypatch.setattr(em_kernel, "e_step", counted)
+        selection = InformationGainStrategy(
+            lookahead=lookahead, candidate_limit=4).select(context)
+        assert selection.candidate_indices.size == 4
+        assert calls == [crowd.answer_set.n_objects]
+
+
 class TestLocalizedLookahead:
     def test_degenerates_to_exact_on_dense_matrices(self):
         """When every object shares a worker with every other, the
@@ -284,8 +329,9 @@ class TestLocalizedLookahead:
         aggregator = IncrementalEM()
         prob_set = aggregator.conclude(answer_set, validation)
         encoded = prob_set.encoded
-        scorer = _LocalizedLookahead(
-            prob_set, 1e-3, answer_set_uncertainty(prob_set),
+        scorer = _Lookahead(
+            prob_set, local=True, label_floor=1e-3,
+            current_entropy=answer_set_uncertainty(prob_set),
             max_iter=25, tol=aggregator.tol, smoothing=aggregator.smoothing)
         objects = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                      replace=False))

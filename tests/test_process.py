@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.answer_set import AnswerSet
 from repro.errors import BudgetExhaustedError, GoalError, GuidanceError
 from repro.experts.simulated import NoisyExpert, OracleExpert
 from repro.guidance import (
