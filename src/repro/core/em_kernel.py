@@ -359,11 +359,7 @@ def csr_view(encoded: EncodedAnswers) -> EncodingCSR:
 # ----------------------------------------------------------------------
 # Block extraction (partition-scoped and neighborhood-scoped solves)
 # ----------------------------------------------------------------------
-def block_subencoding(encoded: EncodedAnswers,
-                      objects: np.ndarray,
-                      workers: np.ndarray | None = None,
-                      *,
-                      n_labels: int | None = None,
+def block_subencoding(encoded: EncodedAnswers, objects: np.ndarray,
                       ) -> tuple[EncodedAnswers, np.ndarray]:
     """Restrict a flat encoding to an object block with local indices.
 
@@ -373,48 +369,33 @@ def block_subencoding(encoded: EncodedAnswers,
     :class:`repro.partitioning.MatrixPartitioner` splits a component's
     answers with it.
 
-    Parameters
-    ----------
-    encoded:
-        The full flat encoding.
-    objects:
-        Sorted unique object indices of the block.
-    workers:
-        Sorted unique worker indices covering every answer of ``objects``;
-        derived from the block's answers when omitted.
-    n_labels:
-        Label vocabulary of the sub-encoding (defaults to ``encoded``'s).
-
-    The block's answer positions are gathered by :func:`object_positions`
-    — ``O(block answers)``, never an ``O(A)`` scan — so the sub-encoding
-    is object-sorted like its parent.
+    ``objects`` holds the block's sorted unique object indices. Their
+    answer positions are gathered by :func:`object_positions` —
+    ``O(block answers)``, never an ``O(A)`` scan — so the sub-encoding is
+    object-sorted like its parent. One ``np.unique`` sort of the block's
+    worker ids yields both the workers and each answer's local worker.
 
     Returns
     -------
     (sub_encoding, workers)
         The block's encoding under local (positional) object/worker
-        indices, and the worker index set actually used.
+        indices, and the sorted worker indices its answers use.
     """
     objects = np.asarray(objects, dtype=np.int64)
     positions, counts = object_positions(encoded, objects)
     local_obj = np.repeat(np.arange(objects.size, dtype=np.int64), counts)
-    kept_workers = encoded.worker_index[positions]
-    kept_labels = encoded.label_index[positions]
-    if workers is None:
-        workers = np.unique(kept_workers)
-    else:
-        workers = np.asarray(workers, dtype=np.int64)
-    sub_labels = encoded.n_labels if n_labels is None else int(n_labels)
+    workers, local_workers = np.unique(encoded.worker_index[positions],
+                                       return_inverse=True)
     sub_dtype = index_dtype(int(objects.size), int(workers.size),
-                            sub_labels, int(local_obj.size))
+                            encoded.n_labels, int(local_obj.size))
     sub = EncodedAnswers(
         n_objects=objects.size,
         n_workers=workers.size,
-        n_labels=sub_labels,
+        n_labels=encoded.n_labels,
         object_index=np.ascontiguousarray(local_obj, dtype=sub_dtype),
-        worker_index=np.ascontiguousarray(
-            np.searchsorted(workers, kept_workers), dtype=sub_dtype),
-        label_index=np.ascontiguousarray(kept_labels, dtype=sub_dtype))
+        worker_index=np.ascontiguousarray(local_workers, dtype=sub_dtype),
+        label_index=np.ascontiguousarray(encoded.label_index[positions],
+                                         dtype=sub_dtype))
     return sub, workers
 
 
@@ -445,6 +426,40 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Incremental sufficient statistics (streaming ingestion)
 # ----------------------------------------------------------------------
+#: New cells :meth:`AnswerStats.add_answer` holds in a dict before it
+#: merges them into the sorted cell index: this many, or an eighth of the
+#: index when that is more.
+MERGE_CELLS = 4096
+
+#: Bits per indexed cell in the cell index's filter, at the least: the
+#: filter holds between this many and twice this many, so at most one
+#: bit in this many is set, and only about one lookup in 9 to 17 of a
+#: cell never answered goes on to a binary search.
+FILTER_BITS = 8
+
+#: A cell's key is ``object · 2³² + worker``. Keys sort in the
+#: ``(object, worker)`` order of an encoding, and none depends on the
+#: dimensions, so growing either axis keeps every stored key valid. An
+#: int64 key holds up to 2³¹ objects and 2³² workers.
+_WORKER_BITS = 32
+_WORKER_MASK = (1 << _WORKER_BITS) - 1
+
+
+def _check_key_range(n_objects: int, n_workers: int) -> None:
+    if n_objects > 1 << 31 or n_workers > 1 << _WORKER_BITS:
+        raise ValueError(
+            f"{n_objects}×{n_workers} cells exceed the int64 cell keys' "
+            f"2³¹ objects × 2³² workers")
+
+
+def _cell_keys(objects: np.ndarray, workers: np.ndarray) -> np.ndarray:
+    """The int64 cell keys of ``(objects, workers)``."""
+    keys = objects.astype(np.int64)
+    keys <<= _WORKER_BITS
+    keys |= workers
+    return keys
+
+
 class AnswerStats:
     """Mutable sufficient statistics over a *growing* answer stream.
 
@@ -455,10 +470,14 @@ class AnswerStats:
     ``O(1)`` amortized per ingested answer:
 
     * the ``(object, worker, label)`` triple log (geometrically grown);
-    * an ``(object, worker) → label`` cell map for duplicate and conflict
-      checks (:meth:`label_of`), built from the log at the first lookup or
-      single append: a session seeded in bulk and never asked about a
-      cell (the guided path) holds the log alone;
+    * a sorted cell index for duplicate and conflict checks
+      (:meth:`label_of`): int64 cell keys ``object · 2³² + worker`` with
+      their labels alongside, a dict of the cells added since the last
+      merge, and a bit-per-slot filter over the keys that answers most
+      lookups of an unanswered cell without a binary search. It is built
+      from the log, with one argsort, at the first lookup or single
+      append: a session seeded in bulk and never asked about a cell (the
+      guided path) holds the log alone;
     * a masked-worker set (the §5.3 faulty-worker exclusion) applied at
       encoding time instead of by copying matrix columns;
     * the cached encoding of the current version (:meth:`encoded`).
@@ -469,9 +488,12 @@ class AnswerStats:
 
     :meth:`encoded` produces an :class:`EncodedAnswers` that is **bit-for-bit
     identical** to ``encode_answers(equivalent AnswerSet)``: answers are
-    lexicographically sorted by ``(object, worker)``, which is exactly the
-    row-major order ``np.nonzero`` yields, so every downstream kernel
-    computation (scatter order included) matches the batch path exactly.
+    in ascending key order, which is the ``(object, worker)`` row-major
+    order ``np.nonzero`` yields, so every downstream kernel computation
+    (scatter order included) matches the batch path exactly. A rebuild
+    merges the new cells into the index (sorted, located by
+    ``searchsorted``, inserted) and drops the masked workers' cells; it
+    does not sort the whole log again.
 
     Dimensions may grow (:meth:`grow`) as unseen objects/workers appear in
     the stream; label vocabulary size is fixed at construction.
@@ -479,8 +501,9 @@ class AnswerStats:
 
     __slots__ = ("_n_objects", "_n_workers", "_n_labels",
                  "_obj", "_wrk", "_lab", "_n_answers",
-                 "_cells", "_masked",
-                 "_encoded_cache", "_version", "telemetry")
+                 "_keys", "_key_labels", "_fresh", "_filter",
+                 "_filter_bits", "_merge_at",
+                 "_masked", "_encoded_cache", "_version", "telemetry")
 
     def __init__(self, n_objects: int, n_workers: int, n_labels: int) -> None:
         if n_objects < 0 or n_workers < 0:
@@ -488,6 +511,7 @@ class AnswerStats:
                              f"{n_objects} and {n_workers}")
         if n_labels < 1:
             raise ValueError(f"n_labels must be >= 1, got {n_labels}")
+        _check_key_range(n_objects, n_workers)
         self._n_objects = int(n_objects)
         self._n_workers = int(n_workers)
         self._n_labels = int(n_labels)
@@ -497,9 +521,16 @@ class AnswerStats:
         self._wrk = np.empty(capacity, dtype=dtype)
         self._lab = np.empty(capacity, dtype=dtype)
         self._n_answers = 0
-        #: (object, worker) -> label, for duplicate/conflict detection;
-        #: None until :meth:`_cell_map` builds it from the log.
-        self._cells: dict[tuple[int, int], int] | None = None
+        #: The sorted cell index: keys, their labels, the key → label dict
+        #: of cells added since the last merge, and the filter (bit
+        #: ``key % _filter_bits`` set for every merged key). All None
+        #: until :meth:`_label_at` builds the index from the log.
+        self._keys: np.ndarray | None = None
+        self._key_labels: np.ndarray | None = None
+        self._fresh: dict[int, int] | None = None
+        self._filter: bytearray | None = None
+        self._filter_bits = 0
+        self._merge_at = MERGE_CELLS
         self._masked: frozenset[int] = frozenset()
         self._encoded_cache: EncodedAnswers | None = None
         self._version = 0
@@ -537,7 +568,10 @@ class AnswerStats:
 
     def label_of(self, obj: int, worker: int) -> int:
         """Ingested label for a cell (:data:`MISSING` when unanswered)."""
-        return self._cell_map().get((int(obj), int(worker)), MISSING)
+        obj, worker = int(obj), int(worker)
+        if not (0 <= obj < self._n_objects and 0 <= worker < self._n_workers):
+            return MISSING
+        return self._label_at((obj << _WORKER_BITS) | worker)
 
     def objects_of_workers(self, workers) -> np.ndarray:
         """Unique objects any of ``workers`` answered (ascending).
@@ -586,6 +620,8 @@ class AnswerStats:
             if size is not None and int(size) < current:
                 raise ValueError(
                     f"cannot shrink {name} from {current} to {size}")
+        _check_key_range(self._n_objects if n_objects is None else n_objects,
+                         self._n_workers if n_workers is None else n_workers)
 
     def check_answer(self, obj: int, worker: int, label: int, *,
                      grow: bool = False, conflicts: bool = True) -> int:
@@ -594,7 +630,8 @@ class AnswerStats:
 
         ``grow=True`` admits indices past the dimensions (the caller grows
         first); ``conflicts=False`` admits a label conflicting with the
-        cell's.
+        cell's. The indices are Python ints (:meth:`add_answer` converts
+        its arguments): a cell key is ``obj << 32 | worker``.
         """
         if obj < 0 or (obj >= self._n_objects and not grow):
             raise InvalidAnswerSetError(
@@ -605,7 +642,7 @@ class AnswerStats:
         if not 0 <= label < self._n_labels:
             raise InvalidAnswerSetError(
                 f"label code {label} outside [0, {self._n_labels})")
-        current = self._cell_map().get((obj, worker), MISSING)
+        current = self._label_at((obj << _WORKER_BITS) | worker)
         if conflicts and current != MISSING and current != label:
             raise InvalidAnswerSetError(
                 f"cell ({obj}, {worker}) already holds label {current}; "
@@ -619,7 +656,12 @@ class AnswerStats:
         :class:`~repro.errors.InvalidAnswerSetError`, matching the batch
         :meth:`~repro.core.answer_set.AnswerSet.from_triples` contract.
         """
-        obj, worker, label = int(obj), int(worker), int(label)
+        return self._append(int(obj), int(worker), int(label))
+
+    def _append(self, obj: int, worker: int, label: int) -> bool:
+        """:meth:`add_answer` of Python ints, for callers that converted
+        them already (the streaming session, :meth:`add_answers`), so
+        the ingest path does not convert all three twice."""
         if self.check_answer(obj, worker, label) == label:
             return False  # an exact duplicate
         position = self._n_answers
@@ -629,7 +671,10 @@ class AnswerStats:
         self._wrk[position] = worker
         self._lab[position] = label
         self._n_answers += 1
-        self._cells[(obj, worker)] = label
+        fresh = self._fresh
+        fresh[(obj << _WORKER_BITS) | worker] = label
+        if len(fresh) >= self._merge_at:
+            self._merge()
         self._bump()
         return True
 
@@ -641,7 +686,7 @@ class AnswerStats:
 
         When the log is empty and the batch holds no duplicate cells (the
         bulk-seeding case of a session built from an answer set), the log
-        is filled in one pass instead of per-answer calls, and the cell map
+        is filled in one pass instead of per-answer calls, and the cell index
         waits for its first use. Signed integer arrays are read in their
         own type (an int32 encoding is not widened); other input is cast
         to int64.
@@ -656,7 +701,7 @@ class AnswerStats:
             return int(objects.size)
         added = 0
         for obj, wrk, lab in zip(objects, workers, labels):
-            if self.add_answer(int(obj), int(wrk), int(lab)):
+            if self._append(int(obj), int(wrk), int(lab)):
                 added += 1
         return added
 
@@ -667,14 +712,14 @@ class AnswerStats:
                 or workers.min() < 0 or workers.max() >= self._n_workers \
                 or labels.min() < 0 or labels.max() >= self._n_labels:
             return False  # let add_answer raise the precise error
-        keys = objects.astype(np.int64)  # wide enough for obj·k + worker
-        keys *= self._n_workers
-        keys += workers
-        # Strictly increasing keys (an encoding's order) hold no duplicate;
-        # only another order pays for the hash-based check.
-        if not (keys[1:] > keys[:-1]).all() \
-                and np.unique(keys).size != keys.size:
-            return False  # in-batch duplicates need per-answer semantics
+        keys = _cell_keys(objects, workers)
+        # Strictly increasing keys (an encoding's order) hold no duplicate.
+        # Another order (a restored log) is sorted in place to find one;
+        # np.unique, which hashes int64 keys, is about 60× slower.
+        if not (keys[1:] > keys[:-1]).all():
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                return False  # in-batch duplicates need per-answer semantics
         count = int(objects.size)
         if count > self._obj.size:
             self._reserve(count)
@@ -682,7 +727,7 @@ class AnswerStats:
         self._wrk[:count] = workers
         self._lab[:count] = labels
         self._n_answers = count
-        self._cells = None
+        self._keys = self._key_labels = self._fresh = self._filter = None
         self._bump()
         return True
 
@@ -707,15 +752,69 @@ class AnswerStats:
                          encoded.label_index)
         self._encoded_cache = encoded
 
-    def _cell_map(self) -> dict[tuple[int, int], int]:
-        """The ``(object, worker) → label`` map, built from the log on
-        first use and kept current by :meth:`add_answer` after that."""
-        if self._cells is None:
-            n = self._n_answers
-            self._cells = dict(zip(zip(self._obj[:n].tolist(),
-                                       self._wrk[:n].tolist()),
-                                   self._lab[:n].tolist()))
-        return self._cells
+    def _label_at(self, key: int) -> int:
+        """The label of the cell ``key`` (:data:`MISSING` when unanswered):
+        the new cells first, then the filter, then a binary search."""
+        if self._keys is None:
+            keys, labels = self._log_cells()
+            self._set_index(keys, labels, keys)
+        label = self._fresh.get(key)
+        if label is not None:
+            return label
+        bit = key % self._filter_bits
+        if not self._filter[bit >> 3] >> (bit & 7) & 1:
+            return MISSING
+        keys = self._keys
+        at = keys.searchsorted(key)
+        if at < keys.size and keys[at] == key:
+            return int(self._key_labels[at])
+        return MISSING
+
+    def _log_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every logged cell's key and label in key order (one argsort)."""
+        n = self._n_answers
+        keys = _cell_keys(self._obj[:n], self._wrk[:n])
+        order = np.argsort(keys)
+        return keys[order], self._lab[order].astype(code_dtype(self._n_labels))
+
+    def _merge(self) -> None:
+        """Insert the new cells, sorted, into the sorted index.
+
+        The new cells are the log's last ``len(self._fresh)`` entries:
+        every append since the last merge added one to each.
+        """
+        if not self._fresh:
+            return
+        start, stop = self._n_answers - len(self._fresh), self._n_answers
+        added = _cell_keys(self._obj[start:stop], self._wrk[start:stop])
+        order = np.argsort(added)
+        added = added[order]
+        at = self._keys.searchsorted(added)
+        self._set_index(np.insert(self._keys, at, added),
+                        np.insert(self._key_labels, at,
+                                  self._lab[start:stop][order]),
+                        added)
+
+    def _set_index(self, keys: np.ndarray, labels: np.ndarray,
+                   added: np.ndarray) -> None:
+        """Adopt sorted ``keys`` and their labels as the index.
+
+        The ``added`` keys are marked in the filter. Once the keys reach
+        one per :data:`FILTER_BITS` bits, the filter is rebuilt over all
+        of them at twice that size, so a merge marks its own keys only.
+        The bit count is odd: a key's bit ``(object · 2³² + worker) mod
+        bits`` then depends on its object as well as its worker.
+        """
+        self._keys, self._key_labels, self._fresh = keys, labels, {}
+        self._merge_at = max(MERGE_CELLS, keys.size // 8)
+        if self._filter is None \
+                or FILTER_BITS * keys.size >= self._filter_bits:
+            self._filter_bits = 2 * FILTER_BITS * keys.size + 1
+            self._filter = bytearray((self._filter_bits >> 3) + 1)
+            added = keys
+        bits = added % self._filter_bits
+        np.bitwise_or.at(np.frombuffer(self._filter, dtype=np.uint8),
+                         bits >> 3, (1 << (bits & 7)).astype(np.uint8))
 
     def set_masked_workers(self, workers) -> frozenset[int]:
         """Replace the masked-worker set; returns the workers that toggled."""
@@ -735,29 +834,37 @@ class AnswerStats:
     def encoded(self) -> EncodedAnswers:
         """The current (masked-filtered) flat encoding, cached per version.
 
-        Sorted by ``(object, worker)`` so it is bit-for-bit identical to
+        In ``(object, worker)`` order, so it is bit-for-bit identical to
         :func:`encode_answers` on the equivalent answer matrix. A rebuild
-        runs in an ``encode`` span on :attr:`telemetry`.
+        runs in an ``encode`` span on :attr:`telemetry`, which reports
+        ``n_new``, the new cells it merged into the index, and ``merged``:
+        false when no index was kept (a seeded or bulk-loaded log) and
+        the build sorted the whole log, leaving no index behind.
         """
         if self._encoded_cache is not None:
             return self._encoded_cache
+        merged = self._keys is not None
         with self.telemetry.span("encode", n_answers=self._n_answers,
-                                 n_masked=len(self._masked)):
-            obj = self._obj[:self._n_answers]
-            wrk = self._wrk[:self._n_answers]
-            lab = self._lab[:self._n_answers]
+                                 n_masked=len(self._masked),
+                                 n_new=len(self._fresh) if merged else 0,
+                                 merged=merged):
+            if merged:
+                self._merge()
+                keys, labels = self._keys, self._key_labels
+            else:
+                keys, labels = self._log_cells()
             if self._masked:
-                keep = ~np.isin(wrk, np.fromiter(self._masked,
-                                                 dtype=np.int64))
-                obj, wrk, lab = obj[keep], wrk[keep], lab[keep]
-            order = np.lexsort((wrk, obj))
+                keep = ~np.isin(keys & _WORKER_MASK,
+                                np.fromiter(self._masked, dtype=np.int64))
+                keys, labels = keys[keep], labels[keep]
+            dtype = self._obj.dtype
             self._encoded_cache = EncodedAnswers(
                 n_objects=self._n_objects,
                 n_workers=self._n_workers,
                 n_labels=self._n_labels,
-                object_index=np.ascontiguousarray(obj[order]),
-                worker_index=np.ascontiguousarray(wrk[order]),
-                label_index=np.ascontiguousarray(lab[order]),
+                object_index=(keys >> _WORKER_BITS).astype(dtype),
+                worker_index=(keys & _WORKER_MASK).astype(dtype),
+                label_index=labels.astype(dtype),
             )
         return self._encoded_cache
 

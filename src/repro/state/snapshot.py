@@ -6,8 +6,9 @@ insertion order, the masked-worker set, the expert-validation function, the
 warm-start model, the dirty-object set, the conclude counters, and the
 aggregator's knobs and RNG state. Restoring it rebuilds a session that is
 bit-for-bit indistinguishable from the captured one — every aggregate the
-session maintains (the cell map, cached encodings, log-likelihood rows)
-is a pure function of these inputs, re-derived on restore. Spammer
+session maintains (the sorted cell index, cached encodings,
+log-likelihood rows) is a pure function of these inputs, re-derived on
+restore. Spammer
 detection's validated-confusion counts are not session state at all:
 detectors count them from an encoding when they need them. A session
 holds no object, worker or label names, so a state carries none either.
@@ -180,9 +181,11 @@ def restore_session(state: SessionState,
     set, and counters are installed directly, so the dirty set is the
     captured one, not what the replay marked. The aggregator is a plain
     :class:`~repro.core.iem.IncrementalEM` rebuilt from the captured knobs
-    and RNG state. The cached flat encoding is rebuilt lazily and
-    lexsorted by ``(object, worker)``, which depends only on the set of
-    cells — identical to the captured session's.
+    and RNG state. The sorted cell index is built from the log, with one
+    argsort, at the first cell lookup (a replayed answer), and the cached
+    flat encoding is rebuilt lazily in ``(object, worker)`` order, which
+    depends only on the set of cells — identical to the captured
+    session's.
     """
     from repro.streaming.session import ValidationSession
 

@@ -12,8 +12,8 @@ Two pieces:
 
 * :class:`ValidationSession` — the online engine. Ingests answers and
   expert validations incrementally, maintains mutable sufficient statistics
-  (flat answer log and its cell map, per-object log-likelihood rows) as
-  deltas, and refines through its ``aggregator=IncrementalEM(...)``,
+  (flat answer log and its sorted cell index, per-object log-likelihood
+  rows) as deltas, and refines through its ``aggregator=IncrementalEM(...)``,
   warm-starting from the previous model. Batch and streaming solves run
   through the same ``IncrementalEM.refine``, so on identical inputs
   streaming and batch answers never disagree. Its public mutating

@@ -7,8 +7,8 @@ whole matrix on every event, the session
 
 * ingests answers and expert validations *incrementally*, maintaining
   mutable sufficient statistics (:class:`repro.core.em_kernel.AnswerStats`:
-  the triple log and its cell map; plus delta-maintained per-object
-  log-likelihood rows) as deltas;
+  the triple log and its sorted cell index; plus delta-maintained
+  per-object log-likelihood rows) as deltas;
 * refines through :meth:`repro.core.iem.IncrementalEM.refine`,
   *warm-starting* from the previous model (confusion matrices + priors),
   exactly the paper's view-maintenance principle (§4.1), so each
@@ -369,7 +369,7 @@ class ValidationSession:
                 self.n_conflicts += 1
                 self._tel_conflicts.set(self.n_conflicts)
                 return False
-        if not self._stats.add_answer(obj, worker, label):
+        if not self._stats._append(obj, worker, label):
             return False
         self._tel_answers.inc()
         self._dirty.add(obj)

@@ -11,6 +11,10 @@ routine that is now only ever run through a faster path:
   fixed-point oracle the accelerated loop is checked against.
 * ``block_subencoding`` — the ``O(A)`` ``np.isin`` scan that locates a
   block's answers; the kernel gathers them from CSR segments instead.
+* ``lexsort_encoding`` and ``CellOracle`` — an ``AnswerStats``' encoding
+  as a lexsort of its whole log, and its cell lookups as a dict keyed by
+  ``(object, worker)`` tuples; the statistics merge new cells into a
+  sorted int64 cell index instead.
 * ``expected_posterior_entropy`` — Eq. 8 by one whole warm-started
   i-EM refinement per hypothetical label, initial E-step included; the
   shared-encoding look-ahead of ``InformationGainStrategy``, which takes
@@ -131,24 +135,73 @@ def run_plain_em(encoded, initial_assignment, validated_objects=None,
                     converged=converged)
 
 
-def block_subencoding(encoded, objects, workers=None, *, n_labels=None):
-    """A block's sub-encoding, its answers found by an ``np.isin`` scan."""
+def block_subencoding(encoded, objects):
+    """A block's sub-encoding, its answers found by an ``np.isin`` scan
+    and its workers by a binary search into their sorted ids."""
     objects = np.asarray(objects, dtype=np.int64)
     keep = np.isin(encoded.object_index, objects)
     local_obj = np.searchsorted(objects, encoded.object_index[keep])
     kept_workers = encoded.worker_index[keep]
-    if workers is None:
-        workers = np.unique(kept_workers)
-    else:
-        workers = np.asarray(workers, dtype=np.int64)
-    sub_labels = encoded.n_labels if n_labels is None else int(n_labels)
-    sub_dtype = index_dtype(objects.size, workers.size, sub_labels,
+    workers = np.unique(kept_workers)
+    sub_dtype = index_dtype(objects.size, workers.size, encoded.n_labels,
                             local_obj.size)
     return EncodedAnswers(
-        n_objects=objects.size, n_workers=workers.size, n_labels=sub_labels,
+        n_objects=objects.size, n_workers=workers.size,
+        n_labels=encoded.n_labels,
         object_index=local_obj.astype(sub_dtype),
         worker_index=np.searchsorted(workers, kept_workers).astype(sub_dtype),
         label_index=encoded.label_index[keep].astype(sub_dtype)), workers
+
+
+def lexsort_encoding(stats):
+    """The encoding of an ``AnswerStats``: its whole log lexsorted by
+    ``(object, worker)``, the masked workers' answers dropped."""
+    obj, wrk, lab = stats.answer_log()
+    if stats.masked_workers:
+        keep = ~np.isin(wrk, sorted(stats.masked_workers))
+        obj, wrk, lab = obj[keep], wrk[keep], lab[keep]
+    order = np.lexsort((wrk, obj))
+    return EncodedAnswers(
+        n_objects=stats.n_objects, n_workers=stats.n_workers,
+        n_labels=stats.n_labels, object_index=obj[order],
+        worker_index=wrk[order], label_index=lab[order])
+
+
+class CellOracle:
+    """The cells an ``AnswerStats`` holds, as a dict keyed by
+    ``(object, worker)`` tuples: first answer wins, an exact duplicate
+    adds nothing, a conflicting re-answer is refused."""
+
+    def __init__(self, n_objects, n_workers, n_labels):
+        self.n_objects, self.n_workers = n_objects, n_workers
+        self.n_labels = n_labels
+        self.cells = {}
+
+    def grow(self, n_objects=None, n_workers=None):
+        self.n_objects = max(self.n_objects, n_objects or 0)
+        self.n_workers = max(self.n_workers, n_workers or 0)
+
+    def label_of(self, obj, worker):
+        return self.cells.get((obj, worker), MISSING)
+
+    def check_answer(self, obj, worker, label, *, conflicts=True):
+        """The cell's label, or ``None`` where ``AnswerStats.check_answer``
+        raises ``InvalidAnswerSetError``."""
+        if not (0 <= obj < self.n_objects and 0 <= worker < self.n_workers
+                and 0 <= label < self.n_labels):
+            return None
+        current = self.label_of(obj, worker)
+        if conflicts and current not in (MISSING, label):
+            return None
+        return current
+
+    def add_answer(self, obj, worker, label):
+        """Whether the answer is new, or ``None`` where it is refused."""
+        current = self.check_answer(obj, worker, label)
+        if current is None:
+            return None
+        self.cells[(obj, worker)] = label
+        return current == MISSING
 
 
 def outside_block_evidence(encoded, assignment, objects, workers):

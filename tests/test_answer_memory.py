@@ -6,12 +6,19 @@ against n·k = 1.6 MB for the ``int8`` storage of a binary answer set.
 a full-width copy (or a gather of candidate rows) comes back.
 
 The streaming statistics are bounded per answer instead: at 15 answers
-per object (60k answers) the triple log retains 12 B/answer when seeded,
-and the cell map, built at the first cell lookup, takes that to about
-153 B/answer; fed answer by answer, a session retains about 116 B/answer.
-Another per-answer index (a position list per object or per worker) adds
-more than 35 B/answer and breaks the bounds. Seeding peaks at 20 B/answer:
-the int32 log plus the int64 cell keys it checks for duplicates.
+per object (60k answers) the triple log retains 12 B/answer when seeded.
+The sorted cell index, built at the first cell lookup, takes that to
+23 B/answer: 8 B of int64 key and 1 B of label per cell, plus its filter
+at 8 to 16 bits per cell. Fed answer by answer, a session retains
+28 B/answer: the log's spare capacity and the dict of cells not yet
+merged come on top. Restoring a streamed session whose write-ahead log
+holds an answer peaks at 71 B/answer, the restored session's log, index
+and model and the index build's argsort included. The tuple-keyed cell
+map this index replaced read 153 B/answer looked up, 114 B/answer fed and
+198 B/answer at the restore peak; another per-answer index (a position
+list per object or per worker) adds more than 35 B/answer and breaks the
+bounds. Seeding peaks at 20 B/answer: the int32 log plus the int64 cell
+keys it checks for duplicates.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from repro.core import em_kernel
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.guidance import GuidanceContext, WorkerDrivenStrategy
 from repro.simulation.crowd import CrowdConfig, simulate_crowd
+from repro.state import FileSessionStore
 from repro.streaming import ValidationSession
 from repro.workers.spammer_detection import SpammerDetector
 
@@ -137,7 +145,7 @@ def test_answer_statistics_retain_few_bytes_per_answer(dense_crowd):
 
     def looked_up():
         stats = seeded()
-        stats.label_of(0, 0)  # builds the cell map
+        stats.label_of(0, 0)  # builds the cell index
         return stats
 
     def fed():
@@ -149,9 +157,36 @@ def test_answer_statistics_retain_few_bytes_per_answer(dense_crowd):
     per_answer = _retained_bytes(seeded) / n_answers
     assert per_answer <= 32, f"seeded: {per_answer:.0f} B/answer"
     per_answer = _retained_bytes(looked_up) / n_answers
-    assert per_answer <= 180, f"looked up: {per_answer:.0f} B/answer"
+    assert per_answer <= 32, f"looked up: {per_answer:.0f} B/answer"
     per_answer = _retained_bytes(fed) / n_answers
-    assert per_answer <= 140, f"fed: {per_answer:.0f} B/answer"
+    assert per_answer <= 64, f"fed: {per_answer:.0f} B/answer"
+
+
+def test_restoring_a_streamed_session_keeps_few_bytes_per_answer(
+        dense_crowd, tmp_path):
+    """A restore replays the checkpoint's log in bulk, then the answer in
+    the WAL tail; that lookup builds the cell index from the log with one
+    argsort. The peak reads 71 B/answer, the restored session included;
+    the tuple-keyed cell map it replaced took it to 198 B/answer."""
+    encoded = em_kernel.encode_answers(dense_crowd.answer_set)
+    triples = list(zip(encoded.object_index.tolist(),
+                       encoded.worker_index.tolist(),
+                       encoded.label_index.tolist()))
+    order = np.random.default_rng(0).permutation(len(triples))
+    session = ValidationSession(encoded.n_objects, encoded.n_workers,
+                                encoded.n_labels)
+    store = FileSessionStore(tmp_path)
+    session.attach_journal(store)
+    for index in order[:-1]:
+        session.add_answer(*triples[index])
+    session.conclude()
+    store.checkpoint(session)
+    session.add_answer(*triples[order[-1]])
+    store.close()
+    del session
+    reopened = FileSessionStore(tmp_path)
+    per_answer = _peak_bytes(reopened.restore) / len(triples)
+    assert per_answer <= 120, f"restore peak: {per_answer:.0f} B/answer"
 
 
 def test_seeding_statistics_keeps_the_encoding_narrow(dense_crowd):

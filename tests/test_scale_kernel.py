@@ -156,11 +156,17 @@ class TestIndexDtype:
         its own narrow dtype — sub-problems re-run the width decision."""
         encoded, _ = random_encoding(2)
         objects = np.arange(5)
-        workers = np.arange(encoded.n_workers)
-        sub, used = em_kernel.block_subencoding(encoded, objects, workers)
+        sub, used = em_kernel.block_subencoding(encoded, objects)
         assert sub.object_index.dtype == np.int32
+        assert sub.worker_index.dtype == np.int32
         assert sub.n_objects == 5
-        np.testing.assert_array_equal(used, workers)
+        # The workers are derived from the block's own answers.
+        in_block = encoded.object_index < 5
+        np.testing.assert_array_equal(
+            used, np.unique(encoded.worker_index[in_block]))
+        assert sub.n_workers == used.size
+        np.testing.assert_array_equal(used[sub.worker_index],
+                                      encoded.worker_index[in_block])
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,8 @@ from repro.core.validation import ExpertValidation
 from repro.errors import InvalidAnswerSetError, InvalidValidationError
 from repro.streaming import ValidationSession
 
+import reference
+
 
 def _labels(m):
     return tuple(f"l{c + 1}" for c in range(m))
@@ -214,6 +216,152 @@ class TestEncodingEquivalence:
         encoded = stats.encoded()
         assert np.array_equal(encoded.object_index, np.arange(100))
         assert np.array_equal(encoded.label_index, np.arange(100) % 2)
+
+
+@st.composite
+def index_programs(draw):
+    """Dimensions, a merge threshold, and a random program over the cell
+    index: single answers (new cells, duplicates, conflicts) under both
+    conflict policies, batches, an optional seed, grows on each axis,
+    masks, lookups and encodings. Indices reach past the dimensions, so
+    some answers are refused until a grow admits them."""
+    n, k, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), 3
+    index = st.tuples(st.integers(0, n + 1), st.integers(0, k + 1),
+                      st.integers(0, m - 1))
+    answer = st.tuples(st.just("answer"), index,
+                       st.sampled_from(["error", "ignore"]))
+    seed = draw(st.none() | st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, k - 1),
+                  st.integers(0, m - 1)),
+        unique_by=lambda triple: triple[:2], max_size=n * k))
+    ops = draw(st.lists(st.one_of(
+        answer, answer, answer,
+        st.tuples(st.just("answers"), st.lists(index, max_size=6)),
+        st.tuples(st.just("grow"), st.sampled_from(["n_objects",
+                                                    "n_workers"]),
+                  st.integers(0, 2)),
+        st.tuples(st.just("mask"), st.lists(st.integers(0, k + 1),
+                                             unique=True, max_size=3)),
+        st.tuples(st.just("lookup"), index, st.booleans()),
+        st.tuples(st.just("encode"))), max_size=60))
+    merge_cells = draw(st.sampled_from([1, 3, em_kernel.MERGE_CELLS]))
+    return n, k, m, seed, ops, merge_cells
+
+
+class TestCellIndexEquivalence:
+    """The sorted cell index against a lexsort of the log and a dict of
+    ``(object, worker)`` tuples, merges at random points included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_programs())
+    def test_index_matches_lexsort_and_tuple_dict(self, program):
+        n, k, m, seed, ops, merge_cells = program
+        oracle = reference.CellOracle(n, k, m)
+        if seed is None:
+            session = ValidationSession(n, k, m)
+        else:
+            matrix = np.full((n, k), MISSING, dtype=np.int64)
+            for obj, worker, label in seed:
+                matrix[obj, worker] = label
+                oracle.add_answer(obj, worker, label)
+            session = ValidationSession.from_answer_set(
+                AnswerSet(matrix, _labels(m)))
+        stats = session.stats
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(em_kernel, "MERGE_CELLS", merge_cells)
+            for op in ops:
+                self._apply(session, stats, oracle, op)
+            self._apply(session, stats, oracle, ("lookup", (0, 0, 0), True))
+            self._apply(session, stats, oracle, ("encode",))
+
+    @staticmethod
+    def _apply(session, stats, oracle, op):
+        kind = op[0]
+        if kind == "answer":
+            (obj, worker, label), policy = op[1], op[2]
+            if policy == "error":
+                expected = oracle.add_answer(obj, worker, label)
+            else:
+                current = oracle.check_answer(obj, worker, label,
+                                              conflicts=False)
+                expected = current if current is None else (
+                    current in (MISSING, label)
+                    and oracle.add_answer(obj, worker, label))
+            if expected is None:
+                with pytest.raises(InvalidAnswerSetError):
+                    session.add_answer(obj, worker, label,
+                                       on_conflict=policy)
+            else:
+                assert session.add_answer(obj, worker, label,
+                                          on_conflict=policy) == expected
+        elif kind == "answers":
+            arrays = [np.array(column, dtype=np.int64)
+                      for column in zip(*op[1])] or \
+                [np.empty(0, dtype=np.int64)] * 3
+            added = 0
+            for triple in op[1]:
+                new = oracle.add_answer(*triple)
+                if new is None:
+                    with pytest.raises(InvalidAnswerSetError):
+                        stats.add_answers(*arrays)
+                    return
+                added += new
+            assert stats.add_answers(*arrays) == added
+        elif kind == "grow":
+            size = getattr(stats, op[1]) + op[2]
+            session.grow(**{op[1]: size})
+            oracle.grow(**{op[1]: size})
+        elif kind == "mask":
+            session.set_masked_workers(
+                [worker for worker in op[1] if worker < stats.n_workers])
+        elif kind == "lookup":
+            (obj, worker, label), conflicts = op[1], op[2]
+            assert all(stats.label_of(o, w) == oracle.label_of(o, w)
+                       for o in range(oracle.n_objects + 2)
+                       for w in range(oracle.n_workers + 2))
+            expected = oracle.check_answer(obj, worker, label,
+                                           conflicts=conflicts)
+            if expected is None:
+                with pytest.raises(InvalidAnswerSetError):
+                    stats.check_answer(obj, worker, label,
+                                       conflicts=conflicts)
+            else:
+                assert stats.check_answer(
+                    obj, worker, label, conflicts=conflicts) == expected
+        else:
+            encoded, lexsorted = stats.encoded(), \
+                reference.lexsort_encoding(stats)
+            assert (encoded.n_objects, encoded.n_workers) == (
+                oracle.n_objects, oracle.n_workers)
+            for name in ("object_index", "worker_index", "label_index"):
+                got, want = getattr(encoded, name), getattr(lexsorted, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            assert stats.n_answers == len(oracle.cells)
+
+    def test_keys_stay_valid_past_the_int32_dimensions(self):
+        """Growing past the int32 index bound widens the log; the keys,
+        which never depended on the dimensions, still find every cell."""
+        stats = em_kernel.AnswerStats(3, 3, 2)
+        for cell in ((0, 2, 1), (2, 0, 0), (1, 1, 1)):
+            stats.add_answer(*cell)
+        stats.encoded()
+        stats.grow(n_objects=1 << 31, n_workers=1 << 32)
+        stats.add_answer((1 << 31) - 1, (1 << 32) - 1, 0)
+        stats.add_answer(0, 1 << 31, 1)
+        assert stats.label_of(0, 2) == 1
+        assert stats.label_of((1 << 31) - 1, (1 << 32) - 1) == 0
+        assert stats.label_of(1, 0) == MISSING
+        encoded = stats.encoded()
+        lexsorted = reference.lexsort_encoding(stats)
+        assert encoded.object_index.dtype == np.int64
+        for name in ("object_index", "worker_index", "label_index"):
+            assert np.array_equal(getattr(encoded, name),
+                                  getattr(lexsorted, name))
+        with pytest.raises(ValueError, match="cell keys"):
+            stats.grow(n_objects=(1 << 31) + 1)
+        with pytest.raises(ValueError, match="cell keys"):
+            em_kernel.AnswerStats(1, (1 << 32) + 1, 2)
 
 
 class TestMaskingEquivalence:

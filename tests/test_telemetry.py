@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import em_kernel
 from repro.core.answer_set import AnswerSet
 from repro.core.iem import IncrementalEM
 from repro.experts.simulated import OracleExpert
@@ -326,6 +327,38 @@ class TestLayerSpans:
                                 "plan.build": ["session.conclude"],
                                 "session.snapshot": ["process.step"]}
         assert step_spans()["encode"] == []
+
+    def test_encode_span_reports_the_cells_it_merged(self):
+        """A streamed statistics epoch merges its new cells into the kept
+        cell index; a seeded log has no index, so its rebuild after a mask
+        toggle sorts the whole log and keeps none."""
+        hub = Telemetry()
+
+        def encode_attrs(stats) -> dict:
+            start = len(hub.tracer.records)
+            stats.encoded()
+            spans = [r for r in hub.tracer.records[start:]
+                     if r.name == "encode"]
+            assert len(spans) == 1
+            return {key: spans[0].attrs[key] for key in ("n_new", "merged")}
+
+        streamed = em_kernel.AnswerStats(4, 3, 2)
+        streamed.telemetry = hub
+        for cell in ((0, 0, 1), (1, 2, 0), (3, 1, 1)):
+            streamed.add_answer(*cell)
+        assert encode_attrs(streamed) == {"n_new": 3, "merged": True}
+        streamed.add_answer(2, 2, 0)
+        assert encode_attrs(streamed) == {"n_new": 1, "merged": True}
+        streamed.set_masked_workers([2])  # no key changes
+        assert encode_attrs(streamed) == {"n_new": 0, "merged": True}
+
+        seeded = em_kernel.AnswerStats(4, 3, 2)
+        seeded.seed(streamed.encoded())
+        seeded.telemetry = hub
+        seeded.set_masked_workers([1])
+        assert encode_attrs(seeded) == {"n_new": 0, "merged": False}
+        seeded.add_answer(2, 1, 1)  # the first lookup builds the index
+        assert encode_attrs(seeded) == {"n_new": 1, "merged": True}
 
 
 # ----------------------------------------------------------------------
