@@ -482,9 +482,7 @@ class AnswerStats:
       encoding time instead of by copying matrix columns;
     * the cached encoding of the current version (:meth:`encoded`).
 
-    There is no per-object or per-worker index: the one query that needs
-    one, :meth:`objects_of_workers`, runs at a mask toggle, which already
-    rebuilds the encoding, and scans the log once.
+    There is no per-object or per-worker index.
 
     :meth:`encoded` produces an :class:`EncodedAnswers` that is **bit-for-bit
     identical** to ``encode_answers(equivalent AnswerSet)``: answers are
@@ -572,16 +570,6 @@ class AnswerStats:
         if not (0 <= obj < self._n_objects and 0 <= worker < self._n_workers):
             return MISSING
         return self._label_at((obj << _WORKER_BITS) | worker)
-
-    def objects_of_workers(self, workers) -> np.ndarray:
-        """Unique objects any of ``workers`` answered (ascending).
-
-        Masked answers count. One ``np.isin`` pass over the log, however
-        many workers are asked for.
-        """
-        n = self._n_answers
-        hit = np.isin(self._wrk[:n], np.fromiter(workers, dtype=np.int64))
-        return np.unique(self._obj[:n][hit])
 
     def answer_log(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(objects, workers, labels)`` in exact insertion order (copies).
@@ -1085,10 +1073,10 @@ def scatter_log_likelihood(encoded: EncodedAnswers,
                            log_confusions: np.ndarray) -> np.ndarray:
     """Per-object log-likelihood rows ``Σ_answers log F_w(·, l)``.
 
-    The E-step's scatter, factored out so delta-maintained read paths
-    (:meth:`repro.streaming.ValidationSession.posteriors`) share it: one
-    sparse product, ``object_incidence @ logF``, with the encoding's
-    memoized :func:`kernel_plan`.
+    The E-step's scatter, factored out so :func:`e_step` and every E/M
+    map (:func:`dawid_skene_map`) share it: one sparse product,
+    ``object_incidence @ logF``, with the encoding's memoized
+    :func:`kernel_plan`.
     """
     n, m = encoded.n_objects, encoded.n_labels
     if not encoded.n_answers:

@@ -2,7 +2,7 @@
 
 This package extracts the mutable state of a
 :class:`~repro.streaming.ValidationSession` — the answer log, expert
-validations, warm-start model, dirty set, RNG stream, and counters —
+validations, warm-start model, concluded mask, RNG stream, and counters —
 behind a small :class:`SessionStore` interface:
 
 * :class:`MemorySessionStore` — in-process value copies (the default;
@@ -10,7 +10,9 @@ behind a small :class:`SessionStore` interface:
 * :class:`FileSessionStore` — npz segments + JSON manifest + JSONL
   write-ahead log, crash-safe via atomic manifest commits.
 
-``store.checkpoint(session)`` persists a full :class:`SessionState`. A
+``store.checkpoint(session)`` persists a full :class:`SessionState`,
+which ``session.capture_state()`` captures and
+``SessionState.restore(telemetry=...)`` turns back into a session. A
 session attached to the store with
 :meth:`~repro.streaming.ValidationSession.attach_journal` appends one
 record per mutating call, after checking it and before applying it; the
@@ -27,8 +29,7 @@ scenario.
 """
 
 from repro.state.filestore import FileSessionStore
-from repro.state.snapshot import (STATE_SCHEMA_VERSION, SessionState,
-                                  capture_session, restore_session)
+from repro.state.snapshot import STATE_SCHEMA_VERSION, SessionState
 from repro.state.store import (CheckpointInfo, MemorySessionStore,
                                RestoredSession, SessionStore, answer_event,
                                conclude_event, grow_event, mask_event,
@@ -38,8 +39,6 @@ from repro.state.store import (CheckpointInfo, MemorySessionStore,
 __all__ = [
     "STATE_SCHEMA_VERSION",
     "SessionState",
-    "capture_session",
-    "restore_session",
     "SessionStore",
     "MemorySessionStore",
     "FileSessionStore",

@@ -7,7 +7,7 @@ On-disk layout under the store root::
       ckpt-000000/
         manifest.json           # schema version, dims, config, RNG state
         global.npz              # model arrays + the concluded mask
-        segment-000.npz         # answer log (+ validations, dirty)
+        segment-000.npz         # answer log (+ validations)
       ckpt-000001/
         ...
 
@@ -34,20 +34,24 @@ never land behind it) and keeps until :meth:`FileSessionStore.close`. A
 returned append is in the kernel, so it survives the process being
 killed; nothing is fsynced.
 
-Segments: a checkpoint writes its answer log, validations and dirty set
-as one segment whose entries are keyed by their log positions. The reader
+Segments: a checkpoint writes its answer log and validations as one
+segment whose entries are keyed by their log positions. The reader
 accepts any number of segments (earlier builds could split a checkpoint
 into one segment per partition block): it concatenates them and sorts by
 position, recovering the exact insertion order however many segments
-hold it.
+hold it. The reader parses every manifest field inside one typed guard
+and checks the answer log, the validations, the masked workers and the
+model against the declared dimensions, so a checkpoint that fails a check
+fails :meth:`~FileSessionStore.load_state` with a typed error, and
+``restore()`` scans back past it.
 
-Older checkpoints carry two things this build no longer writes, and the
-reader accepts both without a schema bump: a manifest ``vocab`` entry
-(object, worker and label names), which it ignores, and a
+Older checkpoints carry things this build does not read, and the reader
+accepts them without a schema bump: a manifest ``vocab`` entry (object,
+worker and label names), a segment ``dirty`` array (the objects changed
+since the last conclude, which no refinement read), and a
 ``concluded_validated`` array in ``global.npz`` (the validations at the
-last conclude), whose differences from the stored validations it adds to
-the dirty set, so such a checkpoint restores with the dirty objects it
-had.
+last conclude). Each segment still carries an empty ``dirty`` array,
+because earlier readers of this schema version require the key.
 """
 
 from __future__ import annotations
@@ -62,12 +66,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.answer_set import MISSING
+from repro.core.iem import INIT_POLICIES
 from repro.errors import (CheckpointCorruptionError,
                           CheckpointDimensionError,
                           CheckpointNotFoundError, CheckpointSchemaError)
 from repro.state.snapshot import STATE_SCHEMA_VERSION, SessionState
 from repro.state.store import EVENT_KINDS, CheckpointInfo, SessionStore
 from repro.telemetry import NULL_TELEMETRY
+from repro.utils.rng import rng_from_state
 
 _CKPT_PREFIX = "ckpt-"
 _MANIFEST = "manifest.json"
@@ -77,17 +83,6 @@ _WAL = "wal.jsonl"
 _WAL_ENCODER = json.JSONEncoder(separators=(",", ":"))
 #: ``json.loads`` of a str, without its per-call argument handling.
 _WAL_DECODER = json.JSONDecoder()
-
-
-def _changed_since(concluded_validated: np.ndarray,
-                   validated: np.ndarray) -> list[int]:
-    """Objects whose validation differs from an older checkpoint's
-    ``concluded_validated``; objects past its end (grown since) count as
-    changed."""
-    overlap = min(concluded_validated.size, validated.size)
-    changed = np.flatnonzero(
-        concluded_validated[:overlap] != validated[:overlap])
-    return changed.tolist() + list(range(overlap, validated.size))
 
 
 class FileSessionStore(SessionStore):
@@ -326,7 +321,9 @@ class FileSessionStore(SessionStore):
                  labels=state.log_labels,
                  validated_objects=validated_objects,
                  validated_labels=state.validated[validated_objects],
-                 dirty=np.asarray(state.dirty, dtype=np.int64))
+                 # Readers before this build require the key; nothing
+                 # reads its contents.
+                 dirty=np.empty(0, dtype=np.int64))
         return [{"file": name, "n_entries": state.n_answers}]
 
     def checkpoints(self) -> list[CheckpointInfo]:
@@ -373,38 +370,64 @@ class FileSessionStore(SessionStore):
             n_objects = int(dims["n_objects"])
             n_workers = int(dims["n_workers"])
             n_labels = int(dims["n_labels"])
-            config = manifest["config"]
             n_answers = int(manifest["n_answers"])
-            segment_entries = manifest["segments"]
-        except (KeyError, TypeError) as exc:
+            segments = [(str(entry["file"]), int(entry["n_entries"]))
+                        for entry in manifest["segments"]]
+            config = manifest["config"]
+            model_meta = manifest.get("model", {})
+            model_dims = model_meta.get("dims")
+            counters = manifest.get("counters", {})
+            # Every other field the state takes from the manifest.
+            fields = dict(
+                init=str(config["init"]), max_iter=int(config["max_iter"]),
+                tol=float(config["tol"]),
+                smoothing=float(config["smoothing"]),
+                on_conflict=str(config.get("on_conflict", "error")),
+                rng_state=manifest["rng_state"],
+                masked_workers=tuple(
+                    int(w) for w in manifest.get("masked_workers", [])),
+                model_n_iterations=int(model_meta.get("n_iterations", 0)),
+                model_converged=bool(model_meta.get("converged", False)),
+                model_dims=None if model_dims is None
+                else (int(model_dims[0]), int(model_dims[1])),
+                n_concludes=int(counters.get("n_concludes", 0)),
+                total_em_iterations=int(
+                    counters.get("total_em_iterations", 0)),
+                n_conflicts=int(counters.get("n_conflicts", 0)))
+            rng_from_state(fields["rng_state"])  # one that numpy can load
+            if fields["init"] not in INIT_POLICIES \
+                    or fields["on_conflict"] not in ("error", "ignore"):
+                raise ValueError(
+                    f"unknown init {fields['init']!r} or conflict policy "
+                    f"{fields['on_conflict']!r}")
+        except (KeyError, IndexError, TypeError, ValueError,
+                AttributeError) as exc:
             raise CheckpointCorruptionError(
-                f"checkpoint {directory.name} manifest is missing required "
-                f"fields: {exc}") from exc
+                f"checkpoint {directory.name} manifest has missing or "
+                f"unreadable fields: {exc!r}") from exc
 
         positions, objs, wrks, labs = [], [], [], []
         validated = np.full(n_objects, MISSING, dtype=np.int64)
-        dirty: set[int] = set()
         suffix = directory.name[len(_CKPT_PREFIX):]
         read_key = int(suffix) if suffix.isdigit() else suffix
-        for entry in segment_entries:
+        for name, n_entries in segments:
             if self.fault_injector is not None:
                 # A fired "corrupt" fault raises CheckpointCorruptionError
                 # exactly as a garbage segment would, driving the restore
                 # scan-back path without touching real bytes.
                 self.fault_injector.check("filestore.segment-read", read_key)
-            path = directory / entry["file"]
+            path = directory / name
             if not path.exists():
                 raise CheckpointCorruptionError(
                     f"checkpoint {directory.name} manifest lists segment "
-                    f"{entry['file']} but the file is missing")
+                    f"{name} but the file is missing")
             try:
                 with np.load(path, allow_pickle=False) as seg:
                     seg_positions = seg["positions"]
-                    if seg_positions.size != int(entry["n_entries"]):
+                    if seg_positions.size != n_entries:
                         raise CheckpointCorruptionError(
-                            f"segment {entry['file']} holds "
-                            f"{seg_positions.size} entries; manifest "
-                            f"expects {entry['n_entries']}")
+                            f"segment {name} holds {seg_positions.size} "
+                            f"entries; manifest expects {n_entries}")
                     positions.append(seg_positions)
                     objs.append(seg["objects"])
                     wrks.append(seg["workers"])
@@ -414,14 +437,18 @@ class FileSessionStore(SessionStore):
                     if v_obj.size and (v_obj.min() < 0
                                        or v_obj.max() >= n_objects):
                         raise CheckpointDimensionError(
-                            f"segment {entry['file']} validates objects "
-                            f"outside [0, {n_objects})")
+                            f"segment {name} validates objects outside "
+                            f"[0, {n_objects})")
+                    if v_lab.size and (v_lab.min() < 0
+                                       or v_lab.max() >= n_labels):
+                        raise CheckpointDimensionError(
+                            f"segment {name} validates with labels outside "
+                            f"[0, {n_labels})")
                     validated[v_obj] = v_lab
-                    dirty.update(seg["dirty"].tolist())
             except (OSError, ValueError, KeyError) as exc:
                 raise CheckpointCorruptionError(
-                    f"segment {entry['file']} of checkpoint "
-                    f"{directory.name} is unreadable: {exc}") from exc
+                    f"segment {name} of checkpoint {directory.name} is "
+                    f"unreadable: {exc}") from exc
 
         position = np.concatenate(positions) if positions \
             else np.empty(0, dtype=np.int64)
@@ -451,23 +478,15 @@ class FileSessionStore(SessionStore):
             raise CheckpointDimensionError(
                 f"checkpoint {directory.name} answer log exceeds declared "
                 f"dimensions ({n_objects} × {n_workers}, {n_labels} labels)")
-        masked = manifest.get("masked_workers", [])
-        if any(not 0 <= int(w) < n_workers for w in masked):
+        if any(not 0 <= w < n_workers for w in fields["masked_workers"]):
             raise CheckpointDimensionError(
                 f"checkpoint {directory.name} masks workers outside "
                 f"[0, {n_workers})")
 
         concluded = None
         assignment = confusions = priors = None
-        model_meta = manifest.get("model", {})
-        model_dims = model_meta.get("dims")
         try:
             with np.load(directory / _GLOBAL, allow_pickle=False) as blob:
-                if manifest.get("has_concluded_validated"):
-                    # An older checkpoint's validations at its last
-                    # conclude: what differs now was dirty then.
-                    dirty.update(_changed_since(
-                        blob["concluded_validated"], validated))
                 if manifest.get("has_concluded"):
                     concluded = blob["concluded"].astype(bool).copy()
                 if manifest.get("has_model"):
@@ -479,10 +498,8 @@ class FileSessionStore(SessionStore):
                 f"checkpoint {directory.name} global arrays are "
                 f"unreadable: {exc}") from exc
         if assignment is not None:
-            expected_n = n_objects if model_dims is None \
-                else int(model_dims[0])
-            expected_k = n_workers if model_dims is None \
-                else int(model_dims[1])
+            expected_n, expected_k = fields["model_dims"] \
+                or (n_objects, n_workers)
             if assignment.shape != (expected_n, n_labels) \
                     or confusions.shape != (expected_k, n_labels, n_labels) \
                     or priors.shape != (n_labels,):
@@ -495,30 +512,12 @@ class FileSessionStore(SessionStore):
             raise CheckpointDimensionError(
                 f"checkpoint {directory.name} concluded mask has shape "
                 f"{concluded.shape}; expected ({n_objects},)")
-        counters = manifest.get("counters", {})
         return SessionState(
             n_objects=n_objects, n_workers=n_workers, n_labels=n_labels,
-            init=str(config["init"]), max_iter=int(config["max_iter"]),
-            tol=float(config["tol"]),
-            smoothing=float(config["smoothing"]),
-            on_conflict=str(config.get("on_conflict", "error")),
-            rng_state=manifest["rng_state"],
             log_objects=log_objects, log_workers=log_workers,
-            log_labels=log_labels,
-            masked_workers=tuple(int(w) for w in masked),
-            validated=validated,
-            dirty=tuple(sorted(dirty)),
+            log_labels=log_labels, validated=validated,
             assignment=assignment, confusions=confusions, priors=priors,
-            model_n_iterations=int(model_meta.get("n_iterations", 0)),
-            model_converged=bool(model_meta.get("converged", False)),
-            model_dims=None if model_dims is None
-            else (int(model_dims[0]), int(model_dims[1])),
-            n_concludes=int(counters.get("n_concludes", 0)),
-            total_em_iterations=int(
-                counters.get("total_em_iterations", 0)),
-            n_conflicts=int(counters.get("n_conflicts", 0)),
-            concluded=concluded,
-        )
+            concluded=concluded, **fields)
 
     # ------------------------------------------------------------------
     def _checkpoint_dirs(self) -> list[tuple[int, Path]]:

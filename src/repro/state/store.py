@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import (CheckpointCorruptionError,
                           CheckpointDimensionError,
-                          CheckpointNotFoundError, CheckpointSchemaError)
+                          CheckpointNotFoundError, CheckpointSchemaError,
+                          ReproError)
 from repro.state.snapshot import SessionState
 
 #: WAL record kinds understood by :func:`replay_events`.
@@ -141,44 +142,53 @@ def replay_events(session, records) -> tuple[int, int | None]:
 
     Replays mutations exactly as the original driver issued them —
     including ``conclude`` refinements, so the warm-start chain (and hence
-    every float of the model) is reproduced bit-for-bit. This is the one
-    table from record kind to session method; the session must have no
-    journal attached, or the replay would log the records again.
+    every float of the model) is reproduced bit-for-bit. The session must
+    have no journal attached, or the replay would log the records again.
     """
     applied = 0
     last_step = None
     for record in records:
-        kind = record.get("kind")
-        if kind == "answer":
-            session.add_answer(record["object"], record["worker"],
-                               record["label"],
-                               grow=record.get("grow", False),
-                               on_conflict=record.get("on_conflict"))
-        elif kind == "validation":
-            # The record does not say whether the call grew the session;
-            # a logged validation past n_objects came with grow=True.
-            session.add_validation(record["object"], record["label"],
-                                   overwrite=record.get("overwrite", False),
-                                   grow=True)
-        elif kind == "retract":
-            session.retract_validation(record["object"])
-        elif kind == "mask":
-            session.set_masked_workers(record["workers"])
-        elif kind == "grow":
-            session.grow(n_objects=record.get("n_objects"),
-                         n_workers=record.get("n_workers"))
-        elif kind == "conclude":
-            session.conclude()
-        elif kind == "conclude-object":
-            session.conclude_object(record["object"],
-                                    revoke=record.get("revoke", False))
-        elif kind == "step":
-            last_step = int(record["step"])
-        else:
-            raise CheckpointCorruptionError(
-                f"unknown WAL record kind {kind!r}")
+        step = _apply_event(session, record)
+        if step is not None:
+            last_step = step
         applied += 1
     return applied, last_step
+
+
+def _apply_event(session, record: dict) -> int | None:
+    """Apply one WAL record; returns the step of a ``step`` marker.
+
+    This is the one table from record kind to session method.
+    """
+    kind = record.get("kind")
+    if kind == "answer":
+        session.add_answer(record["object"], record["worker"],
+                           record["label"],
+                           grow=record.get("grow", False),
+                           on_conflict=record.get("on_conflict"))
+    elif kind == "validation":
+        # The record does not say whether the call grew the session;
+        # a logged validation past n_objects came with grow=True.
+        session.add_validation(record["object"], record["label"],
+                               overwrite=record.get("overwrite", False),
+                               grow=True)
+    elif kind == "retract":
+        session.retract_validation(record["object"])
+    elif kind == "mask":
+        session.set_masked_workers(record["workers"])
+    elif kind == "grow":
+        session.grow(n_objects=record.get("n_objects"),
+                     n_workers=record.get("n_workers"))
+    elif kind == "conclude":
+        session.conclude()
+    elif kind == "conclude-object":
+        session.conclude_object(record["object"],
+                                revoke=record.get("revoke", False))
+    elif kind == "step":
+        return int(record["step"])
+    else:
+        raise CheckpointCorruptionError(f"unknown WAL record kind {kind!r}")
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +261,14 @@ class SessionStore(ABC):
         lies outside ``[0, wal_position]`` is corrupt.
 
         The tail replays through the session's own mutating methods
-        (:func:`replay_events`). The restored session has neither a
-        journal nor telemetry attached: a driver that goes on logging
-        re-attaches both (``attach_journal``, ``attach_telemetry``).
+        (the table :func:`replay_events` uses). The journal logs only
+        calls the session accepted, so a tail record the session refuses
+        is corruption: it raises
+        :class:`~repro.errors.CheckpointCorruptionError` naming its WAL
+        position, chained to the refusal. The restored session has
+        neither a journal nor telemetry attached: a driver that goes on
+        logging re-attaches both (``attach_journal``,
+        ``attach_telemetry``).
 
         The result is bit-for-bit the live session, for every session:
         each of its mutations, refinements included, goes through a
@@ -297,13 +312,23 @@ class SessionStore(ABC):
             state = self._load_checked(info)
         session = state.restore()
         tail = self.wal_records(info.wal_position)
-        applied, last_step = replay_events(session, tail)
+        last_step = None
+        for position, record in enumerate(tail, info.wal_position):
+            try:
+                step = _apply_event(session, record)
+            except (ReproError, KeyError, TypeError, ValueError,
+                    AttributeError) as exc:
+                raise CheckpointCorruptionError(
+                    f"WAL record {position} cannot be replayed: "
+                    f"{exc!r}") from exc
+            if step is not None:
+                last_step = step
         # A step marker logged before the checkpoint still tells the
         # driver where it was; look it up only if the tail had none.
         if last_step is None:
             last_step = self.step_before(info.wal_position)
         return RestoredSession(session=session, checkpoint=info,
-                               n_replayed=applied, step=last_step,
+                               n_replayed=len(tail), step=last_step,
                                skipped_checkpoints=tuple(skipped))
 
 

@@ -12,9 +12,9 @@ Two pieces:
 
 * :class:`ValidationSession` — the online engine. Ingests answers and
   expert validations incrementally, maintains mutable sufficient statistics
-  (flat answer log and its sorted cell index, per-object log-likelihood
-  rows) as deltas, and refines through its ``aggregator=IncrementalEM(...)``,
-  warm-starting from the previous model. Batch and streaming solves run
+  (flat answer log and its sorted cell index) as deltas, and refines
+  through its ``aggregator=IncrementalEM(...)``, warm-starting from the
+  previous model. Batch and streaming solves run
   through the same ``IncrementalEM.refine``, so on identical inputs
   streaming and batch answers never disagree. Its public mutating
   methods are the only way to change it (``session.validation`` is a

@@ -7,15 +7,20 @@ whole matrix on every event, the session
 
 * ingests answers and expert validations *incrementally*, maintaining
   mutable sufficient statistics (:class:`repro.core.em_kernel.AnswerStats`:
-  the triple log and its sorted cell index; plus delta-maintained
-  per-object log-likelihood rows) as deltas;
+  the triple log and its sorted cell index) as deltas;
 * refines through :meth:`repro.core.iem.IncrementalEM.refine`,
   *warm-starting* from the previous model (confusion matrices + priors),
   exactly the paper's view-maintenance principle (§4.1), so each
   :meth:`~ValidationSession.conclude` costs a handful of EM iterations
-  instead of a cold solve;
-* tracks which objects' statistics changed since the last refinement
-  (``dirty_objects``).
+  instead of a cold solve.
+
+A session keeps what a refinement reads — the answers, the expert
+validations and the previous model — plus the aggregator with its RNG
+stream, the concluded mask and its counters, and nothing else:
+:meth:`~ValidationSession.capture_state` copies exactly that, and
+:meth:`repro.state.SessionState.restore` rebuilds it. Reads between
+refinements (:meth:`~ValidationSession.posteriors`) compute from these
+when they are called.
 
 The exact-refinement path is **bit-for-bit consistent** with the batch
 kernel: ``session.conclude()`` produces the same floats as
@@ -33,14 +38,15 @@ import numpy as np
 
 from repro.core.answer_set import MISSING, AnswerSet
 from repro.core import em_kernel
-from repro.core.confusion import PROB_FLOOR
 from repro.core.iem import IncrementalEM
 from repro.core.probabilistic import ProbabilisticAnswerSet
 from repro.core.validation import ExpertValidation
 from repro.errors import (InvalidAnswerSetError, InvalidValidationError,
                           StreamingError)
 from repro.state import store as state_events
+from repro.state.snapshot import SessionState
 from repro.telemetry import NULL_TELEMETRY
+from repro.utils.rng import rng_state
 
 
 class ValidationSession:
@@ -70,13 +76,6 @@ class ValidationSession:
     ``ProbabilisticAnswerSet.encoded``, so guidance, detection and the
     confirmation check read the answers the refinement read. Export a
     matrix with ``stats.to_matrix()``.
-
-    The session also keeps the objects whose statistics changed since the
-    last refinement (:attr:`dirty_objects`). The ``session.conclude``
-    span reports their count as ``n_dirty`` and checkpoints store them.
-    No refinement reads them yet: every ``conclude`` solves the whole
-    answer set, and a refine that re-solves only what changed is their
-    intended reader.
 
     Parameters
     ----------
@@ -143,10 +142,6 @@ class ValidationSession:
         # Last installed model and the statistics epoch it refined.
         self._model: em_kernel.EMResult | None = None
         self._model_dims: tuple[int, int] | None = None
-        # Objects whose statistics changed since the last refinement:
-        # every answer, validation change, mask toggle and growth adds
-        # its objects here, and each conclude clears it.
-        self._dirty: set[int] = set()
 
         # Per-object concluded mask (CDAS-style quality targets): objects
         # whose posterior cleared a confidence target and left the
@@ -154,11 +149,6 @@ class ValidationSession:
         # refinements never touch it (hysteresis: un-concluding requires
         # an explicit revoke).
         self._concluded = np.zeros(n_objects, dtype=bool)
-
-        # Delta-maintained per-object log-likelihood rows under the current
-        # model (read path); rebuilt lazily after each refinement.
-        self._log_like: np.ndarray | None = None
-        self._log_conf: np.ndarray | None = None
 
         #: Refinements run and EM iterations spent across them.
         self.n_concludes = 0
@@ -186,7 +176,7 @@ class ValidationSession:
         excluded from :meth:`capture_state` snapshots, and a restored
         session comes back with :data:`~repro.telemetry.NULL_TELEMETRY`
         until a hub is re-attached here (or via
-        ``restore_session(..., telemetry=...)``).
+        ``SessionState.restore(telemetry=...)``).
         """
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -226,7 +216,6 @@ class ValidationSession:
         if validation is not None:
             for index, label in validation.as_dict().items():
                 session.add_validation(index, label)
-        session._dirty = set(range(answer_set.n_objects))
         return session
 
     # ------------------------------------------------------------------
@@ -293,16 +282,6 @@ class ValidationSession:
         """Objects currently marked concluded."""
         return int(np.count_nonzero(self._concluded))
 
-    @property
-    def dirty_objects(self) -> frozenset[int]:
-        """Objects whose statistics changed since the last refinement.
-
-        Validations change only through the session's own methods, so
-        every change is already in the set; an object validated and then
-        restored to its label stays dirty until the next refinement.
-        """
-        return frozenset(self._dirty)
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
@@ -321,19 +300,16 @@ class ValidationSession:
         self._grow(n_objects, n_workers)
 
     def _grow(self, n_objects: int | None, n_workers: int | None) -> None:
-        old_n, old_k = self.n_objects, self.n_workers
+        old_n = self.n_objects
         self._stats.grow(n_objects=n_objects, n_workers=n_workers)
         if self.n_objects > old_n:
             validation = ExpertValidation(self.n_objects, self.n_labels)
             for index, label in self._validation.as_dict().items():
                 validation.assign(index, label)
             self._validation = validation
-            self._dirty.update(range(old_n, self.n_objects))
             grown_concluded = np.zeros(self.n_objects, dtype=bool)
             grown_concluded[:old_n] = self._concluded
             self._concluded = grown_concluded
-        if (self.n_objects, self.n_workers) != (old_n, old_k):
-            self._log_like = None
 
     def add_answer(self, obj: int, worker: int, label: int,
                    *, grow: bool = False,
@@ -372,10 +348,6 @@ class ValidationSession:
         if not self._stats._append(obj, worker, label):
             return False
         self._tel_answers.inc()
-        self._dirty.add(obj)
-        if self._log_like is not None \
-                and worker not in self._stats.masked_workers:
-            self._log_like[obj] += self._log_conf[worker, :, label]
         return True
 
     def add_answers(self, triples: Iterable[tuple[int, int, int]],
@@ -393,8 +365,8 @@ class ValidationSession:
                        *, overwrite: bool = False, grow: bool = False) -> None:
         """Ingest one expert validation (the stream's ground-truth events).
 
-        A changed label makes ``obj`` dirty. With ``grow=True``, an object
-        index past ``n_objects`` extends the dimensions instead of raising.
+        With ``grow=True``, an object index past ``n_objects`` extends the
+        dimensions instead of raising.
         """
         obj, label = int(obj), int(label)
         self._validation.check(obj, label, overwrite=overwrite, grow=grow)
@@ -403,8 +375,6 @@ class ValidationSession:
                 obj, label, overwrite=overwrite))
         if obj >= self.n_objects:
             self._grow(obj + 1, None)
-        if self._validation.label_of(obj) != label:
-            self._dirty.add(obj)
         self._validation.assign(obj, label, overwrite=overwrite)
         self._tel_validations.inc()
 
@@ -414,9 +384,7 @@ class ValidationSession:
         self._check_object(obj)
         if self._journal is not None:
             self._journal.append(state_events.retract_event(obj))
-        if self._validation.label_of(obj) != MISSING:
-            self._validation.retract(obj)
-            self._dirty.add(obj)
+        self._validation.retract(obj)
 
     def conclude_object(self, obj: int, *, revoke: bool = False) -> bool:
         """Mark ``obj`` as concluded (or un-conclude it with ``revoke=True``).
@@ -445,8 +413,7 @@ class ValidationSession:
     def set_masked_workers(self, workers: Iterable[int]) -> frozenset[int]:
         """Exclude (or re-include) workers' answers from aggregation (§5.3).
 
-        Returns the workers whose state toggled; every object they
-        answered becomes dirty.
+        Returns the workers whose state toggled.
         """
         masked = frozenset(int(worker) for worker in workers)
         outside = sorted(w for w in masked if not 0 <= w < self.n_workers)
@@ -455,12 +422,7 @@ class ValidationSession:
                 f"worker index {outside[0]} outside [0, {self.n_workers})")
         if self._journal is not None:
             self._journal.append(state_events.mask_event(masked))
-        toggled = self._stats.set_masked_workers(masked)
-        if toggled:
-            self._dirty.update(
-                self._stats.objects_of_workers(toggled).tolist())
-            self._log_like = None
-        return toggled
+        return self._stats.set_masked_workers(masked)
 
     # ------------------------------------------------------------------
     # Refinement
@@ -479,7 +441,7 @@ class ValidationSession:
             and self._model_dims == (self.n_objects, self.n_workers)
         span = self.telemetry.span(
             "session.conclude", warm=warm, n_objects=self.n_objects,
-            n_answers=self.n_answers, n_dirty=len(self._dirty))
+            n_answers=self.n_answers)
         with span:
             result = self.aggregator.refine(
                 self._stats.encoded(), self._validation,
@@ -501,53 +463,39 @@ class ValidationSession:
     def _install(self, result: em_kernel.EMResult) -> None:
         self._model = result
         self._model_dims = (self.n_objects, self.n_workers)
-        self._dirty.clear()
-        self._log_like = None
-        self._log_conf = None
         self.n_concludes += 1
         self.total_em_iterations += result.n_iterations
 
     # ------------------------------------------------------------------
-    # Read path (delta-maintained, no full refinement needed)
+    # Read path
     # ------------------------------------------------------------------
     def posterior(self, obj: int) -> np.ndarray:
-        """Current label distribution for one object, served incrementally.
-
-        Uses the delta-maintained log-likelihood rows under the last model
-        (answers that arrived since the last refinement are already folded
-        in), clamped to one-hot for validated objects. Before the first
-        refinement, vote shares are returned. Agrees with a fresh E-step to
-        within floating-point addition-order noise (≤ 1e-9).
-        """
+        """Current label distribution of one object (:meth:`posteriors`)."""
         return self.posteriors()[int(obj)]
 
     def posteriors(self) -> np.ndarray:
-        """Current label distributions for all objects (see :meth:`posterior`)."""
-        validated = self._validation.validated_indices()
-        labels = self._validation.validated_labels()
+        """Current label distributions for all objects.
+
+        One E-step under the last installed model over the current
+        statistics, so answers that arrived since the last refinement
+        count, clamped to one-hot for validated objects. Before the first
+        refinement, and after growth until the next, vote shares are
+        returned instead.
+        """
+        encoded = self._stats.encoded()
         if self._model is None \
                 or self._model_dims != (self.n_objects, self.n_workers):
-            assignment = em_kernel.initial_assignment_majority(
-                self._stats.encoded())
-            return em_kernel.clamp_validated(assignment, validated, labels)
-        self._ensure_log_like()
-        assignment = em_kernel.normalize_log_likelihood(
-            self._log_like.copy(),
-            np.log(np.clip(self._model.priors, PROB_FLOOR, None)))
-        return em_kernel.clamp_validated(assignment, validated, labels)
+            assignment = em_kernel.initial_assignment_majority(encoded)
+        else:
+            assignment = em_kernel.e_step(encoded, self._model.confusions,
+                                          self._model.priors)
+        return em_kernel.clamp_validated(
+            assignment, self._validation.validated_indices(),
+            self._validation.validated_labels())
 
     def map_label(self, obj: int) -> int:
         """Maximum-a-posteriori label for one object."""
         return int(np.argmax(self.posterior(obj)))
-
-    def _ensure_log_like(self) -> None:
-        if self._log_like is not None:
-            return
-        assert self._model is not None
-        self._log_conf = np.log(
-            np.clip(self._model.confusions, PROB_FLOOR, None))
-        self._log_like = em_kernel.scatter_log_likelihood(
-            self._stats.encoded(), self._log_conf)
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -586,31 +534,46 @@ class ValidationSession:
     # ------------------------------------------------------------------
     # Durable state (checkpoint/restore seam for :mod:`repro.state`)
     # ------------------------------------------------------------------
-    def capture_state(self) -> "SessionState":
+    def capture_state(self) -> SessionState:
         """Capture the complete mutable state as a value object.
 
         The returned :class:`repro.state.SessionState` is self-contained:
-        :meth:`restore_state` (or ``SessionState.restore()``) rebuilds a
-        session whose every observable — sufficient statistics, expert
-        validations, warm-start model, dirty set, aggregator and RNG
-        stream, conclude counters — is bit-for-bit identical to this one's.
+        its :meth:`~repro.state.SessionState.restore` rebuilds a session
+        whose every observable — sufficient statistics, expert
+        validations, warm-start model, aggregator and RNG stream,
+        concluded mask, conclude counters — is bit-for-bit identical to
+        this one's. Every array is a copy.
         """
-        from repro.state.snapshot import capture_session
-
-        return capture_session(self)
-
-    @classmethod
-    def restore_state(cls, state: "SessionState",
-                      telemetry=None) -> "ValidationSession":
-        """Rebuild a session from a :meth:`capture_state` snapshot.
-
-        ``telemetry`` re-attaches a hub to the restored session
-        (checkpoints never carry one); omitted, the session restores
-        uninstrumented.
-        """
-        from repro.state.snapshot import restore_session
-
-        return restore_session(state, telemetry=telemetry)
+        obj, wrk, lab = self._stats.answer_log()
+        model = self._model
+        aggregator = self.aggregator
+        return SessionState(
+            n_objects=self.n_objects,
+            n_workers=self.n_workers,
+            n_labels=self.n_labels,
+            init=aggregator.init,
+            max_iter=aggregator.max_iter,
+            tol=aggregator.tol,
+            smoothing=aggregator.smoothing,
+            on_conflict=self.on_conflict,
+            rng_state=rng_state(aggregator.rng),
+            log_objects=obj,
+            log_workers=wrk,
+            log_labels=lab,
+            masked_workers=tuple(sorted(self.masked_workers)),
+            validated=self._validation.as_array(),
+            assignment=None if model is None else model.assignment.copy(),
+            confusions=None if model is None else model.confusions.copy(),
+            priors=None if model is None else model.priors.copy(),
+            model_n_iterations=0 if model is None else model.n_iterations,
+            model_converged=False if model is None else model.converged,
+            model_dims=self._model_dims,
+            n_concludes=self.n_concludes,
+            total_em_iterations=self.total_em_iterations,
+            n_conflicts=self.n_conflicts,
+            concluded=self._concluded.copy()
+            if self._concluded.any() else None,
+        )
 
     # ------------------------------------------------------------------
     def _check_object(self, obj: int) -> None:

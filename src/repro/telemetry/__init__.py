@@ -20,7 +20,7 @@ Design contract:
   (``tests/test_telemetry.py``).
 * **Never persisted.** Checkpoints exclude telemetry state; restored
   sessions re-attach a hub via ``attach_telemetry`` /
-  ``restore_session(..., telemetry=...)``.
+  ``SessionState.restore(telemetry=...)``.
 
 See PERFORMANCE.md ("Telemetry") for the span taxonomy and manifest
 guide, and ``examples/telemetry_tour.py`` for a walkthrough.

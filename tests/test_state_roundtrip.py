@@ -9,8 +9,8 @@ same RNG stream, same conflict bookkeeping. Three layers:
   replayed with a checkpoint/restore wedged at a random cut point, under
   both store backends and both kernel-plan modes, and compared to the
   uninterrupted run;
-* **value-object round-trips** — ``capture_state``/``restore_state`` and
-  the on-disk manifest/segment encoding preserve every field
+* **value-object round-trips** — ``capture_state``, ``SessionState.restore``
+  and the on-disk manifest/segment encoding preserve every field
   (:meth:`~repro.state.SessionState.equals`), including the RNG
   bit-generator state;
 * the **conflict-policy boundary** — the pinned first-write-wins policy
@@ -61,7 +61,6 @@ def _assert_sessions_bit_equal(a: ValidationSession, b: ValidationSession):
     assert a.n_concludes == b.n_concludes
     assert a.total_em_iterations == b.total_em_iterations
     assert a.n_conflicts == b.n_conflicts
-    assert a.dirty_objects == b.dirty_objects
     # The RNG stream continues identically: state transfer, not reseeding.
     np.testing.assert_array_equal(a.aggregator.rng.random(8),
                                   b.aggregator.rng.random(8))
@@ -117,7 +116,7 @@ class TestRoundTripProperties:
         assert state.equals(loaded)
         assert loaded.rng_state == state.rng_state
 
-        rebuilt = ValidationSession.restore_state(loaded)
+        rebuilt = loaded.restore()
         assert rebuilt.capture_state().equals(state)
 
 

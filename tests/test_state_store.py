@@ -38,6 +38,7 @@ from repro.errors import (
     CheckpointDimensionError,
     CheckpointNotFoundError,
     CheckpointSchemaError,
+    InvalidAnswerSetError,
     StateStoreError,
 )
 from repro.resilience import EventLog
@@ -403,6 +404,79 @@ class TestCheckpointWalPosition:
         assert restored.session.capture_state().equals(live.capture_state())
         with pytest.raises(CheckpointCorruptionError, match="WAL record"):
             store.restore(1)
+
+
+def _validate_out_of_range(store: FileSessionStore) -> None:
+    path = _checkpoint_dir(store) / "segment-000.npz"
+    with np.load(path) as segment:
+        arrays = dict(segment)
+    arrays["validated_labels"][:] = 5  # the session has 2 labels
+    np.savez(path, **arrays)
+
+
+class TestScanBackPastEveryField:
+    """A newest checkpoint whose every file parses but one field cannot
+    rebuild a session is corrupt: ``restore()`` scans back past it to the
+    intact older checkpoint instead of raising from the rebuild."""
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(_validate_out_of_range, id="validated-label"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m.pop("rng_state")), id="no-rng-state"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m["config"].pop("init")), id="no-config-init"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m["rng_state"].update(state=None)),
+            id="unloadable-rng-state"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m["config"].update(init="bogus")),
+            id="unknown-init"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m["config"].update(on_conflict="bogus")),
+            id="unknown-conflict-policy"),
+    ])
+    def test_corrupt_newest_checkpoint_is_scanned_back(self, tmp_path,
+                                                       corrupt):
+        store = FileSessionStore(tmp_path)
+        live = _session()
+        live.attach_journal(store)
+        store.checkpoint(live)
+        live.add_answer(5, 1, 1)
+        live.conclude()
+        store.checkpoint(live)
+        store.close()
+        corrupt(store)
+
+        log = EventLog()
+        restored = store.restore(event_log=log)
+        assert restored.checkpoint.checkpoint_id == 0
+        assert restored.skipped_checkpoints == (1,)
+        assert log.count("checkpoint-scan-back") == 1
+        assert restored.session.capture_state().equals(live.capture_state())
+        with pytest.raises((CheckpointCorruptionError,
+                            CheckpointDimensionError)):
+            store.load_state(1)
+
+
+class TestUnreplayableTail:
+    """The journal logs only calls the session accepted, so a tail record
+    the session refuses is corruption, named by its WAL position."""
+
+    @pytest.mark.parametrize("record, cause", [
+        pytest.param({"kind": "answer", "object": 1}, KeyError,
+                     id="answer-without-worker"),
+        pytest.param(state_events.answer_event(1, 1, 9),
+                     InvalidAnswerSetError, id="label-outside-vocabulary"),
+    ])
+    def test_refused_tail_record_is_corruption(self, any_store, record,
+                                               cause):
+        any_store.checkpoint(_session())
+        any_store.append(state_events.answer_event(5, 1, 1))
+        any_store.append(record)
+        with pytest.raises(CheckpointCorruptionError,
+                           match="WAL record 1 ") as caught:
+            any_store.restore()
+        assert isinstance(caught.value.__cause__, cause)
 
 
 class TestOldManifests:

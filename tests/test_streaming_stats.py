@@ -2,9 +2,10 @@
 
 Satellite of the streaming engine: for arbitrary interleavings of
 add-answer / add-validation / mask / grow operations, the incrementally
-maintained statistics (flat encoding, majority init, dirty set,
-log-likelihood read path) must equal a from-scratch rebuild via
-``encode_answers`` over the equivalent batch answer set.
+maintained statistics (flat encoding, majority init) must equal a
+from-scratch rebuild via ``encode_answers`` over the equivalent batch
+answer set, and the session's ``posteriors()`` must equal one fresh
+E-step under its installed model.
 """
 
 from __future__ import annotations
@@ -393,45 +394,6 @@ class TestMaskingEquivalence:
 class TestSessionStatisticsNeverDesync:
     """Interleaved add-answer / add-validation sequences (the satellite)."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(interleavings(), st.data())
-    def test_dirty_objects_match_rebuild(self, case, data):
-        """The dirty set is what changed since the last conclude: objects
-        that gained an answer, objects whose validation changed (set,
-        relabelled or retracted), and every object a toggled worker
-        answered, masked answers included."""
-        n, k, m, ops = case
-        session = ValidationSession(n, k, m)
-        answered: list[tuple[int, int]] = []
-        masked: set[int] = set()
-        expected: set[int] = set()
-        for op in ops:
-            if op[0] == "answer":
-                if session.add_answer(op[1], op[2], op[3]):
-                    answered.append((op[1], op[2]))
-                    expected.add(op[1])
-            elif op[0] == "validate":
-                previous = session.validation.label_of(op[1])
-                if data.draw(st.booleans(), label="retract"):
-                    session.retract_validation(op[1])
-                    changed = previous != MISSING
-                else:
-                    session.add_validation(op[1], op[2], overwrite=True)
-                    changed = previous != op[2]
-                if changed:
-                    expected.add(op[1])
-            else:
-                toggled = masked.symmetric_difference(op[1])
-                masked = set(op[1])
-                session.set_masked_workers(op[1])
-                expected.update(obj for obj, wrk in answered
-                                if wrk in toggled)
-            if session.n_answers and data.draw(st.booleans(),
-                                               label="conclude"):
-                session.conclude()
-                expected.clear()
-            assert session.dirty_objects == expected
-
     def test_out_of_range_validation_raises_library_error(self):
         from repro.errors import InvalidValidationError
         session = ValidationSession(3, 2, 2)
@@ -479,7 +441,6 @@ class TestSessionStatisticsNeverDesync:
                 else:
                     target.set_masked_workers(op[1])
             assert session.validation == twin.validation
-            assert session.dirty_objects == twin.dirty_objects
         if session.n_answers:
             assert np.array_equal(session.conclude().assignment,
                                   twin.conclude().assignment)
@@ -501,36 +462,34 @@ class TestSessionStatisticsNeverDesync:
             with pytest.raises(InvalidValidationError):
                 view.retract(0)
         assert session.validation.as_dict() == {0: 1}
-        assert session.dirty_objects == {0, 2, 3}
         # A later re-validation relabels, and the conclude clamps to it.
         session.add_validation(0, 0, overwrite=True)
         assert session.conclude().assignment[0].tolist() == [1.0, 0.0]
 
-    def test_retraction_dirties_and_unclamps(self):
-        """A retraction dirties the object and the next conclude treats it
-        as never validated; re-validating with the other label clamps
-        again."""
+    def test_retraction_unclamps(self):
+        """After a retraction the next conclude treats the object as never
+        validated; re-validating with the other label clamps again."""
         session = ValidationSession(3, 2, 2)
         session.add_answers([(0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 1, 1)])
         session.add_validation(0, 1)
         model = session.conclude()
         session.retract_validation(0)
-        assert session.dirty_objects == {0}
         session.retract_validation(0)  # nothing left to retract
-        assert session.dirty_objects == {0}
         reference = IncrementalEM().refine(session.stats.encoded(),
                                            ExpertValidation(3, 2), model)
         assert np.array_equal(session.conclude().assignment,
                               reference.assignment)
         session.add_validation(0, 0)
-        assert session.dirty_objects == {0}
         assert session.conclude().assignment[0].tolist() == [1.0, 0.0]
 
 
-class TestDeltaReadPath:
+class TestPosteriorsReadPath:
     @settings(max_examples=40, deadline=None)
     @given(interleavings())
     def test_posteriors_match_fresh_e_step(self, case):
+        """``posteriors()`` is one E-step under the installed model over
+        the current statistics, answers since the conclude included, bit
+        for bit; before the first conclude it is the vote shares."""
         n, k, m, ops = case
         session = ValidationSession(n, k, m)
         concluded = False
@@ -544,7 +503,6 @@ class TestDeltaReadPath:
             if index == len(ops) // 2:
                 session.conclude()
                 concluded = True
-                session.posteriors()  # arm the delta-maintained rows
         posteriors = session.posteriors()
         if concluded:
             encoded = session.stats.encoded()
@@ -556,5 +514,28 @@ class TestDeltaReadPath:
         em_kernel.clamp_validated(
             expected, session.validation.validated_indices(),
             session.validation.validated_labels())
-        assert np.allclose(posteriors, expected, atol=1e-9)
+        assert np.array_equal(posteriors, expected)
         assert np.allclose(posteriors.sum(axis=1), 1.0)
+
+    def test_read_between_refreshes_leaves_nothing_behind(self):
+        """A read after a conclude, then 30 more answers: the next read is
+        still one fresh E-step, bit for bit. Rows kept from the first read
+        with the new answers added onto them round differently."""
+        rng = np.random.default_rng(0)
+        n, k, m = 40, 12, 3
+        truth = rng.integers(0, m, size=n)
+        cells = rng.permutation(n * k)[:230]
+        answers = [(cell // k, cell % k,
+                    truth[cell // k] if rng.random() < 0.7
+                    else rng.integers(0, m)) for cell in cells]
+        session = ValidationSession(n, k, m)
+        session.add_answers(answers[:200])
+        session.add_validation(0, truth[0])
+        session.conclude()
+        session.posteriors()
+        session.add_answers(answers[200:])
+        expected = em_kernel.e_step(session.stats.encoded(),
+                                    session.model.confusions,
+                                    session.model.priors)
+        em_kernel.clamp_validated(expected, np.array([0]), truth[:1])
+        assert np.array_equal(session.posteriors(), expected)

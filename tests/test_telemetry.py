@@ -415,14 +415,13 @@ class TestCheckpointCompatibility:
                               restored.model.assignment)
         assert fresh.registry.counter("session.validations").value == 1
 
-    def test_restore_state_telemetry_kwarg(self):
+    def test_state_restore_telemetry_kwarg(self):
         matrix = _answer_matrix(6, 4, seed=3)
         session = ValidationSession.from_answer_set(
             AnswerSet(matrix, labels=("a", "b")))
         session.conclude()
         hub = Telemetry()
-        restored = ValidationSession.restore_state(
-            session.capture_state(), telemetry=hub)
+        restored = session.capture_state().restore(telemetry=hub)
         assert restored.telemetry is hub
         # Conclude both again: each warm-starts from the same captured
         # model, so the instrumented restore must track the original
