@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_triangular
 
 from repro.core.probabilistic import ProbabilisticAnswerSet
 from repro.core.uncertainty import object_entropies
@@ -205,6 +204,10 @@ def _lazy_greedy_indices(covariance: np.ndarray, size: int,
     factor = np.zeros((size, size))
     chosen: list[int] = []
     chosen_arr = np.empty(size, dtype=np.int64)
+    # Imported here, not at module scope: the validation loop imports
+    # ``repro.guidance`` but never runs this selector, and ``scipy.linalg``
+    # loads dozens of scipy modules (tests/test_import_footprint.py).
+    from scipy.linalg import solve_triangular
 
     def conditional(obj: int) -> tuple[float, np.ndarray | None]:
         """Schur complement of ``obj`` given ``chosen`` and its solve."""

@@ -9,7 +9,6 @@ effort-at-precision summaries, curve averaging across runs).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.checks import check_fraction
 
@@ -58,6 +57,10 @@ def uncertainty_precision_correlation(uncertainties: np.ndarray,
     if np.allclose(uncertainties, uncertainties[0]) or \
             np.allclose(precisions, precisions[0]):
         return float("nan")
+    # Imported here, not at module scope: the validation loop imports this
+    # module but never calls this function, and ``scipy.stats`` loads
+    # hundreds of scipy modules (tests/test_import_footprint.py).
+    from scipy import stats
     return float(stats.pearsonr(uncertainties, precisions).statistic)
 
 

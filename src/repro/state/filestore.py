@@ -39,11 +39,13 @@ segment whose entries are keyed by their log positions. The reader
 accepts any number of segments (earlier builds could split a checkpoint
 into one segment per partition block): it concatenates them and sorts by
 position, recovering the exact insertion order however many segments
-hold it. The reader parses every manifest field inside one typed guard
-and checks the answer log, the validations, the masked workers and the
-model against the declared dimensions, so a checkpoint that fails a check
-fails :meth:`~FileSessionStore.load_state` with a typed error, and
-``restore()`` scans back past it.
+hold it. The reader parses every manifest field inside one typed guard,
+checks the answer log, the validations, the masked workers and the
+model against the declared dimensions, and checks that no cell repeats
+in the log, so a checkpoint that fails a check fails
+:meth:`~FileSessionStore.load_state` with a typed error, and
+``restore()`` scans back past it. Listing skips a manifest whose listing
+fields cannot be read, as it skips a torn one.
 
 Older checkpoints carry things this build does not read, and the reader
 accepts them without a schema bump: a manifest ``vocab`` entry (object,
@@ -66,6 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.answer_set import MISSING
+from repro.core.em_kernel import _cell_keys
 from repro.core.iem import INIT_POLICIES
 from repro.errors import (CheckpointCorruptionError,
                           CheckpointDimensionError,
@@ -334,17 +337,21 @@ class FileSessionStore(SessionStore):
                 continue  # incomplete (crashed mid-write): not committed
             try:
                 manifest = self._load_manifest(manifest_path)
-            except CheckpointCorruptionError:
-                # A torn manifest never committed — equivalent to a crash
-                # one syscall earlier. Listing skips it; explicit
-                # load_state(checkpoint_id) stays strict and raises.
+                info = CheckpointInfo(
+                    checkpoint_id=checkpoint_id,
+                    wal_position=int(manifest.get("wal_position", 0)),
+                    n_answers=int(manifest.get("n_answers", 0)),
+                    n_validated=int(manifest.get("n_validated", 0)),
+                    meta=dict(manifest.get("meta", {})))
+            except (CheckpointCorruptionError, TypeError, ValueError,
+                    OverflowError):
+                # A torn manifest, or one whose listing fields cannot be
+                # read, never committed — equivalent to a crash one
+                # syscall earlier. Listing skips it; explicit
+                # load_state(checkpoint_id) stays strict about the fields
+                # it reads.
                 continue
-            infos.append(CheckpointInfo(
-                checkpoint_id=checkpoint_id,
-                wal_position=int(manifest.get("wal_position", 0)),
-                n_answers=int(manifest.get("n_answers", 0)),
-                n_validated=int(manifest.get("n_validated", 0)),
-                meta=dict(manifest.get("meta", {}))))
+            infos.append(info)
         return infos
 
     def load_state(self, checkpoint_id: int | None = None) -> SessionState:
@@ -401,7 +408,7 @@ class FileSessionStore(SessionStore):
                     f"unknown init {fields['init']!r} or conflict policy "
                     f"{fields['on_conflict']!r}")
         except (KeyError, IndexError, TypeError, ValueError,
-                AttributeError) as exc:
+                OverflowError, AttributeError) as exc:
             raise CheckpointCorruptionError(
                 f"checkpoint {directory.name} manifest has missing or "
                 f"unreadable fields: {exc!r}") from exc
@@ -478,6 +485,14 @@ class FileSessionStore(SessionStore):
             raise CheckpointDimensionError(
                 f"checkpoint {directory.name} answer log exceeds declared "
                 f"dimensions ({n_objects} × {n_workers}, {n_labels} labels)")
+        # A session never logs a cell twice. Sort the cell keys, as
+        # AnswerStats does, so a repeat fails here, where restore() can
+        # scan back, and not in the rebuild that follows.
+        keys = _cell_keys(log_objects, log_workers)
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise CheckpointCorruptionError(
+                f"checkpoint {directory.name} answer log holds a cell twice")
         if any(not 0 <= w < n_workers for w in fields["masked_workers"]):
             raise CheckpointDimensionError(
                 f"checkpoint {directory.name} masks workers outside "
@@ -555,7 +570,7 @@ class FileSessionStore(SessionStore):
     @staticmethod
     def _load_manifest(path: Path) -> dict:
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            manifest = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise CheckpointCorruptionError(
                 f"checkpoint manifest {path} is missing") from exc
@@ -563,3 +578,8 @@ class FileSessionStore(SessionStore):
             raise CheckpointCorruptionError(
                 f"checkpoint manifest {path} is torn or unreadable: "
                 f"{exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CheckpointCorruptionError(
+                f"checkpoint manifest {path} holds a "
+                f"{type(manifest).__name__}, not an object")
+        return manifest

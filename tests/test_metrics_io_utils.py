@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.errors import DatasetError, InvalidProbabilityError
 from repro.io import (
@@ -60,6 +61,15 @@ class TestMetrics:
         prec = np.linspace(0.5, 1.0, 20)
         corr = uncertainty_precision_correlation(uncertainty, prec)
         assert corr == pytest.approx(-1.0)
+
+    def test_correlation_is_scipy_pearson_r(self):
+        rng = np.random.default_rng(5)
+        uncertainty = rng.random(40)
+        prec = 1.0 - 0.5 * uncertainty + 0.2 * rng.random(40)
+        expected = stats.pearsonr(uncertainty, prec).statistic
+        assert -1.0 < expected < -0.5
+        assert uncertainty_precision_correlation(uncertainty, prec) == \
+            expected
 
     def test_correlation_degenerate_inputs(self):
         assert np.isnan(uncertainty_precision_correlation(

@@ -414,6 +414,20 @@ def _validate_out_of_range(store: FileSessionStore) -> None:
     np.savez(path, **arrays)
 
 
+def _repeat_first_cell(label):
+    """Rewrite log position 1 to the cell at position 0, with the label
+    ``label(first label)``."""
+    def corrupt(store: FileSessionStore) -> None:
+        path = _checkpoint_dir(store) / "segment-000.npz"
+        with np.load(path) as segment:
+            arrays = dict(segment)
+        for name in ("objects", "workers"):
+            arrays[name][1] = arrays[name][0]
+        arrays["labels"][1] = label(arrays["labels"][0])
+        np.savez(path, **arrays)
+    return corrupt
+
+
 class TestScanBackPastEveryField:
     """A newest checkpoint whose every file parses but one field cannot
     rebuild a session is corrupt: ``restore()`` scans back past it to the
@@ -434,6 +448,13 @@ class TestScanBackPastEveryField:
         pytest.param(lambda store: _edit_manifest(
             store, lambda m: m["config"].update(on_conflict="bogus")),
             id="unknown-conflict-policy"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m["dims"].update(n_objects=float("inf"))),
+            id="infinite-dimension"),
+        pytest.param(_repeat_first_cell(lambda first: first),
+                     id="repeated-cell-same-label"),
+        pytest.param(_repeat_first_cell(lambda first: 1 - first),
+                     id="repeated-cell-conflicting-label"),
     ])
     def test_corrupt_newest_checkpoint_is_scanned_back(self, tmp_path,
                                                        corrupt):
@@ -456,6 +477,48 @@ class TestScanBackPastEveryField:
         with pytest.raises((CheckpointCorruptionError,
                             CheckpointDimensionError)):
             store.load_state(1)
+
+
+class TestUnreadableListingFields:
+    """A newest manifest whose listing fields (WAL position, counts,
+    meta) cannot be read is skipped by ``checkpoints()``, as a torn one
+    is, so ``restore()`` reaches the older checkpoint."""
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m.update(wal_position="abc")),
+            id="wal-position-text"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m.update(wal_position=[1])),
+            id="wal-position-list"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m.update(wal_position=float("inf"))),
+            id="wal-position-infinite"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m.update(n_answers="x")),
+            id="n-answers-text"),
+        pytest.param(lambda store: _edit_manifest(
+            store, lambda m: m.update(meta=[1, 2])), id="meta-list"),
+        pytest.param(lambda store: (_checkpoint_dir(store)
+                                    / "manifest.json").write_text("[1, 2]"),
+                     id="manifest-list"),
+    ])
+    def test_unlisted_newest_checkpoint_restores_the_older(self, tmp_path,
+                                                          corrupt):
+        store = FileSessionStore(tmp_path)
+        live = _session()
+        live.attach_journal(store)
+        store.checkpoint(live)
+        live.add_answer(5, 1, 1)
+        live.conclude()
+        store.checkpoint(live)
+        store.close()
+        corrupt(store)
+
+        assert [info.checkpoint_id for info in store.checkpoints()] == [0]
+        restored = store.restore()
+        assert restored.checkpoint.checkpoint_id == 0
+        assert restored.session.capture_state().equals(live.capture_state())
 
 
 class TestUnreplayableTail:
